@@ -1,5 +1,5 @@
 """End-to-end covering demo: build both nullset flavours, cover seeded
-random slaloms, and show the certificates next to their exhaustive
+random slaloms, and show the certificates next to their exact
 re-checks.
 
 Usage: python3 scripts/cover_demo.py [seed]

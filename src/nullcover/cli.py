@@ -227,7 +227,7 @@ def _attach_repro(exc, spec, slalom) -> None:
 
 @main.group("cover")
 def cover_group() -> None:
-    """Compute and exhaustively verify one covering translate."""
+    """Compute and verify one covering translate."""
 
 
 @cover_group.command("product")

@@ -5,8 +5,12 @@ outgrows 2(n+3) (:func:`plan_blocks_product` / :func:`plan_blocks_padic`),
 keep a large subset of each block group (:func:`build_nullset`), and for
 any slalom of the right width compute one translate that absorbs it
 (:func:`cover_product_slalom` / :func:`cover_padic_slalom`).  Every
-certificate is re-checked exhaustively by :func:`verify_cover`, which is
-deliberately independent of how the translate was found.
+certificate is re-checked by :func:`verify_cover`, which is deliberately
+independent of how the translate was found: an exact decision over all
+prod |S_n| slalom elements that reads each slalom value once per
+incoming carry (a two-state carry transducer in p-adic mode), so its
+cost is O(sum |S_n|) rather than the element count.  Translators are
+searched in enumeration-index space, from the gaps of the kept sets.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -285,7 +290,7 @@ class Slalom:
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    """One translate plus the exhaustive-verification record."""
+    """One translate plus the verification record."""
 
     translate: tuple[tuple[int, ...], ...]   # per-block residue/digit vectors
     verified: bool
@@ -316,7 +321,7 @@ class CoverCertificate:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    """Outcome of an exhaustive cover check."""
+    """Outcome of an exact cover check."""
 
     ok: bool
     witness: Optional[tuple[int, ...]]      # lexicographically least failing element, by block index
@@ -334,19 +339,25 @@ class VerifyResult:
         return obj
 
 
-def find_translator(group, kept: Iterable, targets: Iterable, n: int, cap: int = DEFAULT_ENUM_CAP):
-    """Least g in canonical order with targets contained in g + kept.
+def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Least index g with every target in g + kept, all in enumeration
+    indices of ``group``; ``kept`` is sorted and duplicate-free, as in
+    :attr:`NullsetSpec.kept`.
 
     Rather than trying every g, compute the set of g that fail: g fails
     iff some target equals g + c with c outside the kept set, i.e. iff
     g lies in targets - (complement of kept).  That set has at most
     |targets| * |complement| < |G| members under the preconditions
     |kept| >= ceil((1 - 1/(n+3)) |G|) and |targets| <= n+2, so the first
-    element outside it exists and is returned.
+    index outside it exists and is returned.  The complement is read off
+    the gaps of ``kept``.  In a cyclic block (one coordinate, or a p-adic
+    digit block) index subtraction is subtraction mod the order, so each
+    gap forbids one interval of indices and no element is touched; in a
+    product of several coordinates only the targets and the complement
+    are converted to residue vectors.
     """
     if n < 0:
         raise PreconditionViolated(f"level must be >= 0, got {n}")
-    kept = frozenset(kept)
     targets = sorted(set(targets))
     order = group.order
     min_kept = _ceil_div(order * (n + 2), n + 3)
@@ -356,14 +367,71 @@ def find_translator(group, kept: Iterable, targets: Iterable, n: int, cap: int =
         )
     if len(targets) > n + 2:
         raise PreconditionViolated(f"{len(targets)} targets exceed the level-{n} limit {n + 2}")
-    missing = [e for e in group.elements(cap) if e not in kept]
-    forbidden = {group.sub(s, c) for s in targets for c in missing}
+    if order > cap:
+        raise CapExceeded(f"group order {order} exceeds enumeration cap {cap}")
+    if kept[0] < 0 or kept[-1] >= order or (targets and (targets[0] < 0 or targets[-1] >= order)):
+        raise PreconditionViolated(f"kept or target indices outside [0, {order})")
+    gaps = _gaps(kept, order)
+    missing = order - len(kept)
     # counting bound behind the whole construction
-    assert len(forbidden) <= len(targets) * len(missing) < order
-    for g in group.elements(cap):
-        if g not in forbidden:
-            return g
-    raise NoTranslator(f"forbidden set exhausted a group of order {order}")
+    assert len(targets) * missing < order
+    if not _index_arithmetic(group):
+        complement = [group.element_at(c) for a, b in gaps for c in range(a, b)]
+        forbidden = {
+            group.index_of(group.sub(s, c)) for s in map(group.element_at, targets) for c in complement
+        }
+        g = 0
+        while g in forbidden:
+            g += 1
+    else:
+        # s - c for c in the gap [a, b) is the cyclic interval [s - b + 1, s - a]
+        intervals = []
+        for s in targets:
+            for a, b in gaps:
+                lo = (s - b + 1) % order
+                hi = lo + b - a
+                intervals.append((lo, min(hi, order)))
+                if hi > order:
+                    intervals.append((0, hi - order))
+        intervals.sort()
+        g = 0
+        for lo, hi in intervals:
+            if lo > g:
+                break
+            g = max(g, hi)
+    if g >= order:
+        raise NoTranslator(f"forbidden set exhausted a group of order {order}")
+    return g
+
+
+def _index_arithmetic(group) -> bool:
+    """Whether the group law is addition of enumeration indices mod the
+    order: true for one cyclic coordinate and for p-adic digit blocks,
+    false for a product of several coordinates."""
+    return not isinstance(group, FiniteAbelianGroup) or len(group.orders) == 1
+
+
+def _gaps(kept: Sequence[int], order: int) -> list[tuple[int, int]]:
+    """The complement of a sorted, duplicate-free index sequence in
+    [0, order), as half-open intervals in increasing order.  A run of
+    ``kept`` whose span equals its length has no gap inside, so bisecting
+    the sequence costs O(gaps * log |kept|)."""
+    out = [(0, kept[0])] if kept[0] > 0 else []
+    pending = [(0, len(kept) - 1)]
+    while pending:
+        i, j = pending.pop()
+        if kept[j] - kept[i] == j - i:
+            continue
+        if j == i + 1:
+            out.append((kept[i] + 1, kept[j]))
+            continue
+        mid = (i + j) // 2
+        # right half first, so gaps leave the stack in increasing order
+        pending.append((mid, j))
+        pending.append((i, mid))
+    if kept[-1] < order - 1:
+        out.append((kept[-1] + 1, order))
+    return out
 
 
 def plan_blocks_product(orders: Iterable[int], depth: int) -> BlockPlan:
@@ -469,7 +537,7 @@ def cover_product_slalom(
     Blockwise: the translate's n-th component comes from
     :func:`find_translator` on the block group; no carries exist in
     product mode, so the blocks are independent.  The assembled translate
-    is then re-checked exhaustively over every slalom element.
+    is then re-checked by :func:`verify_cover`.
     """
     if spec.plan.mode != "product":
         raise PreconditionViolated("cover_product_slalom needs a product-mode spec")
@@ -480,20 +548,14 @@ def cover_product_slalom(
         if len(values) > f(n):
             raise PreconditionViolated(f"slalom set {n} is wider than n+2")
         group = spec.plan.block_group(n)
-        kept_elems = [group.element_at(i) for i in spec.kept[n]]
-        targets = [group.element_at(v) for v in values]
-        translate.append(find_translator(group, kept_elems, targets, n, cap_enum))
-    certificate = CoverCertificate(
-        translate=tuple(translate), verified=False, checked_count=0
-    )
-    result = verify_cover(spec, certificate.translate, slalom, cap_verify)
+        translate.append(group.element_at(find_translator(group, spec.kept[n], values, n, cap_enum)))
+    translate = tuple(translate)
+    result = verify_cover(spec, translate, slalom, cap_verify)
     if not result.ok:
         raise VerificationFailed(
-            f"product cover failed exhaustive re-check at element {result.witness}"
+            f"product cover failed its re-check at element {result.witness}"
         )
-    return CoverCertificate(
-        translate=certificate.translate, verified=True, checked_count=result.checked_count
-    )
+    return CoverCertificate(translate=translate, verified=True, checked_count=result.checked_count)
 
 
 def cover_padic_slalom(
@@ -507,11 +569,11 @@ def cover_padic_slalom(
     truncated p-adic integers.
 
     Carries couple the blocks, so each slalom set is first closed under
-    an incoming carry: targets_n = S_n united with S_n + carry_unit.
+    an incoming carry: targets_n = S_n united with S_n + 1 mod p^len.
     That at most doubles the set, staying within the n+2 budget of
-    :func:`find_translator`; the offset's n-th block is the block-group
-    inverse of the found translator.  Verification then runs the full
-    carry-propagating addition mod p^(top cut) on every slalom element.
+    :func:`find_translator`; the offset's n-th block is minus the found
+    translator.  :func:`verify_cover` then follows the carries through
+    every block.
     """
     plan = spec.plan
     if plan.mode != "padic":
@@ -527,26 +589,21 @@ def cover_padic_slalom(
         if len(values) > f(n):
             raise PreconditionViolated(f"slalom set {n} is wider than (n+2)//2")
         block = plan.block_group(n)
-        kept_elems = [block.element_at(i) for i in spec.kept[n]]
-        targets = {block.element_at(v) for v in values}
-        targets |= {block.add(t, block.carry_unit()) for t in targets}
+        order = block.order
+        targets = {v for value in values for v in (value, (value + 1) % order)}
         if len(targets) > n + 2:
             raise PreconditionViolated(
                 f"carry-closed set for block {n} has {len(targets)} elements, over the n+2 budget"
             )
-        g = find_translator(block, kept_elems, targets, n, cap_enum)
-        offset_blocks.append(block.neg(g))
-    certificate = CoverCertificate(
-        translate=tuple(offset_blocks), verified=False, checked_count=0
-    )
-    result = verify_cover(spec, certificate.translate, slalom, cap_verify)
+        g = find_translator(block, spec.kept[n], targets, n, cap_enum)
+        offset_blocks.append(block.element_at(-g % order))
+    translate = tuple(offset_blocks)
+    result = verify_cover(spec, translate, slalom, cap_verify)
     if not result.ok:
         raise VerificationFailed(
-            f"padic cover failed exhaustive re-check at element {result.witness}"
+            f"padic cover failed its re-check at element {result.witness}"
         )
-    return CoverCertificate(
-        translate=certificate.translate, verified=True, checked_count=result.checked_count
-    )
+    return CoverCertificate(translate=translate, verified=True, checked_count=result.checked_count)
 
 
 def verify_cover(
@@ -555,15 +612,30 @@ def verify_cover(
     slalom: Slalom,
     cap: int = DEFAULT_VERIFY_CAP,
 ) -> VerifyResult:
-    """Exhaustively check that every slalom element lands in the
+    """Decide exactly whether every slalom element lands in the
     translated nullset; on failure report the lexicographically least
     escaping element (as per-block enumeration indices).
 
-    Product mode checks blockwise membership in the translated kept sets.
-    p-adic mode adds the offset with full carry propagation mod p^(top
-    cut) and additionally confirms, per element and block, the carry
-    dichotomy: the resulting block equals either target + offset or
-    target + offset + carry_unit in the block group.
+    No element is enumerated: the check reads each slalom value once per
+    incoming carry, so it costs O(sum |S_n|) block operations (and a
+    bisection of the kept set each) instead of prod |S_n|.
+
+    Product mode: blocks are independent, so an element escapes iff one
+    of its values v has v - translate_n outside the kept set.  The cover
+    holds iff every value passes; the least escaping element follows from
+    the per-block flags.  ``checked_count`` is the element count either
+    way.
+
+    p-adic mode: adding the offset with carries is a two-state
+    transducer over the blocks (carry 0 or 1 into each block).  A
+    backward pass finds, per block and incoming carry, whether some
+    completion escapes and how many carried (element, block) pairs all
+    completions hold; a greedy forward pass then picks the least
+    escaping element, its mixed-radix rank (``checked_count`` is rank +
+    1, as in an enumeration that stops at the witness) and the carry
+    split over the elements up to it.  ``carry_cases`` counts, per
+    element and block, whether the block sum is target + offset or
+    target + offset + 1.
     """
     plan = spec.plan
     slalom.check_domains(plan)
@@ -572,55 +644,96 @@ def verify_cover(
         raise CapExceeded(f"{total} slalom elements exceed the verification cap {cap}")
     if len(translate) != plan.depth:
         raise PreconditionViolated(f"translate has {len(translate)} blocks, plan has {plan.depth}")
-
     if plan.mode == "product":
-        ok_flags = []
-        for n, values in enumerate(slalom.sets):
-            group = spec.plan.block_group(n)
-            shifted = {group.add(translate[n], group.element_at(i)) for i in spec.kept[n]}
-            ok_flags.append([group.element_at(v) in shifted for v in values])
-        passed = sum(map(all, itertools.product(*ok_flags)))
-        if passed == total:
-            return VerifyResult(ok=True, witness=None, checked_count=total)
-        for combo in itertools.product(*(zip(s, flags) for s, flags in zip(slalom.sets, ok_flags))):
-            if not all(flag for _, flag in combo):
-                witness = tuple(v for v, _ in combo)
-                return VerifyResult(ok=False, witness=witness, checked_count=total)
-        raise VerificationFailed("membership count disagrees with the element scan")
+        return _verify_product(spec, translate, slalom, total)
+    return _verify_padic(spec, translate, slalom, total)
 
-    p = plan.p
-    cuts = plan.boundaries
-    modulus = p ** cuts[-1]
-    block_sizes = plan.block_orders
-    kept_sets = [frozenset(ind) for ind in spec.kept]
-    offset_vals = [plan.block_group(n).value(block) for n, block in enumerate(translate)]
-    offset_total = sum(v * p ** cuts[n] for n, v in enumerate(offset_vals))
-    no_carry = carried = 0
-    checked = 0
-    for combo in itertools.product(*slalom.sets):
-        checked += 1
-        element_total = sum(v * p ** cuts[n] for n, v in enumerate(combo))
-        shifted = (element_total + offset_total) % modulus
-        inside = True
-        for n in range(plan.depth):
-            block_val = (shifted // p ** cuts[n]) % block_sizes[n]
-            plain = (combo[n] + offset_vals[n]) % block_sizes[n]
-            if block_val == plain:
-                no_carry += 1
-            elif block_val == (plain + 1) % block_sizes[n]:
-                carried += 1
-            else:
-                # carries into a block are 0 or 1; anything else is broken arithmetic
-                raise VerificationFailed(
-                    f"carry dichotomy violated at element {combo}, block {n}"
-                )
-            if block_val not in kept_sets[n]:
-                inside = False
-        if not inside:
-            return VerifyResult(
-                ok=False, witness=combo, checked_count=checked, carry_cases=(no_carry, carried)
-            )
-    return VerifyResult(ok=True, witness=None, checked_count=checked, carry_cases=(no_carry, carried))
+
+def _contains(kept: Sequence[int], index: int) -> bool:
+    i = bisect_left(kept, index)
+    return i < len(kept) and kept[i] == index
+
+
+def _verify_product(spec: NullsetSpec, translate, slalom: Slalom, total: int) -> VerifyResult:
+    passes = []
+    for n, values in enumerate(slalom.sets):
+        group = spec.plan.block_group(n)
+        t = translate[n]
+        if not _index_arithmetic(group):
+            group.check(t)
+            shifted = [group.index_of(group.sub(group.element_at(v), t)) for v in values]
+        else:
+            t = group.index_of(t)
+            shifted = [(v - t) % group.order for v in values]
+        passes.append([_contains(spec.kept[n], s) for s in shifted])
+    failing = [n for n, flags in enumerate(passes) if not all(flags)]
+    if not failing:
+        return VerifyResult(ok=True, witness=None, checked_count=total)
+    # block 0 varies slowest: the first element escapes if any first value
+    # fails; otherwise the least escaper differs from it only in the last
+    # block with a failing value, where it takes the first such value
+    choice = [0] * len(passes)
+    if all(flags[0] for flags in passes):
+        choice[failing[-1]] = passes[failing[-1]].index(False)
+    witness = tuple(values[i] for values, i in zip(slalom.sets, choice))
+    return VerifyResult(ok=False, witness=witness, checked_count=total)
+
+
+def _verify_padic(spec: NullsetSpec, translate, slalom: Slalom, total: int) -> VerifyResult:
+    plan = spec.plan
+    depth = plan.depth
+    # step[n][c]: per slalom value of block n with carry c into the block,
+    # (block sum lands in the kept set, carry out of the block)
+    step = []
+    for n, values in enumerate(slalom.sets):
+        block = plan.block_group(n)
+        order = block.order
+        offset = block.value(translate[n])
+        kept = spec.kept[n]
+        step.append([
+            [(_contains(kept, (v + offset + c) % order), v + offset + c >= order) for v in values]
+            for c in (0, 1)
+        ])
+    # backward pass: completions[n] = prod_{m >= n} |S_m|; escapes[n][c]
+    # and carried[n][c] cover the completions of blocks n.. entered with carry c
+    completions = [1] * (depth + 1)
+    escapes = [[False, False] for _ in range(depth + 1)]
+    carried = [[0, 0] for _ in range(depth + 1)]
+    for n in range(depth - 1, -1, -1):
+        completions[n] = len(slalom.sets[n]) * completions[n + 1]
+        for c in (0, 1):
+            moves = step[n][c]
+            escapes[n][c] = any(not inside or escapes[n + 1][out] for inside, out in moves)
+            carried[n][c] = c * completions[n] + sum(carried[n + 1][out] for _, out in moves)
+    if not escapes[0][0]:
+        plain = total * depth - carried[0][0]
+        return VerifyResult(ok=True, witness=None, checked_count=total,
+                            carry_cases=(plain, carried[0][0]))
+    # forward pass: the least escaping element, its rank, and the carried
+    # pairs of every element ranked up to it
+    rank = 0
+    carry_total = 0
+    path_carries = 0   # carries into blocks 0..n-1 along the witness
+    c = 0
+    escaped = False
+    witness = []
+    for n in range(depth):
+        moves = step[n][c]
+        j = 0
+        if not escaped:
+            while moves[j][0] and not escapes[n + 1][moves[j][1]]:
+                j += 1
+            rank += j * completions[n + 1]
+            carry_total += j * completions[n + 1] * (path_carries + c)
+            carry_total += sum(carried[n + 1][out] for _, out in moves[:j])
+            escaped = not moves[j][0]
+        witness.append(slalom.sets[n][j])
+        path_carries += c
+        c = moves[j][1]
+    checked = rank + 1
+    carry_total += path_carries
+    return VerifyResult(ok=False, witness=tuple(witness), checked_count=checked,
+                        carry_cases=(checked * depth - carry_total, carry_total))
 
 
 def random_slalom(

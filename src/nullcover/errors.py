@@ -57,7 +57,7 @@ class EmptyWindow(PreconditionViolated):
 
 
 class VerificationFailed(NullcoverError):
-    """An exhaustive re-check contradicted a produced certificate.
+    """An exact re-check contradicted a produced certificate.
 
     This is a hard internal error: it means a bug, never a bad input.
     """

@@ -114,10 +114,7 @@ def ek_outer_measure(depth: int) -> Fraction:
     to 1/N."""
     if depth < 2:
         raise PreconditionViolated(f"depth must be >= 2, got {depth}")
-    total = Fraction(1)
-    for n in range(2, depth + 1):
-        total *= Fraction(n - 1, n)
-    return total
+    return Fraction(1, depth)
 
 
 def ek_sup(depth: int) -> Fraction:

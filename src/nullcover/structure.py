@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .cover import _as_int
 from .errors import (
     NotDiscrete,
     NotFiniteTorsion,
@@ -218,11 +219,11 @@ def descriptor_from_json(obj: object) -> Descriptor:
         if kind == "Torus":
             return Torus()
         if kind == "Cyclic":
-            return Cyclic(int(obj["m"]))
+            return Cyclic(_as_int(obj["m"], "Cyclic m"))
         if kind == "Quasicyclic":
-            return Quasicyclic(int(obj["p"]))
+            return Quasicyclic(_as_int(obj["p"], "Quasicyclic p"))
         if kind == "Padic":
-            return Padic(int(obj["p"]))
+            return Padic(_as_int(obj["p"], "Padic p"))
         if kind in ("FiniteSum", "SumOmega", "ProdOmega"):
             parts = tuple(descriptor_from_json(p) for p in obj["parts"])
             return {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}[kind](parts)

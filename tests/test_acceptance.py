@@ -64,7 +64,8 @@ def test_translator_sweep():
                 kept = frozenset(rng.sample(elements, size))
                 width = rng.randint(1, min(n + 2, G.order))
                 targets = rng.sample(elements, width)
-                g = find_translator(G, kept, targets, n)
+                g = G.element_at(find_translator(
+                    G, sorted(map(G.index_of, kept)), map(G.index_of, targets), n))
                 if not all(G.sub(s, g) in kept for s in targets):
                     failures += 1
                 checked += 1

@@ -165,6 +165,12 @@ class TestErrorChannel:
         assert result.exit_code == 2
         assert json.loads(result.output)["error"]["type"] == "SchemaError"
 
+    @pytest.mark.parametrize("m", ["2.7", "true"])
+    def test_descriptor_integer_fields_are_strict(self, runner, m):
+        result = run(runner, ["dual", "--in", f'{{"type":"Cyclic","m":{m}}}'])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"]["type"] == "SchemaError"
+
     def test_inconsistent_certificate_rejected(self, runner):
         bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "2", "--seed", "1"])
         bad = dict(bundle)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullcover.cover import (
+    DEFAULT_VERIFY_CAP,
     BlockPlan,
     CoverCertificate,
     NullsetSpec,
@@ -26,9 +28,14 @@ from nullcover.cover import (
     verify_cover,
 )
 from nullcover.errors import CapExceeded, PreconditionViolated
-from nullcover.groups import FiniteAbelianGroup, PadicContext
+from nullcover.groups import BlockGroup, FiniteAbelianGroup, PadicContext
 
-from helpers import abelian_groups_up_to, least_translator_by_scan, translators_by_scan
+from helpers import (
+    abelian_groups_up_to,
+    least_translator_by_scan,
+    translators_by_scan,
+    verify_cover_by_enumeration,
+)
 
 
 def padic_spec(p, depth):
@@ -42,52 +49,56 @@ def product_spec(depth, order=2):
 class TestFindTranslator:
     def test_z3_example(self):
         G = FiniteAbelianGroup((3,))
-        g = find_translator(G, {(0,), (1,)}, {(0,), (2,)}, 0)
-        assert g == (2,)
+        assert find_translator(G, (0, 1), {0, 2}, 0) == 2
 
     def test_targets_inside_kept_gives_zero(self):
         G = FiniteAbelianGroup((2, 3))
-        kept = {(0, 0), (0, 1), (0, 2), (1, 0)}
-        g = find_translator(G, kept, {(0, 1), (1, 0)}, 0)
-        assert g == G.zero()
+        kept = tuple(G.index_of(e) for e in [(0, 0), (0, 1), (0, 2), (1, 0)])
+        targets = {G.index_of((0, 1)), G.index_of((1, 0))}
+        assert find_translator(G, kept, targets, 0) == G.index_of(G.zero())
 
     def test_z8_example(self):
         G = FiniteAbelianGroup((8,))
-        kept = {(i,) for i in range(6)}
-        assert find_translator(G, kept, {(3,), (4,)}, 0) == (0,)
+        assert find_translator(G, tuple(range(6)), {3, 4}, 0) == 0
 
     def test_kept_too_small(self):
         G = FiniteAbelianGroup((8,))
         with pytest.raises(PreconditionViolated):
-            find_translator(G, {(i,) for i in range(5)}, {(3,)}, 0)
+            find_translator(G, tuple(range(5)), {3}, 0)
 
     def test_too_many_targets(self):
         G = FiniteAbelianGroup((8,))
-        kept = {(i,) for i in range(6)}
         with pytest.raises(PreconditionViolated):
-            find_translator(G, kept, {(0,), (1,), (2,)}, 0)
+            find_translator(G, tuple(range(6)), {0, 1, 2}, 0)
 
     def test_exhaustive_small_sweep(self):
-        # every group of order <= 8, every level n <= 3, every kept set of
-        # exactly the minimal admissible size, every nonempty target set
-        # within the width budget; cross-checked against the full scan and
-        # the forbidden-set characterisation
-        for G in abelian_groups_up_to(8):
-            all_elements = list(G.elements())
+        # every group of order <= 8 (and every p-adic digit block of order
+        # <= 8), every level n <= 3, every kept set of exactly the minimal
+        # admissible size, every nonempty target set within the width
+        # budget; cross-checked against the full scan and the forbidden-set
+        # characterisation
+        blocks = [BlockGroup(2, 0, 1), BlockGroup(2, 1, 3), BlockGroup(2, 4, 7),
+                  BlockGroup(3, 0, 1), BlockGroup(5, 2, 3), BlockGroup(7, 0, 1)]
+        for G in [*abelian_groups_up_to(8), *blocks]:
+            indices = range(G.order)
+            elements = [G.element_at(i) for i in indices]
             for n in range(4):
                 size = -(-(G.order * (n + 2)) // (n + 3))
                 if size >= G.order:
                     continue
-                for kept in itertools.combinations(all_elements, size):
-                    kept_set = frozenset(kept)
-                    complement = [e for e in all_elements if e not in kept_set]
+                for kept in itertools.combinations(indices, size):
+                    kept_elements = [elements[i] for i in kept]
+                    complement = [elements[i] for i in indices if i not in kept]
                     for width in range(1, n + 3):
-                        for targets in itertools.combinations(all_elements, width):
-                            g = find_translator(G, kept_set, targets, n)
-                            valid = translators_by_scan(G, kept_set, targets)
+                        for targets in itertools.combinations(indices, width):
+                            g = find_translator(G, kept, targets, n)
+                            target_elements = [elements[t] for t in targets]
+                            valid = [G.index_of(e) for e in
+                                     translators_by_scan(G, kept_elements, target_elements)]
                             assert g == valid[0]
-                            forbidden = {G.sub(s, c) for s in targets for c in complement}
-                            assert set(valid) == set(all_elements) - forbidden
+                            forbidden = {G.index_of(G.sub(s, c))
+                                         for s in target_elements for c in complement}
+                            assert set(valid) == set(indices) - forbidden
 
 
 class TestPlans:
@@ -329,6 +340,71 @@ class TestVerifyCover:
         cert = cover_padic_slalom(PadicContext(5, spec.plan.boundaries[-1]), spec, slalom)
         result = verify_cover(spec, cert.translate, slalom)
         assert sum(result.carry_cases) == result.checked_count * spec.depth
+
+
+class TestVerifyAgainstEnumeration:
+    """The carry-state check against the element-by-element enumerator,
+    on random kept sets anywhere in the window and on accepted as well as
+    corrupted translates; the whole result must agree."""
+
+    @staticmethod
+    def random_spec(plan, rng):
+        kept = []
+        for n, size in enumerate(plan.block_orders):
+            lo, hi = kept_window(size, n)
+            kept.append(tuple(sorted(rng.sample(range(size), rng.randint(lo, hi)))))
+        return NullsetSpec(plan=plan, kept=tuple(kept))
+
+    @staticmethod
+    def translates(plan, accepted, rng):
+        yield accepted
+        for _ in range(3):
+            n = rng.randrange(plan.depth)
+            block = plan.block_group(n).element_at(rng.randrange(plan.block_orders[n]))
+            yield accepted[:n] + (block,) + accepted[n + 1:]
+        yield tuple(plan.block_group(n).element_at(rng.randrange(size))
+                    for n, size in enumerate(plan.block_orders))
+
+    def check(self, spec, slalom, accepted, rng):
+        seen = set()
+        for translate in self.translates(spec.plan, accepted, rng):
+            expected = verify_cover_by_enumeration(spec, translate, slalom, DEFAULT_VERIFY_CAP)
+            assert verify_cover(spec, translate, slalom) == expected
+            seen.add(expected.ok)
+        return seen
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 7), st.integers(0, 2**32))
+    def test_padic(self, p, depth, seed):
+        rng = random.Random(seed)
+        spec = self.random_spec(plan_blocks_padic(p, depth), rng)
+        slalom = random_slalom(spec.plan, "(n+2)//2", seed=seed)
+        cert = cover_padic_slalom(PadicContext(p, spec.plan.boundaries[-1]), spec, slalom)
+        assert True in self.check(spec, slalom, cert.translate, rng)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([(2,), (2, 3), (3,), (5, 2)]), st.integers(1, 5), st.integers(0, 2**32))
+    def test_product(self, orders, depth, seed):
+        rng = random.Random(seed)
+        spec = self.random_spec(plan_blocks_product(itertools.cycle(orders), depth), rng)
+        slalom = random_slalom(spec.plan, "n+2", seed=seed)
+        cert = cover_product_slalom(spec, slalom)
+        assert True in self.check(spec, slalom, cert.translate, rng)
+
+    def test_padic_depth_100_within_a_second(self):
+        # about 10^128 slalom elements: only a check linear in depth finishes
+        start = time.perf_counter()
+        spec = padic_spec(2, 100)
+        slalom = random_slalom(spec.plan, "(n+2)//2", seed=100)
+        total = slalom.element_count()
+        ctx = PadicContext(2, spec.plan.boundaries[-1])
+        cert = cover_padic_slalom(ctx, spec, slalom, cap_verify=total)
+        result = verify_cover(spec, cert.translate, slalom, cap=total)
+        elapsed = time.perf_counter() - start
+        assert cert.verified and cert.checked_count == total
+        assert result.ok and result.checked_count == total
+        assert sum(result.carry_cases) == total * spec.depth
+        assert elapsed < 1.0
 
 
 class TestRandomSlalom:
