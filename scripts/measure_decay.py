@@ -20,9 +20,10 @@ def main() -> None:
         print(f"{n:<4} {float(bound):<20.12f} {text}")
 
     print()
-    # staying modest with thresholds: the exact product's terms grow by a
-    # digit or so per level, so distant crossings get quadratically costly
-    for threshold in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 20)):
+    # each crossing costs one binomial (Wallis's closed form) plus a step
+    # of exact comparisons; crossings past NUMERIC_DEPTH_CAP blocks (below
+    # about 1/120) raise CapExceeded
+    for threshold in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100)):
         n = first_bound_below(threshold)
         print(f"bound first drops below {threshold}: N = {n}")
 

@@ -423,7 +423,7 @@ def slalom_gen_cmd(cfg: RunConfig, payload, width: str) -> dict:
         parsed = parse_payload(width)
         if not isinstance(parsed, list):
             raise SchemaError("width table must be a JSON array")
-        spec = tuple(int(w) for w in parsed)
+        spec = tuple(parsed)
     return cov.random_slalom(plan, spec, cfg.seed).to_json()
 
 

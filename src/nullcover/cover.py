@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, floor, pi, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -34,6 +34,7 @@ from .errors import (
     VerificationFailed,
 )
 from .groups import DEFAULT_ENUM_CAP, BlockGroup, FiniteAbelianGroup, is_prime
+from .nullset import NUMERIC_DEPTH_CAP
 
 DEFAULT_VERIFY_CAP = 1 << 20
 
@@ -53,7 +54,7 @@ def width_fn(width: WidthSpec) -> Callable[[int], int]:
         except KeyError:
             raise SchemaError(f"unknown width tag {width!r}; expected one of {sorted(WIDTHS)} or a table") from None
     table = tuple(width)
-    if not all(isinstance(w, int) and w >= 1 for w in table):
+    if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in table):
         raise SchemaError(f"width table must contain positive ints: {table}")
 
     def f(n: int) -> int:
@@ -495,8 +496,20 @@ def build_nullset(plan: BlockPlan) -> NullsetSpec:
 
 
 def bound_product(n_blocks: int) -> Fraction:
-    """Exact value of the decay bound prod_{n<N} (1 - 1/(2(n+3)))."""
-    return prod((1 - Fraction(1, _grow(n)) for n in range(n_blocks)), start=Fraction(1))
+    """Exact value of the decay bound prod_{n<N} (1 - 1/(2(n+3))).
+
+    The factors are (2n+5)/(2n+6), so the product is the odd-over-even
+    ratio 5*7*...*(2N+3) / (6*8*...*(2N+4)), which is Wallis's closed
+    form C(2M, M) * 8 / (3 * 4^M) with M = N + 2: one binomial and one
+    reduction.
+    """
+    return Fraction(*_bound_pair(n_blocks))
+
+
+def _bound_pair(n_blocks: int) -> tuple[int, int]:
+    # bound_product(N) as an unreduced integer pair; N <= 0 is the empty product
+    m = max(n_blocks, 0) + 2
+    return comb(2 * m, m) * 8, 3 * 4**m
 
 
 def measure_upper(spec: NullsetSpec, n_blocks: int) -> Fraction:
@@ -505,9 +518,9 @@ def measure_upper(spec: NullsetSpec, n_blocks: int) -> Fraction:
     bound before returning."""
     if not 0 <= n_blocks <= spec.depth:
         raise PreconditionViolated(f"{n_blocks} blocks requested, spec realizes {spec.depth}")
-    measure = prod(
-        (Fraction(len(ind), size) for ind, size in zip(spec.kept[:n_blocks], spec.plan.block_orders)),
-        start=Fraction(1),
+    measure = Fraction(
+        prod(len(ind) for ind in spec.kept[:n_blocks]),
+        prod(spec.plan.block_orders[:n_blocks]),
     )
     if measure > bound_product(n_blocks):
         raise VerificationFailed(f"measure {measure} exceeds the decay bound at N = {n_blocks}")
@@ -515,13 +528,31 @@ def measure_upper(spec: NullsetSpec, n_blocks: int) -> Fraction:
 
 
 def first_bound_below(threshold: Fraction) -> int:
-    """Smallest N with bound_product(N) < threshold, by direct evaluation."""
+    """Smallest N with bound_product(N) < threshold.
+
+    With M = N + 2 the bound is 8/3 * C(2M, M) / 4^M, and Wallis's
+    inequalities 1/sqrt(pi (M + 1/2)) < C(2M, M) / 4^M < 1/sqrt(pi (M + 1/4))
+    put the answer's M in (x - 1/2, x + 3/4] for x = (8 / (3t))^2 / pi.
+    That float estimate only picks the start M = floor(x - 1/2), below
+    the answer by a margin no float rounding erodes.  From the exact
+    bound there, held as one unreduced integer pair, the search steps up
+    by the exact ratio bound(N+1) / bound(N) = (2N+5)/(2N+6), a step or
+    two, comparing cross-multiplied integers, until the bound drops
+    below t.  A threshold whose estimate exceeds ``NUMERIC_DEPTH_CAP``
+    raises :class:`CapExceeded` before any big-integer work.
+    """
     if not 0 < threshold < 1:
         raise PreconditionViolated(f"threshold must be in (0, 1), got {threshold}")
-    value = Fraction(1)
-    n = 0
-    while value >= threshold:
-        value *= 1 - Fraction(1, _grow(n))
+    t = Fraction(threshold)
+    square = Fraction(64, 9) / (t * t)  # (8 / (3t))^2, exact
+    if square > pi * (NUMERIC_DEPTH_CAP + 2):
+        raise CapExceeded(f"the bound drops below the threshold only beyond the depth cap {NUMERIC_DEPTH_CAP}")
+    n = max(floor(float(square) / pi - 0.5) - 2, 0)
+    num, den = _bound_pair(n)
+    # bound(n) >= t  <=>  num * t.den >= t.num * den
+    while num * t.denominator >= t.numerator * den:
+        num *= 2 * n + 5
+        den *= 2 * n + 6
         n += 1
     return n
 

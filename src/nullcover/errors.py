@@ -75,9 +75,3 @@ class NotInfinite(PreconditionViolated):
 
 class NotDiscrete(PreconditionViolated):
     """Descriptor denotes a nondiscrete group where a discrete one is required."""
-
-
-class UnresolvedDescriptor(NullcoverError):
-    """No reduction rule applies to the descriptor."""
-
-    exit_code = 3

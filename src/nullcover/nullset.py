@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionViolated, SchemaError
+from .errors import CapExceeded, PreconditionViolated, SchemaError
+
+# Largest depth the exact numeric queries evaluate: the digit depth of
+# ek_sup, whose denominator is N!, and the block count first_bound_below
+# may search, judged by its Wallis estimate before any big-integer work.
+NUMERIC_DEPTH_CAP = 1 << 15
 
 # how the explicit digits continue beyond the truncation depth
 TAIL_ZERO = "zero"        # all further digits are 0 (expansion terminated)
@@ -66,13 +71,15 @@ def factorial_expand(q: Fraction, depth: int) -> tuple[FactorialDigits, Factoria
         raise PreconditionViolated(f"value {q} outside [0, 1)")
     if depth < 2:
         raise PreconditionViolated(f"depth must be >= 2, got {depth}")
+    q = Fraction(q)
+    # the remainder is kept as a numerator over q's denominator, so each
+    # digit is one integer divmod
+    den = q.denominator
+    remainder = q.numerator
     digits = []
-    remainder = Fraction(q)
     for n in range(2, depth + 1):
-        scaled = remainder * n
-        d = int(scaled)
+        d, remainder = divmod(remainder * n, den)
         digits.append(d)
-        remainder = scaled - d
     greedy = FactorialDigits(
         digits=tuple(digits), tail=TAIL_ZERO if remainder == 0 else TAIL_UNKNOWN
     )
@@ -119,15 +126,20 @@ def ek_outer_measure(depth: int) -> Fraction:
 
 def ek_sup(depth: int) -> Fraction:
     """Largest value with all digits maximal admissible, sum of (n-2)/n!
-    for n = 2..N; increases to 3 - e."""
+    for n = 2..N; increases to 3 - e.
+
+    Horner over the common denominator N!: the partial sum is a / n!
+    with a advancing as a * n + (n - 2), so only the result is reduced.
+    """
     if depth < 2:
         raise PreconditionViolated(f"depth must be >= 2, got {depth}")
-    total = Fraction(0)
-    factorial = 1
+    if depth > NUMERIC_DEPTH_CAP:
+        raise CapExceeded(f"depth {depth} exceeds the numeric depth cap {NUMERIC_DEPTH_CAP}")
+    a, factorial = 0, 1
     for n in range(2, depth + 1):
+        a = a * n + n - 2
         factorial *= n
-        total += Fraction(n - 2, factorial)
-    return total
+    return Fraction(a, factorial)
 
 
 def rational_to_json(q: Fraction) -> dict:

@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 
 from .cover import _as_int
 from .errors import (
+    CapExceeded,
     NotDiscrete,
     NotFiniteTorsion,
     NotInfinite,
@@ -351,19 +352,30 @@ def divisible_chain(
     and p * g_(i+1) = g_i, or None when no chain that deep exists.
 
     Searches the predecessor structure of multiplication by p, canonical
-    order first, memoizing dead (element, remaining-length) pairs.
+    order first, memoizing dead (element, remaining-length) pairs.  The
+    search runs on enumeration indices, which follow canonical order;
+    only the returned chain is converted to residue vectors.
     """
     if depth < 0:
         raise PreconditionViolated(f"depth must be >= 0, got {depth}")
     if not is_prime(p):
         raise PreconditionViolated(f"p = {p} is not prime")
-    elements = list(G.elements(cap))
-    preimages: dict[GroupElement, list[GroupElement]] = {}
-    for g in elements:
-        preimages.setdefault(G.scalar_mul(p, g), []).append(g)
-    dead: set[tuple[GroupElement, int]] = set()
+    order = G.order
+    if order > cap:
+        raise CapExceeded(f"group order {order} exceeds enumeration cap {cap}")
+    # images[i] is the index of p * element_at(i); indices are mixed-radix
+    # values with the last coordinate fastest, so the map extends one
+    # coordinate at a time
+    images = [0]
+    for m in G.orders:
+        column = [p * c % m for c in range(m)]
+        images = [x * m + c for x in images for c in column]
+    preimages: dict[int, list[int]] = {}
+    for i, image in enumerate(images):
+        preimages.setdefault(image, []).append(i)
+    dead: set[tuple[int, int]] = set()
 
-    def reachable(g: GroupElement, remaining: int) -> bool:
+    def reachable(g: int, remaining: int) -> bool:
         if remaining == 0:
             return True
         if (g, remaining) in dead:
@@ -374,14 +386,14 @@ def divisible_chain(
         dead.add((g, remaining))
         return False
 
-    zero = G.zero()
-    for start in elements:
-        if start == zero or not reachable(start, depth):
+    # index 0 is the zero element
+    for start in range(1, order):
+        if not reachable(start, depth):
             continue
         chain = [start]
         for remaining in range(depth - 1, -1, -1):
             chain.append(next(h for h in preimages.get(chain[-1], ()) if reachable(h, remaining)))
-        return tuple(chain)
+        return tuple(G.element_at(i) for i in chain)
     return None
 
 

@@ -1,16 +1,20 @@
 """Shared brute-force oracles for the test suite.
 
 Everything here is deliberately independent of the library's own search
-strategies: oracles scan whole groups element by element.
+strategies and closed forms: oracles scan whole groups element by
+element and evaluate products and series term by term in ``Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import prod
 
 from nullcover.cover import VerifyResult
 from nullcover.errors import CapExceeded, PreconditionViolated, VerificationFailed
-from nullcover.groups import FiniteAbelianGroup
+from nullcover.groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, is_prime
+from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits
 
 
 def abelian_groups_up_to(max_order: int):
@@ -101,3 +105,98 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
                 ok=False, witness=combo, checked_count=checked, carry_cases=(no_carry, carried)
             )
     return VerifyResult(ok=True, witness=None, checked_count=checked, carry_cases=(no_carry, carried))
+
+
+def bound_product_by_product(n_blocks):
+    """The decay bound prod_{n<N} (1 - 1/(2(n+3))), one rational factor at
+    a time: the reference for ``bound_product``."""
+    return prod((1 - Fraction(1, 2 * (n + 3)) for n in range(n_blocks)), start=Fraction(1))
+
+
+def first_bound_below_by_scan(threshold):
+    """Smallest N with the bound below the threshold, by multiplying in
+    one rational factor at a time from N = 0."""
+    if not 0 < threshold < 1:
+        raise PreconditionViolated(f"threshold must be in (0, 1), got {threshold}")
+    value = Fraction(1)
+    n = 0
+    while value >= threshold:
+        value *= 1 - Fraction(1, 2 * (n + 3))
+        n += 1
+    return n
+
+
+def ek_sup_by_series(depth):
+    """sum_{n=2..N} (n-2)/n!, one reduced rational term at a time."""
+    if depth < 2:
+        raise PreconditionViolated(f"depth must be >= 2, got {depth}")
+    total = Fraction(0)
+    factorial = 1
+    for n in range(2, depth + 1):
+        factorial *= n
+        total += Fraction(n - 2, factorial)
+    return total
+
+
+def factorial_expand_by_fractions(q, depth):
+    """Greedy factorial-base expansion with a rational remainder that is
+    scaled and truncated digit by digit, plus the alternate expansion of
+    a terminating nonzero value."""
+    if not 0 <= q < 1:
+        raise PreconditionViolated(f"value {q} outside [0, 1)")
+    if depth < 2:
+        raise PreconditionViolated(f"depth must be >= 2, got {depth}")
+    digits = []
+    remainder = Fraction(q)
+    for n in range(2, depth + 1):
+        scaled = remainder * n
+        d = int(scaled)
+        digits.append(d)
+        remainder = scaled - d
+    greedy = FactorialDigits(
+        digits=tuple(digits), tail=TAIL_ZERO if remainder == 0 else TAIL_UNKNOWN
+    )
+    if remainder != 0 or q == 0:
+        return greedy, None
+    last = max(n for n, d in enumerate(greedy.digits, start=2) if d != 0)
+    alternate = tuple(
+        d - 1 if n == last else (n - 1 if n > last else d)
+        for n, d in enumerate(greedy.digits, start=2)
+    )
+    return greedy, FactorialDigits(digits=alternate, tail=TAIL_MAX)
+
+
+def divisible_chain_by_elements(G, p, depth, cap=DEFAULT_ENUM_CAP):
+    """Least chain (g_0, ..., g_depth) with g_0 nonzero and
+    p * g_(i+1) = g_i, searched over whole residue vectors: every element
+    is enumerated and multiplied by p with group arithmetic."""
+    if depth < 0:
+        raise PreconditionViolated(f"depth must be >= 0, got {depth}")
+    if not is_prime(p):
+        raise PreconditionViolated(f"p = {p} is not prime")
+    elements = list(G.elements(cap))
+    preimages = {}
+    for g in elements:
+        preimages.setdefault(G.scalar_mul(p, g), []).append(g)
+    dead = set()
+
+    def reachable(g, remaining):
+        if remaining == 0:
+            return True
+        if (g, remaining) in dead:
+            return False
+        for h in preimages.get(g, ()):
+            if reachable(h, remaining - 1):
+                return True
+        dead.add((g, remaining))
+        return False
+
+    zero = G.zero()
+    for start in elements:
+        if start == zero or not reachable(start, depth):
+            continue
+        chain = [start]
+        for remaining in range(depth - 1, -1, -1):
+            chain.append(next(h for h in preimages.get(chain[-1], ()) if reachable(h, remaining)))
+        return tuple(chain)
+    return None

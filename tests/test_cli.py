@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -199,6 +200,25 @@ class TestErrorChannel:
         result = run(runner, ["verify", "--in", json.dumps(bundle), "--cap-verify", "1"])
         assert result.exit_code == 4
         assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+
+    @pytest.mark.parametrize(
+        "args", [["measure", "--first-below", "1/100000"], ["ek", "sup", "--depth", "200000"]]
+    )
+    def test_numeric_depth_cap_exits_4(self, runner, args):
+        start = time.perf_counter()
+        result = run(runner, args)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 4
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+
+    @pytest.mark.parametrize("width", ["[1.5]", '["x"]', "[true]"])
+    def test_slalom_width_table_is_strict(self, runner, width):
+        plan = '{"mode":"padic","p":2,"boundaries":[0,3]}'
+        result = run(runner, ["slalom-gen", "--in", plan, "--width", width])
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output)["error"]["type"] == "SchemaError"
 
     def test_env_var_overrides_verify_cap(self, runner):
         bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"])

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +27,16 @@ from nullcover.cover import (
     plan_blocks_product,
     random_slalom,
     verify_cover,
+    width_fn,
 )
-from nullcover.errors import CapExceeded, PreconditionViolated
+from nullcover.errors import CapExceeded, PreconditionViolated, SchemaError
 from nullcover.groups import BlockGroup, FiniteAbelianGroup, PadicContext
+from nullcover.nullset import NUMERIC_DEPTH_CAP
 
 from helpers import (
     abelian_groups_up_to,
+    bound_product_by_product,
+    first_bound_below_by_scan,
     least_translator_by_scan,
     translators_by_scan,
     verify_cover_by_enumeration,
@@ -154,6 +159,12 @@ class TestBuildNullset:
             NullsetSpec(plan=spec.plan, kept=(tuple(range(7)),))
 
 
+def fraction_from_fifteenth(den, num):
+    # a fraction with denominator den in [1/15, 1), where the scan oracle is fast
+    lo = -(-den // 15)
+    return Fraction(lo + num % (den - lo), den)
+
+
 class TestMeasure:
     def test_bound_values(self):
         assert bound_product(1) == Fraction(5, 6)
@@ -178,6 +189,74 @@ class TestMeasure:
         # regression anchor computed by direct exact evaluation
         assert first_bound_below(Fraction(1, 10)) == 225
         assert bound_product(225) < Fraction(1, 10) <= bound_product(224)
+
+    @given(st.integers(-3, 399))
+    def test_bound_matches_product(self, n):
+        assert bound_product(n) == bound_product_by_product(n)
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.builds(fraction_from_fifteenth, st.integers(2, 10**12), st.integers(0, 10**12)),
+            # thresholds equal to a bound value: the answer is the next N
+            st.integers(1, 508).map(bound_product_by_product),
+            st.floats(1 / 15, 1, exclude_max=True),
+        )
+    )
+    def test_first_below_matches_scan(self, threshold):
+        assert first_bound_below(threshold) == first_bound_below_by_scan(threshold)
+
+    @settings(deadline=None)
+    @given(st.integers(2, NUMERIC_DEPTH_CAP - 1))
+    def test_first_below_at_both_ends_of_each_step(self, n):
+        # the answer is n for every threshold in (bound(n), bound(n - 1)]
+        assert first_bound_below(bound_product(n - 1)) == n
+        assert first_bound_below(bound_product(n) * (1 + Fraction(1, 10**9))) == n
+
+    def test_first_below_hundredth(self):
+        n = first_bound_below(Fraction(1, 100))
+        assert n == 22634
+        assert bound_product(n) < Fraction(1, 100) <= bound_product(n - 1)
+
+    @pytest.mark.parametrize("threshold", [Fraction(1, 1000), Fraction(1, 10**400), 1e-300, 5e-324])
+    def test_first_below_cap(self, threshold):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=str(NUMERIC_DEPTH_CAP)):
+            first_bound_below(threshold)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("threshold", [0, 1, Fraction(-1, 2), Fraction(3, 2)])
+    def test_first_below_rejects_outside_unit_interval(self, threshold):
+        with pytest.raises(PreconditionViolated):
+            first_bound_below(threshold)
+
+    @given(
+        st.one_of(
+            st.tuples(st.just("padic"), st.sampled_from([2, 3, 5]), st.integers(1, 8)),
+            st.tuples(st.just("product"), st.sampled_from([2, 3, 5, 7]), st.integers(1, 6)),
+        ),
+        st.data(),
+    )
+    def test_measure_matches_product_at_every_level(self, shape, data):
+        mode, base, depth = shape
+        if mode == "padic":
+            plan = plan_blocks_padic(base, depth)
+        else:
+            plan = plan_blocks_product(itertools.cycle([base]), depth)
+        sizes = [data.draw(st.integers(*kept_window(size, n))) for n, size in enumerate(plan.block_orders)]
+        spec = NullsetSpec(plan=plan, kept=tuple(tuple(range(k)) for k in sizes))
+        for n in range(depth + 1):
+            expected = prod(
+                (Fraction(k, size) for k, size in zip(sizes[:n], plan.block_orders)), start=Fraction(1)
+            )
+            assert measure_upper(spec, n) == expected <= bound_product_by_product(n)
+
+
+class TestWidthTables:
+    @pytest.mark.parametrize("table", [(1.5,), ("x",), (True,), (0,), (2, 2.0)])
+    def test_rejects_non_positive_int_entries(self, table):
+        with pytest.raises(SchemaError):
+            width_fn(table)
 
 
 class TestProductCover:

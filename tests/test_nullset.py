@@ -1,12 +1,14 @@
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullcover.errors import PreconditionViolated, SchemaError
+from nullcover.errors import CapExceeded, PreconditionViolated, SchemaError
 from nullcover.nullset import (
+    NUMERIC_DEPTH_CAP,
     TAIL_MAX,
     TAIL_ZERO,
     FactorialDigits,
@@ -18,8 +20,14 @@ from nullcover.nullset import (
     rational_to_json,
 )
 
+from helpers import ek_sup_by_series, factorial_expand_by_fractions
+
 unit_rationals = st.builds(
     lambda den, num: Fraction(num % den, den), st.integers(1, 5000), st.integers(0, 5000)
+)
+# values that terminate at some depth k, so most have an alternate expansion
+terminating_rationals = st.builds(
+    lambda k, num: Fraction(num % factorial(k), factorial(k)), st.integers(2, 45), st.integers(0, 10**60)
 )
 
 
@@ -65,6 +73,14 @@ class TestFactorialExpand:
             # sum approaches it from below
             assert alternate.value() + Fraction(1, factorial(depth)) == greedy.value() == q
             assert tail < Fraction(1, factorial(depth))
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(unit_rationals, terminating_rationals, st.floats(0, 1, exclude_max=True)),
+        st.integers(2, 45),
+    )
+    def test_matches_fraction_oracle(self, q, depth):
+        assert factorial_expand(q, depth) == factorial_expand_by_fractions(q, depth)
 
 
 class TestMembership:
@@ -149,6 +165,16 @@ class TestSup:
     def test_sup_value_is_a_member(self):
         for depth in (3, 6, 9):
             assert ek_membership(ek_sup(depth), depth) == "in"
+
+    @given(st.integers(2, 400))
+    def test_matches_series(self, depth):
+        assert ek_sup(depth) == ek_sup_by_series(depth)
+
+    def test_depth_cap(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=str(NUMERIC_DEPTH_CAP)):
+            ek_sup(NUMERIC_DEPTH_CAP + 1)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestRationalJson:

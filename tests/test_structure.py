@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullcover.errors import NotDiscrete, NotFiniteTorsion, NotInfinite, PreconditionViolated
+from nullcover.errors import CapExceeded, NotDiscrete, NotFiniteTorsion, NotInfinite, PreconditionViolated
 from nullcover.groups import FiniteAbelianGroup
 from nullcover.structure import (
     RULES,
@@ -32,6 +32,8 @@ from nullcover.structure import (
     r_power,
     syntactic_size,
 )
+
+from helpers import abelian_groups_up_to, divisible_chain_by_elements
 
 atoms = st.sampled_from(
     [Int(), Reals(), Torus(), Cyclic(2), Cyclic(3), Cyclic(12), Quasicyclic(2), Padic(5)]
@@ -180,6 +182,31 @@ class TestDivisibleChain:
                 if G.scalar_mul(p, g1) == g0:
                     chains.append((g0, g1))
         assert divisible_chain(G, p, depth) == min(chains)
+
+    @pytest.mark.parametrize("orders", [(2,), (12,), (6561,), (4, 6), (2, 3, 4), (8, 8), (128, 64)])
+    def test_matches_element_oracle(self, orders):
+        G = FiniteAbelianGroup(orders)
+        for p in (2, 3, 5):
+            for depth in range(7):
+                assert divisible_chain(G, p, depth) == divisible_chain_by_elements(G, p, depth)
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(list(abelian_groups_up_to(64))),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 6),
+    )
+    def test_small_groups_match_element_oracle(self, G, p, depth):
+        assert divisible_chain(G, p, depth) == divisible_chain_by_elements(G, p, depth)
+
+    def test_cap(self):
+        G = FiniteAbelianGroup((4, 4))
+        with pytest.raises(CapExceeded) as raised:
+            divisible_chain(G, 2, 1, cap=15)
+        with pytest.raises(CapExceeded) as expected:
+            divisible_chain_by_elements(G, 2, 1, cap=15)
+        assert str(raised.value) == str(expected.value)
+        assert divisible_chain(G, 2, 1, cap=16) is not None
 
 
 class TestDual:
