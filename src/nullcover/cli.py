@@ -90,6 +90,8 @@ def parse_payload(raw: Optional[str]) -> object:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply to decode") from None
 
 
 def _render_table(payload: object, prefix: str = "") -> list[str]:
@@ -221,8 +223,15 @@ def _cover_inputs(cfg, payload, plan_builder, width):
     return spec, slalom
 
 
-def _attach_repro(exc, spec, slalom) -> None:
-    exc.repro = {"spec": spec.to_json(), "slalom": slalom.to_json()}
+def _cover_bundle(spec, slalom, run) -> dict:
+    """Run one cover and bundle it with its inputs; a library error
+    carries the inputs as its reproduction payload."""
+    try:
+        cert = run()
+    except NullcoverError as exc:
+        exc.repro = {"spec": spec.to_json(), "slalom": slalom.to_json()}
+        raise
+    return {"spec": spec.to_json(), "slalom": slalom.to_json(), "certificate": cert.to_json()}
 
 
 @main.group("cover")
@@ -244,12 +253,9 @@ def cover_product_cmd(cfg, payload, orders, cycle, depth) -> dict:
         return cov.plan_blocks_product(_order_supply(_parse_orders(orders), cycle), depth)
 
     spec, slalom = _cover_inputs(cfg, payload, build, "n+2")
-    try:
-        cert = cov.cover_product_slalom(spec, slalom, cfg.cap_enum, cfg.cap_verify)
-    except NullcoverError as exc:
-        _attach_repro(exc, spec, slalom)
-        raise
-    return {"spec": spec.to_json(), "slalom": slalom.to_json(), "certificate": cert.to_json()}
+    return _cover_bundle(
+        spec, slalom, lambda: cov.cover_product_slalom(spec, slalom, cfg.cap_enum, cfg.cap_verify)
+    )
 
 
 @cover_group.command("padic")
@@ -266,12 +272,9 @@ def cover_padic_cmd(cfg, payload, p, depth) -> dict:
 
     spec, slalom = _cover_inputs(cfg, payload, build, "(n+2)//2")
     ctx = PadicContext(spec.plan.p, spec.plan.boundaries[-1])
-    try:
-        cert = cov.cover_padic_slalom(ctx, spec, slalom, cfg.cap_enum, cfg.cap_verify)
-    except NullcoverError as exc:
-        _attach_repro(exc, spec, slalom)
-        raise
-    return {"spec": spec.to_json(), "slalom": slalom.to_json(), "certificate": cert.to_json()}
+    return _cover_bundle(
+        spec, slalom, lambda: cov.cover_padic_slalom(ctx, spec, slalom, cfg.cap_enum, cfg.cap_verify)
+    )
 
 
 @main.command("verify")

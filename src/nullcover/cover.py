@@ -4,13 +4,16 @@ The pipeline is: partition coordinates into blocks whose group order
 outgrows 2(n+3) (:func:`plan_blocks_product` / :func:`plan_blocks_padic`),
 keep a large subset of each block group (:func:`build_nullset`), and for
 any slalom of the right width compute one translate that absorbs it
-(:func:`cover_product_slalom` / :func:`cover_padic_slalom`).  Every
-certificate is re-checked by :func:`verify_cover`, which is deliberately
-independent of how the translate was found: an exact decision over all
-prod |S_n| slalom elements that reads each slalom value once per
-incoming carry (a two-state carry transducer in p-adic mode), so its
-cost is O(sum |S_n|) rather than the element count.  Translators are
-searched in enumeration-index space, from the gaps of the kept sets.
+(:func:`cover_product_slalom` / :func:`cover_padic_slalom`).  Both modes
+run one cover body; the per-mode part is the closure of each slalom set
+into targets (p-adic targets also take the value plus an incoming
+carry) and the sign of the translate block.  Every certificate is
+re-checked by :func:`verify_cover`, which is deliberately independent
+of how the translate was found: an exact decision over all prod |S_n|
+slalom elements that reads each slalom value once per incoming carry (a
+two-state carry transducer in p-adic mode), so its cost is O(sum |S_n|)
+rather than the element count.  Translators are searched in
+enumeration-index space, from the gaps of the kept sets.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -441,9 +444,10 @@ def plan_blocks_product(orders: Iterable[int], depth: int) -> BlockPlan:
     Block n is the shortest prefix of the remaining coordinates whose
     cumulative order exceeds 2(n+3).  ``orders`` may be any iterable,
     including an infinite one; exactly the consumed prefix is recorded.
+    Depths above ``NUMERIC_DEPTH_CAP`` raise :class:`CapExceeded` before
+    any order is read.
     """
-    if depth < 1:
-        raise PreconditionViolated(f"depth must be >= 1, got {depth}")
+    _check_plan_depth(depth)
     supply = iter(orders)
     consumed: list[int] = []
     cuts = [0]
@@ -466,9 +470,9 @@ def plan_blocks_product(orders: Iterable[int], depth: int) -> BlockPlan:
 
 def plan_blocks_padic(p: int, depth: int) -> BlockPlan:
     """Digit cuts 0 = k_0 < k_1 < ... with each step the minimal m such
-    that p^m > 2(n+3)."""
-    if depth < 1:
-        raise PreconditionViolated(f"depth must be >= 1, got {depth}")
+    that p^m > 2(n+3); depths above ``NUMERIC_DEPTH_CAP`` raise
+    :class:`CapExceeded`."""
+    _check_plan_depth(depth)
     if not is_prime(p):
         raise PreconditionViolated(f"p = {p} is not prime")
     cuts = [0]
@@ -482,12 +486,25 @@ def plan_blocks_padic(p: int, depth: int) -> BlockPlan:
     return BlockPlan(mode="padic", boundaries=tuple(cuts), p=p)
 
 
+def _check_plan_depth(depth: int) -> None:
+    if depth < 1:
+        raise PreconditionViolated(f"depth must be >= 1, got {depth}")
+    if depth > NUMERIC_DEPTH_CAP:
+        raise CapExceeded(f"plan depth {depth} exceeds the numeric depth cap {NUMERIC_DEPTH_CAP}")
+
+
 def build_nullset(plan: BlockPlan) -> NullsetSpec:
     """Keep, in every block, the first floor((1 - 1/(2(n+3))) * order)
     elements in canonical order: the largest admissible kept set, which
-    makes covering easiest while the measure bound stays exact."""
+    makes covering easiest while the measure bound stays exact.  Plans
+    whose blocks total more than ``DEFAULT_ENUM_CAP`` elements raise
+    :class:`CapExceeded` before anything is kept."""
+    sizes = plan.block_orders
+    total = sum(sizes)
+    if total > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"blocks of {total} elements in all exceed the enumeration cap {DEFAULT_ENUM_CAP}")
     kept = []
-    for n, size in enumerate(plan.block_orders):
+    for n, size in enumerate(sizes):
         lo, hi = kept_window(size, n)
         if lo > hi:
             raise EmptyWindow(f"block {n} of order {size} admits no kept-set size at level {n}")
@@ -523,7 +540,7 @@ def measure_upper(spec: NullsetSpec, n_blocks: int) -> Fraction:
         prod(spec.plan.block_orders[:n_blocks]),
     )
     if measure > bound_product(n_blocks):
-        raise VerificationFailed(f"measure {measure} exceeds the decay bound at N = {n_blocks}")
+        raise VerificationFailed(f"the measure exceeds the decay bound at N = {n_blocks}")
     return measure
 
 
@@ -542,7 +559,7 @@ def first_bound_below(threshold: Fraction) -> int:
     raises :class:`CapExceeded` before any big-integer work.
     """
     if not 0 < threshold < 1:
-        raise PreconditionViolated(f"threshold must be in (0, 1), got {threshold}")
+        raise PreconditionViolated("threshold must be in (0, 1)")
     t = Fraction(threshold)
     square = Fraction(64, 9) / (t * t)  # (8 / (3t))^2, exact
     if square > pi * (NUMERIC_DEPTH_CAP + 2):
@@ -565,28 +582,13 @@ def cover_product_slalom(
 ) -> CoverCertificate:
     """Cover a width-(n+2) slalom by one translate of the product nullset.
 
-    Blockwise: the translate's n-th component comes from
-    :func:`find_translator` on the block group; no carries exist in
-    product mode, so the blocks are independent.  The assembled translate
-    is then re-checked by :func:`verify_cover`.
+    No carries exist in product mode, so the blocks are independent: the
+    targets are the slalom values and the translate's n-th component is
+    the translator found on the block group.
     """
     if spec.plan.mode != "product":
         raise PreconditionViolated("cover_product_slalom needs a product-mode spec")
-    slalom.check_domains(spec.plan)
-    f = width_fn("n+2")
-    translate = []
-    for n, values in enumerate(slalom.sets):
-        if len(values) > f(n):
-            raise PreconditionViolated(f"slalom set {n} is wider than n+2")
-        group = spec.plan.block_group(n)
-        translate.append(group.element_at(find_translator(group, spec.kept[n], values, n, cap_enum)))
-    translate = tuple(translate)
-    result = verify_cover(spec, translate, slalom, cap_verify)
-    if not result.ok:
-        raise VerificationFailed(
-            f"product cover failed its re-check at element {result.witness}"
-        )
-    return CoverCertificate(translate=translate, verified=True, checked_count=result.checked_count)
+    return _cover(spec, slalom, cap_enum, cap_verify)
 
 
 def cover_padic_slalom(
@@ -597,14 +599,12 @@ def cover_padic_slalom(
     cap_verify: int = DEFAULT_VERIFY_CAP,
 ) -> CoverCertificate:
     """Cover a width-((n+2)//2) slalom by one additive offset in the
-    truncated p-adic integers.
+    truncated p-adic integers ``ctx``, which must be the plan's.
 
-    Carries couple the blocks, so each slalom set is first closed under
-    an incoming carry: targets_n = S_n united with S_n + 1 mod p^len.
-    That at most doubles the set, staying within the n+2 budget of
-    :func:`find_translator`; the offset's n-th block is minus the found
-    translator.  :func:`verify_cover` then follows the carries through
-    every block.
+    Carries couple the blocks, so each slalom set is closed under an
+    incoming carry: targets_n = S_n united with S_n + 1 mod p^len, at
+    most 2 * ((n+2)//2) <= n+2 values.  The offset's n-th block is minus
+    the found translator.
     """
     plan = spec.plan
     if plan.mode != "padic":
@@ -613,27 +613,32 @@ def cover_padic_slalom(
         raise PreconditionViolated(
             f"context ({ctx.p}, {ctx.length}) does not match plan ({plan.p}, {plan.boundaries[-1]})"
         )
+    return _cover(spec, slalom, cap_enum, cap_verify)
+
+
+def _cover(spec: NullsetSpec, slalom: Slalom, cap_enum: int, cap_verify: int) -> CoverCertificate:
+    """Both modes: per block, close the slalom values into targets, find
+    the least translator with :func:`find_translator` and write its
+    translate block; then re-check the assembled translate with
+    :func:`verify_cover`."""
+    plan = spec.plan
+    padic = plan.mode == "padic"
+    tag = "(n+2)//2" if padic else "n+2"
     slalom.check_domains(plan)
-    f = width_fn("(n+2)//2")
-    offset_blocks = []
+    f = width_fn(tag)
+    translate = []
     for n, values in enumerate(slalom.sets):
         if len(values) > f(n):
-            raise PreconditionViolated(f"slalom set {n} is wider than (n+2)//2")
-        block = plan.block_group(n)
-        order = block.order
-        targets = {v for value in values for v in (value, (value + 1) % order)}
-        if len(targets) > n + 2:
-            raise PreconditionViolated(
-                f"carry-closed set for block {n} has {len(targets)} elements, over the n+2 budget"
-            )
-        g = find_translator(block, spec.kept[n], targets, n, cap_enum)
-        offset_blocks.append(block.element_at(-g % order))
-    translate = tuple(offset_blocks)
+            raise PreconditionViolated(f"slalom set {n} is wider than {tag}")
+        group = plan.block_group(n)
+        order = group.order
+        targets = {v for value in values for v in (value, (value + 1) % order)} if padic else values
+        g = find_translator(group, spec.kept[n], targets, n, cap_enum)
+        translate.append(group.element_at(-g % order if padic else g))
+    translate = tuple(translate)
     result = verify_cover(spec, translate, slalom, cap_verify)
     if not result.ok:
-        raise VerificationFailed(
-            f"padic cover failed its re-check at element {result.witness}"
-        )
+        raise VerificationFailed(f"{plan.mode} cover failed its re-check at element {result.witness}")
     return CoverCertificate(translate=translate, verified=True, checked_count=result.checked_count)
 
 

@@ -1,5 +1,6 @@
-"""Exact arithmetic for finite abelian groups, truncated p-adic integers,
-and the truncated-carry digit-block groups.
+"""Exact arithmetic for finite abelian groups and the truncated-carry
+digit-block groups; the truncated p-adic integers of length L are the
+digit block [0, L).
 
 Elements are plain tuples of small nonnegative ints: residue vectors for
 finite groups, digit vectors (least significant digit first) for p-adic
@@ -128,69 +129,6 @@ class FiniteAbelianGroup:
 
 
 @dataclass(frozen=True)
-class PadicContext:
-    """Truncated p-adic integers: ``length`` base-p digits, least
-    significant first, with carried addition computed digit by digit.
-
-    The value map sum(digits[k] * p^k) identifies the context with the
-    integers mod p^length; the carry out of the top digit is discarded.
-    """
-
-    p: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise PreconditionViolated(f"p = {self.p} is not prime")
-        if self.length < 1:
-            raise PreconditionViolated(f"truncation length must be >= 1, got {self.length}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.length
-
-    def check(self, x: DigitVector) -> None:
-        if len(x) != self.length:
-            raise DimensionMismatch(f"digit vector of length {len(x)}, context expects {self.length}")
-        if any(not 0 <= d < self.p for d in x):
-            raise PreconditionViolated(f"digits {x} out of range for p = {self.p}")
-
-    def zero(self) -> DigitVector:
-        return (0,) * self.length
-
-    def add(self, x: DigitVector, y: DigitVector) -> DigitVector:
-        """Digitwise addition with carry propagation; the carry past the
-        last digit is dropped."""
-        self.check(x)
-        self.check(y)
-        out = []
-        carry = 0
-        for a, b in zip(x, y):
-            carry, digit = divmod(a + b + carry, self.p)
-            out.append(digit)
-        return tuple(out)
-
-    def neg(self, x: DigitVector) -> DigitVector:
-        # (p-1)-complement plus one, the digitwise form of p^L - value.
-        self.check(x)
-        complement = tuple(self.p - 1 - d for d in x)
-        one = (1,) + (0,) * (self.length - 1)
-        return self.add(complement, one)
-
-    def value(self, x: DigitVector) -> int:
-        self.check(x)
-        return sum(d * self.p**k for k, d in enumerate(x))
-
-    def from_int(self, value: int) -> DigitVector:
-        value %= self.modulus
-        digits = []
-        for _ in range(self.length):
-            value, d = divmod(value, self.p)
-            digits.append(d)
-        return tuple(digits)
-
-
-@dataclass(frozen=True)
 class BlockGroup:
     """Digits on the interval [start, stop) of a p-adic integer, added
     with carries inside the block and the final carried digit forgotten.
@@ -272,3 +210,25 @@ class BlockGroup:
             raise CapExceeded(f"block order {self.order} exceeds enumeration cap {cap}")
         for v in range(self.order):
             yield self.element_at(v)
+
+
+class PadicContext(BlockGroup):
+    """Truncated p-adic integers: ``length`` base-p digits, least
+    significant first, with carried addition.  This is the digit block
+    [0, length); its value map identifies it with the integers mod
+    p^length, and the carry out of the top digit is discarded.
+    """
+
+    def __init__(self, p: int, length: int) -> None:
+        BlockGroup.__init__(self, p, 0, length)
+
+    @property
+    def length(self) -> int:
+        return self.stop
+
+    @property
+    def modulus(self) -> int:
+        return self.order
+
+    def from_int(self, value: int) -> DigitVector:
+        return self.element_at(value % self.order)

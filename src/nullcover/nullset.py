@@ -68,7 +68,7 @@ def factorial_expand(q: Fraction, depth: int) -> tuple[FactorialDigits, Factoria
     decremented, all later digits maximal).  Zero has no alternate.
     """
     if not 0 <= q < 1:
-        raise PreconditionViolated(f"value {q} outside [0, 1)")
+        raise PreconditionViolated("value outside [0, 1)")
     if depth < 2:
         raise PreconditionViolated(f"depth must be >= 2, got {depth}")
     q = Fraction(q)

@@ -24,6 +24,13 @@ from .errors import (
     SchemaError,
 )
 from .groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, GroupElement, is_prime
+from .nullset import NUMERIC_DEPTH_CAP
+
+
+# Deepest nesting of compound descriptors that parsing accepts: far below
+# where the recursive predicates would exhaust the stack, far above the
+# depth of any descriptor the enumerator builds.
+MAX_DESCRIPTOR_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +216,12 @@ def descriptor_to_json(d: Descriptor) -> dict:
 
 
 def descriptor_from_json(obj: object) -> Descriptor:
+    """Parse a descriptor; nesting deeper than ``MAX_DESCRIPTOR_NESTING``
+    compounds is refused with :class:`SchemaError`."""
+    return _descriptor_from_json(obj, 0)
+
+
+def _descriptor_from_json(obj: object, nesting: int) -> Descriptor:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError("descriptor must be an object with a 'type' field")
     kind = obj["type"]
@@ -226,7 +239,9 @@ def descriptor_from_json(obj: object) -> Descriptor:
         if kind == "Padic":
             return Padic(_as_int(obj["p"], "Padic p"))
         if kind in ("FiniteSum", "SumOmega", "ProdOmega"):
-            parts = tuple(descriptor_from_json(p) for p in obj["parts"])
+            if nesting == MAX_DESCRIPTOR_NESTING:
+                raise SchemaError(f"descriptor nests more than {MAX_DESCRIPTOR_NESTING} compounds")
+            parts = tuple(_descriptor_from_json(p, nesting + 1) for p in obj["parts"])
             return {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}[kind](parts)
     except KeyError as missing:
         raise SchemaError(f"descriptor {kind} is missing field {missing}") from None
@@ -351,15 +366,24 @@ def divisible_chain(
     """Lexicographically least chain (g_0, ..., g_depth) with g_0 nonzero
     and p * g_(i+1) = g_i, or None when no chain that deep exists.
 
-    Searches the predecessor structure of multiplication by p, canonical
-    order first, memoizing dead (element, remaining-length) pairs.  The
-    search runs on enumeration indices, which follow canonical order;
-    only the returned chain is converted to residue vectors.
+    The elements with r successive p-th roots form the level
+    alive_r = p^r G, the image of alive_(r-1) under multiplication by p.
+    The levels shrink until one equals its image, and every later level
+    equals that one.  g_0 is the least nonzero element of alive_depth,
+    and each next link is the least preimage in the next level down, so
+    no search backtracks.  On the stable level multiplication by p is a
+    bijection, and there each link is read from the inverse map.  All of
+    it runs on enumeration indices, which follow canonical order; only
+    the returned chain is converted to residue vectors.  The chain has
+    depth + 1 entries, so depths above ``NUMERIC_DEPTH_CAP`` raise
+    :class:`CapExceeded`.
     """
     if depth < 0:
         raise PreconditionViolated(f"depth must be >= 0, got {depth}")
     if not is_prime(p):
         raise PreconditionViolated(f"p = {p} is not prime")
+    if depth > NUMERIC_DEPTH_CAP:
+        raise CapExceeded(f"chain depth {depth} exceeds the numeric depth cap {NUMERIC_DEPTH_CAP}")
     order = G.order
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds enumeration cap {cap}")
@@ -370,31 +394,25 @@ def divisible_chain(
     for m in G.orders:
         column = [p * c % m for c in range(m)]
         images = [x * m + c for x in images for c in column]
-    preimages: dict[int, list[int]] = {}
-    for i, image in enumerate(images):
-        preimages.setdefault(image, []).append(i)
-    dead: set[tuple[int, int]] = set()
-
-    def reachable(g: int, remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        if (g, remaining) in dead:
-            return False
-        for h in preimages.get(g, ()):
-            if reachable(h, remaining - 1):
-                return True
-        dead.add((g, remaining))
-        return False
-
+    # alive[r] is the level p^r G in increasing order, up to depth or to
+    # the first level that stops shrinking, whichever comes first
+    alive = [range(order)]
+    while len(alive) <= depth:
+        level = sorted({images[h] for h in alive[-1]})
+        if len(level) == len(alive[-1]):
+            break
+        alive.append(level)
+    last = len(alive) - 1
     # index 0 is the zero element
-    for start in range(1, order):
-        if not reachable(start, depth):
-            continue
-        chain = [start]
-        for remaining in range(depth - 1, -1, -1):
-            chain.append(next(h for h in preimages.get(chain[-1], ()) if reachable(h, remaining)))
-        return tuple(G.element_at(i) for i in chain)
-    return None
+    start = next((g for g in alive[min(depth, last)] if g != 0), None)
+    if start is None:
+        return None
+    inverse = {images[h]: h for h in alive[last]} if depth > last else {}
+    chain = [start]
+    for r in range(depth - 1, -1, -1):
+        g = chain[-1]
+        chain.append(inverse[g] if r >= last else next(h for h in alive[r] if images[h] == g))
+    return tuple(G.element_at(i) for i in chain)
 
 
 # ---------------------------------------------------------------------------

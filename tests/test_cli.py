@@ -145,6 +145,17 @@ class TestSymbolicCommands:
         payload = run_json(runner, ["chain", "--orders", "8", "--p", "2", "--depth", "3"])
         assert payload["chain"] is None
 
+    def test_chain_deeper_than_the_stack(self, runner):
+        # multiplication by 2 is a bijection of Z_3, so chains never end
+        payload = run_json(runner, ["chain", "--orders", "3", "--p", "2", "--depth", "5000"])
+        assert len(payload["chain"]) == 5001
+
+    def test_chain_in_a_large_group(self, runner):
+        start = time.perf_counter()
+        payload = run_json(runner, ["chain", "--orders", "1048576", "--p", "2", "--depth", "25"])
+        assert time.perf_counter() - start < 5
+        assert payload["chain"] is None
+
 
 class TestCubeCheck:
     def test_small_cube(self, runner):
@@ -202,7 +213,15 @@ class TestErrorChannel:
         assert json.loads(result.output)["error"]["type"] == "CapExceeded"
 
     @pytest.mark.parametrize(
-        "args", [["measure", "--first-below", "1/100000"], ["ek", "sup", "--depth", "200000"]]
+        "args",
+        [
+            ["measure", "--first-below", "1/100000"],
+            ["ek", "sup", "--depth", "200000"],
+            ["plan", "padic", "--p", "2", "--depth", "40000"],
+            ["chain", "--orders", "3", "--p", "2", "--depth", "40000"],
+            # the plan is within the depth cap, its blocks are not within the enumeration cap
+            ["cover", "padic", "--p", "2", "--depth", "4000"],
+        ],
     )
     def test_numeric_depth_cap_exits_4(self, runner, args):
         start = time.perf_counter()
@@ -211,6 +230,15 @@ class TestErrorChannel:
         assert result.exit_code == 4
         assert result.output.count("\n") == 1
         assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+
+    @pytest.mark.parametrize("command", ["dual", "pipeline", "classify"])
+    @pytest.mark.parametrize("depth", [400, 900, 3000])
+    def test_deeply_nested_descriptor_exits_2(self, runner, command, depth):
+        payload = '{"type":"FiniteSum","parts":[' * depth + '{"type":"Int"}' + "]}" * depth
+        result = run(runner, [command, "--in", payload])
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output)["error"]["type"] == "SchemaError"
 
     @pytest.mark.parametrize("width", ["[1.5]", '["x"]', "[true]"])
     def test_slalom_width_table_is_strict(self, runner, width):

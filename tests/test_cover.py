@@ -136,6 +136,20 @@ class TestPlans:
         for plan in (plan_blocks_padic(3, 4), plan_blocks_product([2, 3] * 8, 3)):
             assert BlockPlan.from_json(plan.to_json()) == plan
 
+    def test_depth_cap_before_any_work(self):
+        def unread():
+            raise AssertionError("an order was read")
+            yield 2
+
+        start = time.perf_counter()
+        for supply in (unread(), itertools.cycle([2])):
+            with pytest.raises(CapExceeded, match=str(NUMERIC_DEPTH_CAP)):
+                plan_blocks_product(supply, NUMERIC_DEPTH_CAP + 1)
+        with pytest.raises(CapExceeded, match=str(NUMERIC_DEPTH_CAP)):
+            plan_blocks_padic(2, NUMERIC_DEPTH_CAP + 1)
+        assert time.perf_counter() - start < 0.1
+        assert plan_blocks_padic(2, NUMERIC_DEPTH_CAP).depth == NUMERIC_DEPTH_CAP
+
 
 class TestBuildNullset:
     def test_p2_first_blocks(self):
@@ -152,6 +166,16 @@ class TestBuildNullset:
     def test_spec_json_round_trip(self):
         spec = padic_spec(3, 3)
         assert NullsetSpec.from_json(spec.to_json()) == spec
+
+    def test_total_block_size_cap(self):
+        # p = 2 at depth 1000: the blocks hold 1,355,080 elements in all
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="1355080"):
+            build_nullset(plan_blocks_padic(2, 1000))
+        with pytest.raises(CapExceeded):
+            build_nullset(plan_blocks_product([2**20 + 1], 1))
+        assert time.perf_counter() - start < 0.5
+        assert sum(padic_spec(2, 100).plan.block_orders) == 15_432
 
     def test_rejects_kept_size_outside_window(self):
         spec = padic_spec(2, 1)
@@ -225,7 +249,11 @@ class TestMeasure:
             first_bound_below(threshold)
         assert time.perf_counter() - start < 0.1
 
-    @pytest.mark.parametrize("threshold", [0, 1, Fraction(-1, 2), Fraction(3, 2)])
+    # the last value has more digits than int-to-str conversion allows,
+    # so the error message must not format it
+    @pytest.mark.parametrize(
+        "threshold", [0, 1, Fraction(-1, 2), Fraction(3, 2), Fraction(10**5000 + 1, 10**5000)]
+    )
     def test_first_below_rejects_outside_unit_interval(self, threshold):
         with pytest.raises(PreconditionViolated):
             first_bound_below(threshold)
@@ -462,7 +490,7 @@ class TestVerifyAgainstEnumeration:
         assert True in self.check(spec, slalom, cert.translate, rng)
 
     @settings(max_examples=120, deadline=None)
-    @given(st.sampled_from([(2,), (2, 3), (3,), (5, 2)]), st.integers(1, 5), st.integers(0, 2**32))
+    @given(st.sampled_from([(2,), (2, 3), (3,), (5, 2), (7,), (16,)]), st.integers(1, 5), st.integers(0, 2**32))
     def test_product(self, orders, depth, seed):
         rng = random.Random(seed)
         spec = self.random_spec(plan_blocks_product(itertools.cycle(orders), depth), rng)

@@ -54,6 +54,9 @@ class TestFactorialExpand:
             factorial_expand(Fraction(1), 4)
         with pytest.raises(PreconditionViolated):
             factorial_expand(Fraction(-1, 2), 4)
+        # more digits than int-to-str conversion allows: the message must not format it
+        with pytest.raises(PreconditionViolated):
+            factorial_expand(Fraction(10**5000 + 1, 10**5000), 5)
 
     @given(unit_rationals, st.integers(2, 12))
     def test_round_trip_bounds(self, q, depth):

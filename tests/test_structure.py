@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullcover.errors import CapExceeded, NotDiscrete, NotFiniteTorsion, NotInfinite, PreconditionViolated
+from nullcover.errors import (
+    CapExceeded,
+    NotDiscrete,
+    NotFiniteTorsion,
+    NotInfinite,
+    PreconditionViolated,
+    SchemaError,
+)
 from nullcover.groups import FiniteAbelianGroup
 from nullcover.structure import (
+    MAX_DESCRIPTOR_NESTING,
     RULES,
     Cyclic,
     FiniteSum,
@@ -80,6 +88,18 @@ class TestGrammar:
     @given(descriptors)
     def test_json_round_trip(self, d):
         assert descriptor_from_json(descriptor_to_json(d)) == d
+
+    def test_nesting_limit(self):
+        def nested(depth):
+            obj = {"type": "Int"}
+            for _ in range(depth):
+                obj = {"type": "FiniteSum", "parts": [obj]}
+            return obj
+
+        deepest = descriptor_from_json(nested(MAX_DESCRIPTOR_NESTING))
+        assert syntactic_size(deepest) == MAX_DESCRIPTOR_NESTING + 1
+        with pytest.raises(SchemaError, match=str(MAX_DESCRIPTOR_NESTING)):
+            descriptor_from_json(nested(MAX_DESCRIPTOR_NESTING + 1))
 
 
 class TestPrimaryDecomposition:
