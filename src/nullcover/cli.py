@@ -22,7 +22,7 @@ import click
 from . import cover as cov
 from . import nullset as ns
 from . import structure as st
-from .errors import NullcoverError, SchemaError
+from .errors import CapExceeded, NullcoverError, SchemaError, _as_int
 from .groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, PadicContext
 
 ENV_CAP_VERIFY = "NULLCOVER_CAP_VERIFY"
@@ -88,7 +88,7 @@ def parse_payload(raw: Optional[str]) -> object:
             raise SchemaError(f"cannot read {raw[1:]!r}: {exc}") from None
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # malformed, or an integer literal past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("JSON nested too deeply to decode") from None
@@ -106,10 +106,15 @@ def _render_table(payload: object, prefix: str = "") -> list[str]:
 
 
 def emit(cfg: RunConfig, payload: dict) -> None:
-    if cfg.fmt == "json":
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        text = "\n".join(_render_table(payload)) + "\n"
+    try:
+        if cfg.fmt == "json":
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            text = "\n".join(_render_table(payload)) + "\n"
+    except ValueError:
+        # payloads hold no cycles, so this is an integer past the
+        # interpreter's limit on decimal conversion
+        raise CapExceeded("the output holds an integer past the interpreter's decimal digit limit") from None
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -137,10 +142,8 @@ def command(fn):
 
 
 def _parse_orders(raw: str) -> tuple[int, ...]:
-    try:
-        orders = tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
-    except ValueError:
-        raise SchemaError(f"--orders must be comma-separated integers, got {raw!r}") from None
+    tokens = (tok.strip() for tok in raw.split(","))
+    orders = tuple(_as_int(tok, "--orders entry") for tok in tokens if tok)
     if not orders:
         raise SchemaError("--orders must name at least one cyclic order")
     return orders

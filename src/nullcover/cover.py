@@ -12,8 +12,12 @@ re-checked by :func:`verify_cover`, which is deliberately independent
 of how the translate was found: an exact decision over all prod |S_n|
 slalom elements that reads each slalom value once per incoming carry (a
 two-state carry transducer in p-adic mode), so its cost is O(sum |S_n|)
-rather than the element count.  Translators are searched in
-enumeration-index space, from the gaps of the kept sets.
+rather than the element count.  The translator search and the check
+both work on enumeration indices alone: subtraction mod the order in
+cyclic blocks (one coordinate, or a p-adic digit block), carry-free
+mixed-radix subtraction in products of several coordinates.  Group
+elements appear only as the translate blocks of a certificate, and each
+plan builds its block orders and block groups once.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -25,6 +29,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, floor, pi, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -35,6 +40,7 @@ from .errors import (
     PreconditionViolated,
     SchemaError,
     VerificationFailed,
+    _as_int,
 )
 from .groups import DEFAULT_ENUM_CAP, BlockGroup, FiniteAbelianGroup, is_prime
 from .nullset import NUMERIC_DEPTH_CAP
@@ -80,7 +86,12 @@ class BlockPlan:
     ``boundaries`` is the cut sequence 0 = c_0 < c_1 < ... < c_D; block n
     covers coordinates [c_n, c_n+1).  Product mode records the cyclic
     orders of the consumed coordinates; p-adic mode records the prime and
-    the cuts are digit positions.
+    the cuts are digit positions.  A p-adic block may span at most
+    ``NUMERIC_DEPTH_CAP`` bits of digits (len * p.bit_length()), judged
+    before any power of p is computed.
+
+    The block orders and the block groups are built once per plan, on
+    first use.
     """
 
     mode: str
@@ -108,6 +119,11 @@ class BlockPlan:
                 raise SchemaError("padic plans carry a prime and no orders")
             if not is_prime(self.p):
                 raise PreconditionViolated(f"p = {self.p} is not prime")
+            widest = max(b - a for a, b in zip(cuts, cuts[1:]))
+            if widest * self.p.bit_length() > NUMERIC_DEPTH_CAP:
+                raise CapExceeded(
+                    f"a block of {widest} base-{self.p} digits exceeds the {NUMERIC_DEPTH_CAP}-bit block cap"
+                )
         for n, size in enumerate(self.block_orders):
             if size <= _grow(n):
                 raise PreconditionViolated(f"block {n} has order {size} <= {_grow(n)}")
@@ -116,7 +132,7 @@ class BlockPlan:
     def depth(self) -> int:
         return len(self.boundaries) - 1
 
-    @property
+    @cached_property
     def block_orders(self) -> tuple[int, ...]:
         if self.mode == "product":
             return tuple(
@@ -124,13 +140,22 @@ class BlockPlan:
             )
         return tuple(self.p ** (b - a) for a, b in zip(self.boundaries, self.boundaries[1:]))
 
+    @cached_property
+    def _block_groups(self) -> dict:
+        return {}
+
     def block_group(self, n: int):
         """The group structure on block n: a residue-vector group in
         product mode, a truncated-carry digit block in p-adic mode."""
-        a, b = self.boundaries[n], self.boundaries[n + 1]
-        if self.mode == "product":
-            return FiniteAbelianGroup(self.orders[a:b])
-        return BlockGroup(self.p, a, b)
+        group = self._block_groups.get(n)
+        if group is None:
+            a, b = self.boundaries[n], self.boundaries[n + 1]
+            if self.mode == "product":
+                group = FiniteAbelianGroup(self.orders[a:b])
+            else:
+                group = BlockGroup(self.p, a, b)
+            self._block_groups[n] = group
+        return group
 
     def to_json(self) -> dict:
         obj = {"mode": self.mode, "boundaries": list(self.boundaries), "block_orders": list(self.block_orders)}
@@ -167,20 +192,6 @@ class BlockPlan:
             if given != plan.block_orders:
                 raise SchemaError("block_orders do not match the plan")
         return plan
-
-
-def _as_int(value: object, what: str) -> int:
-    # accept decimal strings so very large exact integers survive JSON
-    if isinstance(value, bool):
-        raise SchemaError(f"{what} must be an integer, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise SchemaError(f"{what} must be an integer, got {value!r}") from None
-    raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -354,11 +365,14 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
     |targets| * |complement| < |G| members under the preconditions
     |kept| >= ceil((1 - 1/(n+3)) |G|) and |targets| <= n+2, so the first
     index outside it exists and is returned.  The complement is read off
-    the gaps of ``kept``.  In a cyclic block (one coordinate, or a p-adic
-    digit block) index subtraction is subtraction mod the order, so each
-    gap forbids one interval of indices and no element is touched; in a
-    product of several coordinates only the targets and the complement
-    are converted to residue vectors.
+    the gaps of ``kept``, and no group element is ever built.  In a
+    cyclic block (one coordinate, or a p-adic digit block) index
+    subtraction is subtraction mod the order, so each gap forbids one
+    interval of indices.  In a product of several coordinates (``group``
+    has ``orders`` of length > 1) subtraction is carry-free mixed radix:
+    the larger of the target and complement sets is split into digits
+    once, and each pair then costs one term per coordinate, as s - c is
+    the sum of ((s_i - c_i) mod m_i) * weight_i.
     """
     if n < 0:
         raise PreconditionViolated(f"level must be >= 0, got {n}")
@@ -372,18 +386,26 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
     if len(targets) > n + 2:
         raise PreconditionViolated(f"{len(targets)} targets exceed the level-{n} limit {n + 2}")
     if order > cap:
-        raise CapExceeded(f"group order {order} exceeds enumeration cap {cap}")
+        raise CapExceeded(f"group order {_count_text(order)} exceeds enumeration cap {cap}")
     if kept[0] < 0 or kept[-1] >= order or (targets and (targets[0] < 0 or targets[-1] >= order)):
         raise PreconditionViolated(f"kept or target indices outside [0, {order})")
     gaps = _gaps(kept, order)
     missing = order - len(kept)
     # counting bound behind the whole construction
     assert len(targets) * missing < order
-    if not _index_arithmetic(group):
-        complement = [group.element_at(c) for a, b in gaps for c in range(a, b)]
-        forbidden = {
-            group.index_of(group.sub(s, c)) for s in map(group.element_at, targets) for c in complement
-        }
+    radices = getattr(group, "orders", ())
+    if len(radices) > 1:
+        complement = [c for a, b in gaps for c in range(a, b)]
+        # split the larger side into digit columns once, walk the smaller
+        if len(targets) <= missing:
+            columns = _digit_columns(radices, complement)
+            pairs = ((s, True) for s in targets)
+        else:
+            columns = _digit_columns(radices, targets)
+            pairs = ((c, False) for c in complement)
+        forbidden = set()
+        for x, x_first in pairs:
+            forbidden.update(_differences(columns, x, x_first))
         g = 0
         while g in forbidden:
             g += 1
@@ -408,11 +430,34 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
     return g
 
 
-def _index_arithmetic(group) -> bool:
-    """Whether the group law is addition of enumeration indices mod the
-    order: true for one cyclic coordinate and for p-adic digit blocks,
-    false for a product of several coordinates."""
-    return not isinstance(group, FiniteAbelianGroup) or len(group.orders) == 1
+def _digit_columns(radices: Sequence[int], indices: Sequence[int]) -> list[tuple[int, int, list[int]]]:
+    """Enumeration indices of the product of cyclic groups with these
+    orders (last coordinate fastest) split into mixed-radix digits:
+    (radix, weight, digit of every index) per coordinate, last first."""
+    columns = []
+    weight = 1
+    for m in reversed(radices):
+        columns.append((m, weight, [i // weight % m for i in indices]))
+        weight *= m
+    return columns
+
+
+def _differences(columns, x: int, x_first: bool) -> list[int]:
+    """Carry-free mixed-radix subtraction on indices: for every index y
+    split into ``columns``, the index of element(x) - element(y) when
+    ``x_first``, else of element(y) - element(x), in column order."""
+    sign = 1 if x_first else -1
+    out = [0] * len(columns[0][2])
+    for m, weight, column in columns:
+        x, digit = divmod(x, m)
+        out = [o + sign * (digit - d) % m * weight for o, d in zip(out, column)]
+    return out
+
+
+def _count_text(count: int) -> str:
+    # exact up to 2^64; beyond that a power of two below the count, since
+    # the interpreter refuses to print integers of more than 4,300 digits
+    return str(count) if count.bit_length() <= 64 else f"more than 2^{count.bit_length() - 1}"
 
 
 def _gaps(kept: Sequence[int], order: int) -> list[tuple[int, int]]:
@@ -502,7 +547,7 @@ def build_nullset(plan: BlockPlan) -> NullsetSpec:
     sizes = plan.block_orders
     total = sum(sizes)
     if total > DEFAULT_ENUM_CAP:
-        raise CapExceeded(f"blocks of {total} elements in all exceed the enumeration cap {DEFAULT_ENUM_CAP}")
+        raise CapExceeded(f"blocks of {_count_text(total)} elements in all exceed the enumeration cap {DEFAULT_ENUM_CAP}")
     kept = []
     for n, size in enumerate(sizes):
         lo, hi = kept_window(size, n)
@@ -631,7 +676,7 @@ def _cover(spec: NullsetSpec, slalom: Slalom, cap_enum: int, cap_verify: int) ->
         if len(values) > f(n):
             raise PreconditionViolated(f"slalom set {n} is wider than {tag}")
         group = plan.block_group(n)
-        order = group.order
+        order = plan.block_orders[n]
         targets = {v for value in values for v in (value, (value + 1) % order)} if padic else values
         g = find_translator(group, spec.kept[n], targets, n, cap_enum)
         translate.append(group.element_at(-g % order if padic else g))
@@ -677,7 +722,7 @@ def verify_cover(
     slalom.check_domains(plan)
     total = slalom.element_count()
     if total > cap:
-        raise CapExceeded(f"{total} slalom elements exceed the verification cap {cap}")
+        raise CapExceeded(f"{_count_text(total)} slalom elements exceed the verification cap {cap}")
     if len(translate) != plan.depth:
         raise PreconditionViolated(f"translate has {len(translate)} blocks, plan has {plan.depth}")
     if plan.mode == "product":
@@ -691,17 +736,15 @@ def _contains(kept: Sequence[int], index: int) -> bool:
 
 
 def _verify_product(spec: NullsetSpec, translate, slalom: Slalom, total: int) -> VerifyResult:
+    plan = spec.plan
     passes = []
     for n, values in enumerate(slalom.sets):
-        group = spec.plan.block_group(n)
-        t = translate[n]
-        if not _index_arithmetic(group):
-            group.check(t)
-            shifted = [group.index_of(group.sub(group.element_at(v), t)) for v in values]
-        else:
-            t = group.index_of(t)
-            shifted = [(v - t) % group.order for v in values]
-        passes.append([_contains(spec.kept[n], s) for s in shifted])
+        group = plan.block_group(n)
+        # index_of rejects a translate block of the wrong length or range
+        t = group.index_of(translate[n])
+        shifted = _differences(_digit_columns(group.orders, values), t, x_first=False)
+        kept = spec.kept[n]
+        passes.append([_contains(kept, v) for v in shifted])
     failing = [n for n, flags in enumerate(passes) if not all(flags)]
     if not failing:
         return VerifyResult(ok=True, witness=None, checked_count=total)
@@ -718,29 +761,33 @@ def _verify_product(spec: NullsetSpec, translate, slalom: Slalom, total: int) ->
 def _verify_padic(spec: NullsetSpec, translate, slalom: Slalom, total: int) -> VerifyResult:
     plan = spec.plan
     depth = plan.depth
-    # step[n][c]: per slalom value of block n with carry c into the block,
-    # (block sum lands in the kept set, carry out of the block)
-    step = []
+    # inside[n][c] and out[n][c]: per slalom value of block n with carry c
+    # into the block, whether the block sum lands in the kept set and
+    # whether it carries out of the block
+    inside, out = [], []
     for n, values in enumerate(slalom.sets):
-        block = plan.block_group(n)
-        order = block.order
-        offset = block.value(translate[n])
+        order = plan.block_orders[n]
+        offset = plan.block_group(n).value(translate[n])
         kept = spec.kept[n]
-        step.append([
-            [(_contains(kept, (v + offset + c) % order), v + offset + c >= order) for v in values]
-            for c in (0, 1)
-        ])
+        sums = [[v + offset + c for v in values] for c in (0, 1)]
+        inside.append([[_contains(kept, x % order) for x in row] for row in sums])
+        out.append([[x >= order for x in row] for row in sums])
     # backward pass: completions[n] = prod_{m >= n} |S_m|; escapes[n][c]
-    # and carried[n][c] cover the completions of blocks n.. entered with carry c
+    # and carried[n][c] cover the completions of blocks n.. entered with
+    # carry c, read from three counts per block and carry: does some value
+    # leave the kept set, and how many values carry out 0 and 1
     completions = [1] * (depth + 1)
     escapes = [[False, False] for _ in range(depth + 1)]
     carried = [[0, 0] for _ in range(depth + 1)]
     for n in range(depth - 1, -1, -1):
-        completions[n] = len(slalom.sets[n]) * completions[n + 1]
+        size = len(slalom.sets[n])
+        completions[n] = size * completions[n + 1]
         for c in (0, 1):
-            moves = step[n][c]
-            escapes[n][c] = any(not inside or escapes[n + 1][out] for inside, out in moves)
-            carried[n][c] = c * completions[n] + sum(carried[n + 1][out] for _, out in moves)
+            ones = sum(out[n][c])
+            zeros = size - ones
+            escapes[n][c] = (not all(inside[n][c]) or (zeros > 0 and escapes[n + 1][0])
+                             or (ones > 0 and escapes[n + 1][1]))
+            carried[n][c] = c * completions[n] + zeros * carried[n + 1][0] + ones * carried[n + 1][1]
     if not escapes[0][0]:
         plain = total * depth - carried[0][0]
         return VerifyResult(ok=True, witness=None, checked_count=total,
@@ -754,18 +801,19 @@ def _verify_padic(spec: NullsetSpec, translate, slalom: Slalom, total: int) -> V
     escaped = False
     witness = []
     for n in range(depth):
-        moves = step[n][c]
+        lands, carries = inside[n][c], out[n][c]
         j = 0
         if not escaped:
-            while moves[j][0] and not escapes[n + 1][moves[j][1]]:
+            while lands[j] and not escapes[n + 1][carries[j]]:
                 j += 1
             rank += j * completions[n + 1]
             carry_total += j * completions[n + 1] * (path_carries + c)
-            carry_total += sum(carried[n + 1][out] for _, out in moves[:j])
-            escaped = not moves[j][0]
+            ones = sum(carries[:j])
+            carry_total += (j - ones) * carried[n + 1][0] + ones * carried[n + 1][1]
+            escaped = not lands[j]
         witness.append(slalom.sets[n][j])
         path_carries += c
-        c = moves[j][1]
+        c = int(carries[j])
     checked = rank + 1
     carry_total += path_carries
     return VerifyResult(ok=False, witness=tuple(witness), checked_count=checked,
@@ -821,7 +869,7 @@ def cube_cover_check(
     """
     cube = prod(plan.block_orders)
     if cube > cap:
-        raise CapExceeded(f"cube of {cube} points exceeds the cap {cap}")
+        raise CapExceeded(f"cube of {_count_text(cube)} points exceeds the cap {cap}")
     member_sets = []
     for slalom in family:
         slalom.check_domains(plan)

@@ -7,6 +7,12 @@ The CLI maps these onto exit codes, so the split between "bad input"
 (:class:`VerificationFailed`) is part of the interface.
 """
 
+import re
+
+# an optional minus sign and decimal digits, nothing else: no sign "+",
+# no underscores, no surrounding whitespace
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 
 class NullcoverError(Exception):
     """Base class for all library errors."""
@@ -75,3 +81,21 @@ class NotInfinite(PreconditionViolated):
 
 class NotDiscrete(PreconditionViolated):
     """Descriptor denotes a nondiscrete group where a discrete one is required."""
+
+
+def _as_int(value: object, what: str) -> int:
+    """The one strict integer parser for outside input: a non-bool int,
+    or a decimal string (so very large exact integers survive JSON) that
+    matches ``-?[0-9]+`` exactly; anything else is a :class:`SchemaError`."""
+    if isinstance(value, bool):
+        raise SchemaError(f"{what} must be an integer, got a boolean")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        if not _DECIMAL.fullmatch(value):
+            raise SchemaError(f"{what} must be an integer, got {value!r}")
+        try:
+            return int(value)
+        except ValueError:   # beyond the interpreter's int-to-str digit limit
+            raise SchemaError(f"{what} has too many digits") from None
+    raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")

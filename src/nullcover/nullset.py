@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, PreconditionViolated, SchemaError
+from .errors import CapExceeded, PreconditionViolated, SchemaError, _as_int
 
 # Largest depth the exact numeric queries evaluate: the digit depth of
-# ek_sup, whose denominator is N!, and the block count first_bound_below
-# may search, judged by its Wallis estimate before any big-integer work.
+# ek_sup, whose denominator is N!, and of factorial_expand, and the block
+# count first_bound_below may search, judged by its Wallis estimate
+# before any big-integer work.
 NUMERIC_DEPTH_CAP = 1 << 15
 
 # how the explicit digits continue beyond the truncation depth
@@ -66,11 +67,15 @@ def factorial_expand(q: Fraction, depth: int) -> tuple[FactorialDigits, Factoria
     Returns the greedy expansion and, when it terminates exactly within
     the depth, also the alternate expansion (last nonzero digit
     decremented, all later digits maximal).  Zero has no alternate.
+    Depths above ``NUMERIC_DEPTH_CAP`` raise :class:`CapExceeded` before
+    any digit is computed.
     """
     if not 0 <= q < 1:
         raise PreconditionViolated("value outside [0, 1)")
     if depth < 2:
         raise PreconditionViolated(f"depth must be >= 2, got {depth}")
+    if depth > NUMERIC_DEPTH_CAP:
+        raise CapExceeded(f"depth {depth} exceeds the numeric depth cap {NUMERIC_DEPTH_CAP}")
     q = Fraction(q)
     # the remainder is kept as a numerator over q's denominator, so each
     # digit is one integer divmod
@@ -101,7 +106,8 @@ def ek_membership(q: Fraction, depth: int) -> str:
     <= n-2; "out" needs every expansion to violate the digit bound
     definitely (a bad explicit digit, or the alternate's all-maximal
     tail); anything else is "undetermined".  Verdicts only refine as the
-    depth grows, they never flip.
+    depth grows, they never flip.  The expansion is capped as in
+    :func:`factorial_expand`.
     """
     greedy, alternate = factorial_expand(q, depth)
     expansions = [greedy] + ([alternate] if alternate is not None else [])
@@ -149,11 +155,8 @@ def rational_to_json(q: Fraction) -> dict:
 def rational_from_json(obj: object) -> Fraction:
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise SchemaError("rational must be an object with 'num' and 'den'")
-    try:
-        num = int(obj["num"])
-        den = int(obj["den"])
-    except (TypeError, ValueError):
-        raise SchemaError(f"rational fields must be integers or decimal strings: {obj}") from None
+    num = _as_int(obj["num"], "rational num")
+    den = _as_int(obj["den"], "rational den")
     if den <= 0:
         raise SchemaError(f"rational denominator must be positive, got {den}")
     return Fraction(num, den)

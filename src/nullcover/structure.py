@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .cover import _as_int
 from .errors import (
     CapExceeded,
     NotDiscrete,
@@ -22,6 +21,7 @@ from .errors import (
     NotInfinite,
     PreconditionViolated,
     SchemaError,
+    _as_int,
 )
 from .groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, GroupElement, is_prime
 from .nullset import NUMERIC_DEPTH_CAP

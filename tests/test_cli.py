@@ -221,6 +221,10 @@ class TestErrorChannel:
             ["chain", "--orders", "3", "--p", "2", "--depth", "40000"],
             # the plan is within the depth cap, its blocks are not within the enumeration cap
             ["cover", "padic", "--p", "2", "--depth", "4000"],
+            ["ek", "member", "--num", "1", "--den", "3", "--depth", "100000000"],
+            # one p-adic block too wide to form its order, decided before any power
+            ["build-nullset", "--in", '{"mode":"padic","p":2,"boundaries":[0,100000]}'],
+            ["build-nullset", "--in", '{"mode":"padic","p":2,"boundaries":[0,1000000000]}'],
         ],
     )
     def test_numeric_depth_cap_exits_4(self, runner, args):
@@ -239,6 +243,35 @@ class TestErrorChannel:
         assert result.exit_code == 2
         assert result.output.count("\n") == 1
         assert json.loads(result.output)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ek", "member", "--num", "1_0", "--den", " 30", "--depth", "5"],
+            ["ek", "member", "--num", "1", "--den", "+3", "--depth", "5"],
+            ["plan", "product", "--orders", "2_0, 3", "--depth", "2"],
+            ["chain", "--orders", "8,2.0", "--p", "2", "--depth", "2"],
+            ["build-nullset", "--in", '{"mode":"padic","p":' + "7" * 5000 + ',"boundaries":[0,3]}'],
+        ],
+    )
+    def test_integer_arguments_are_strict(self, runner, args):
+        result = run(runner, args)
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output)["error"]["type"] == "SchemaError"
+
+    def test_orders_tokens_are_stripped(self, runner):
+        spaced = run_json(runner, ["plan", "product", "--orders", " 2 , 3,", "--cycle", "--depth", "3"])
+        assert spaced == run_json(runner, ["plan", "product", "--orders", "2,3", "--cycle", "--depth", "3"])
+
+    @pytest.mark.parametrize("command", ["build-nullset", "slalom-gen"])
+    def test_longest_admitted_block_exits_4(self, runner, command):
+        # a block of order 2^16384, about 4,900 digits: the cap message
+        # must not print the total, and no slalom value can be printed
+        result = run(runner, [command, "--in", '{"mode":"padic","p":2,"boundaries":[0,16384]}'])
+        assert result.exit_code == 4
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output)["error"]["type"] == "CapExceeded"
 
     @pytest.mark.parametrize("width", ["[1.5]", '["x"]', "[true]"])
     def test_slalom_width_table_is_strict(self, runner, width):

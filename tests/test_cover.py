@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nullcover.cover import (
     DEFAULT_VERIFY_CAP,
     BlockPlan,
+    _differences,
+    _digit_columns,
     CoverCertificate,
     NullsetSpec,
     Slalom,
@@ -105,6 +107,33 @@ class TestFindTranslator:
                                          for s in target_elements for c in complement}
                             assert set(valid) == set(indices) - forbidden
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(2, 7), min_size=2, max_size=4), st.data())
+    def test_mixed_radix_differences_match_group_sub(self, orders, data):
+        # carry-free subtraction on indices against residue-vector
+        # subtraction, with the single index on either side
+        G = FiniteAbelianGroup(tuple(orders))
+        index = st.integers(0, G.order - 1)
+        x = data.draw(index)
+        ys = data.draw(st.lists(index, min_size=1, max_size=12))
+        columns = _digit_columns(G.orders, ys)
+        ex = G.element_at(x)
+        assert _differences(columns, x, True) == [G.index_of(G.sub(ex, G.element_at(y))) for y in ys]
+        assert _differences(columns, x, False) == [G.index_of(G.sub(G.element_at(y), ex)) for y in ys]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(2, 6), min_size=2, max_size=4), st.integers(0, 4), st.randoms(use_true_random=False))
+    def test_product_blocks_against_scan(self, orders, n, rng):
+        # multi-coordinate blocks larger than the exhaustive sweep reaches,
+        # random kept sets anywhere in the window and random target sets
+        G = FiniteAbelianGroup(tuple(orders))
+        lo, hi = kept_window(G.order, n)
+        assume(lo <= hi)
+        kept = tuple(sorted(rng.sample(range(G.order), rng.randint(lo, hi))))
+        targets = rng.sample(range(G.order), rng.randint(1, min(n + 2, G.order)))
+        expected = least_translator_by_scan(G, {G.element_at(i) for i in kept}, map(G.element_at, targets))
+        assert find_translator(G, kept, targets, n) == G.index_of(expected)
+
 
 class TestPlans:
     def test_product_plan_all_twos(self):
@@ -128,6 +157,24 @@ class TestPlans:
 
     def test_padic_plan_p11(self):
         assert plan_blocks_padic(11, 1).boundaries == (0, 1)
+
+    def test_block_groups_built_once_per_plan(self):
+        for plan in (plan_blocks_padic(3, 4), plan_blocks_product(itertools.cycle([2, 3]), 4)):
+            groups = [plan.block_group(n) for n in range(plan.depth)]
+            assert [plan.block_group(n) for n in range(plan.depth)] == groups
+            assert all(plan.block_group(n) is g for n, g in enumerate(groups))
+            assert [g.order for g in groups] == list(plan.block_orders)
+            assert plan.block_orders is plan.block_orders
+            assert BlockPlan.from_json(plan.to_json()) == plan
+
+    def test_padic_block_bits_capped_before_any_power(self):
+        # len * p.bit_length() may reach NUMERIC_DEPTH_CAP and no further
+        start = time.perf_counter()
+        assert BlockPlan(mode="padic", boundaries=(0, NUMERIC_DEPTH_CAP // 2), p=2).depth == 1
+        for p, cuts in ((2, (0, NUMERIC_DEPTH_CAP // 2 + 1)), (3, (0, 3, 10**9)), (65537, (0, 2000))):
+            with pytest.raises(CapExceeded):
+                BlockPlan(mode="padic", boundaries=cuts, p=p)
+        assert time.perf_counter() - start < 0.5
 
     def test_padic_plan_p7_first_cut(self):
         assert plan_blocks_padic(7, 4).boundaries[1] == 1
@@ -511,6 +558,19 @@ class TestVerifyAgainstEnumeration:
         assert cert.verified and cert.checked_count == total
         assert result.ok and result.checked_count == total
         assert sum(result.carry_cases) == total * spec.depth
+        assert elapsed < 1.0
+
+    def test_product_depth_100_within_a_second(self):
+        # blocks Z_2^8 of several coordinates, about 10^158 slalom elements
+        start = time.perf_counter()
+        spec = product_spec(100)
+        slalom = random_slalom(spec.plan, "n+2", seed=100)
+        total = slalom.element_count()
+        cert = cover_product_slalom(spec, slalom, cap_verify=total)
+        result = verify_cover(spec, cert.translate, slalom, cap=total)
+        elapsed = time.perf_counter() - start
+        assert cert.verified and cert.checked_count == total
+        assert result.ok and result.checked_count == total
         assert elapsed < 1.0
 
 

@@ -196,3 +196,15 @@ class TestRationalJson:
             rational_from_json({"num": "1", "den": "0"})
         with pytest.raises(SchemaError):
             rational_from_json({"num": "x", "den": "2"})
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [(True, 2.9), (1, 2.9), (True, 2), ("1_0", "3"), ("1", " 30"), ("+1", "3"), ("1", "3 "), ("1.0", "3")],
+    )
+    def test_integer_fields_are_strict(self, num, den):
+        with pytest.raises(SchemaError):
+            rational_from_json({"num": num, "den": den})
+
+    def test_too_many_digits_is_a_schema_error(self):
+        with pytest.raises(SchemaError):
+            rational_from_json({"num": "1" * 5000, "den": "3"})
