@@ -4,14 +4,18 @@ Every subcommand reads inline JSON (or @file) plus flags, writes one JSON
 document to stdout, and is byte-for-byte deterministic for identical
 arguments.  Exit codes: 0 ok, 2 malformed input, 3 precondition violated,
 4 cap exceeded, 10 internal verification failure (a bug, reported with a
-reproduction payload).
+reproduction payload).  A usage error (an unknown command or option, a
+missing or ill-typed value) is malformed input too: it exits 2 with a
+SchemaError document, and click's usage message still goes to stderr.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -122,6 +126,15 @@ def emit(cfg: RunConfig, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _write_error(exc: NullcoverError) -> None:
+    """The error document, always JSON and always on stdout."""
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    repro = getattr(exc, "repro", None)
+    if repro is not None:
+        error["repro"] = repro
+    sys.stdout.write(json.dumps({"error": error}, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def command(fn):
     """Wrap a subcommand body: build the config, emit, map errors to codes."""
 
@@ -131,14 +144,34 @@ def command(fn):
             cfg = _config(seed, cap_enum, cap_verify, fmt, out)
             emit(cfg, fn(cfg, **kwargs))
         except NullcoverError as exc:
-            error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            repro = getattr(exc, "repro", None)
-            if repro is not None:
-                error["error"]["repro"] = repro
-            sys.stdout.write(json.dumps(error, sort_keys=True, separators=(",", ":")) + "\n")
+            _write_error(exc)
             raise SystemExit(getattr(exc, "exit_code", 3))
 
     return runner
+
+
+@contextmanager
+def _usage_errors_reported():
+    # click shows the usage error on stderr and exits 2 once it propagates
+    try:
+        yield
+    except click.UsageError as exc:
+        _write_error(SchemaError(exc.format_message()))
+        raise
+
+
+class _Root(click.Group):
+    """The root group: usage errors in parsing it (``make_context``) and
+    in resolving and parsing its subcommands (``invoke``) also write a
+    SchemaError document to stdout."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_reported():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_reported():
+            return super().invoke(ctx)
 
 
 def _parse_orders(raw: str) -> tuple[int, ...]:
@@ -157,14 +190,24 @@ def _order_supply(orders: tuple[int, ...], cycle: bool):
     return itertools.cycle(orders)
 
 
+# a decimal exponent, which Fraction turns into a power of ten of that many
+# digits; past the interpreter's 4,300-digit limit on decimal integers it
+# is refused before the power is built, as a long integer literal is
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+_MAX_EXPONENT = 4300
+
+
 def _parse_fraction(raw: str) -> Fraction:
     try:
+        exponent = _EXPONENT.search(raw)
+        if exponent is not None and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+            raise SchemaError(f"the exponent of {raw!r} exceeds {_MAX_EXPONENT}")
         return Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"expected a fraction like 1/10, got {raw!r}") from None
 
 
-@click.group()
+@click.group(cls=_Root)
 def main() -> None:
     """Exact covering constructions for compact nullsets, with certified
     translates and a symbolic reduction pipeline."""
@@ -274,7 +317,8 @@ def cover_padic_cmd(cfg, payload, p, depth) -> dict:
         return cov.plan_blocks_padic(p, depth)
 
     spec, slalom = _cover_inputs(cfg, payload, build, "(n+2)//2")
-    ctx = PadicContext(spec.plan.p, spec.plan.boundaries[-1])
+    # a product-mode spec has no prime; the cover refuses its mode
+    ctx = PadicContext(spec.plan.p, spec.plan.boundaries[-1]) if spec.plan.mode == "padic" else None
     return _cover_bundle(
         spec, slalom, lambda: cov.cover_padic_slalom(ctx, spec, slalom, cfg.cap_enum, cfg.cap_verify)
     )

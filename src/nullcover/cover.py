@@ -16,7 +16,8 @@ rather than the element count.  The translator search and the check
 both work on enumeration indices alone: subtraction mod the order in
 cyclic blocks (one coordinate, or a p-adic digit block), carry-free
 mixed-radix subtraction in products of several coordinates.  Group
-elements appear only as the translate blocks of a certificate, and each
+elements appear only as the translate blocks of a certificate: the
+cover body encodes them and the check decodes each block once.  Each
 plan builds its block orders and block groups once.
 
 All integers are exact; caps abort rather than degrade to sampling.
@@ -146,7 +147,7 @@ class BlockPlan:
 
     def block_group(self, n: int):
         """The group structure on block n: a residue-vector group in
-        product mode, a truncated-carry digit block in p-adic mode."""
+        product mode, the digit codec of Z_{p^len} in p-adic mode."""
         group = self._block_groups.get(n)
         if group is None:
             a, b = self.boundaries[n], self.boundaries[n + 1]
@@ -171,24 +172,22 @@ class BlockPlan:
             raise SchemaError("plan must be a JSON object")
         try:
             mode = obj["mode"]
-            boundaries = tuple(_as_int(c, "boundary") for c in obj["boundaries"])
+            boundaries = _int_array(obj["boundaries"], "boundary", "plan boundaries")
         except KeyError as missing:
             raise SchemaError(f"plan is missing field {missing}") from None
-        except TypeError:
-            raise SchemaError("plan boundaries must be an array of integers") from None
         orders = None
         p = None
         if mode == "product":
             if "orders" not in obj:
                 raise SchemaError("product plan is missing 'orders'")
-            orders = tuple(_as_int(m, "order") for m in obj["orders"])
+            orders = _int_array(obj["orders"], "order", "plan orders")
         elif mode == "padic":
             if "p" not in obj:
                 raise SchemaError("padic plan is missing 'p'")
             p = _as_int(obj["p"], "p")
         plan = cls(mode=mode, boundaries=boundaries, orders=orders, p=p)
         if "block_orders" in obj:
-            given = tuple(_as_int(size, "block order") for size in obj["block_orders"])
+            given = _int_array(obj["block_orders"], "block order", "plan block_orders")
             if given != plan.block_orders:
                 raise SchemaError("block_orders do not match the plan")
         return plan
@@ -237,8 +236,16 @@ class NullsetSpec:
         plan = BlockPlan.from_json(obj["plan"])
         if not isinstance(obj["A"], list):
             raise SchemaError("'A' must be an array of arrays of indices")
-        kept = tuple(tuple(_as_int(i, "kept index") for i in block) for block in obj["A"])
+        kept = tuple(_int_array(block, "kept index", "a kept set") for block in obj["A"])
         return cls(plan=plan, kept=kept)
+
+
+def _int_array(value: object, item: str, field: str) -> tuple[int, ...]:
+    """A JSON array of integers read by the strict parser; any other
+    shape, a string of digits included, is a :class:`SchemaError`."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{field} must be an array of integers")
+    return tuple(_as_int(v, item) for v in value)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -299,7 +306,7 @@ class Slalom:
             raise SchemaError("'width' must be a tag string or an array")
         if not isinstance(obj["sets"], list):
             raise SchemaError("'sets' must be an array of arrays")
-        sets = tuple(tuple(_as_int(v, "slalom value") for v in s) for s in obj["sets"])
+        sets = tuple(_int_array(s, "slalom value", "a slalom set") for s in obj["sets"])
         return cls(width=width, sets=sets)
 
 
@@ -319,7 +326,7 @@ class CoverCertificate:
     def from_json(cls, plan: BlockPlan, obj: object) -> "CoverCertificate":
         if not isinstance(obj, dict) or "translate" not in obj:
             raise SchemaError("certificate must be an object with 'translate'")
-        flat = [_as_int(d, "translate digit") for d in obj["translate"]]
+        flat = _int_array(obj["translate"], "translate digit", "the translate")
         if len(flat) != plan.boundaries[-1]:
             raise SchemaError(
                 f"translate has {len(flat)} coordinates, plan covers {plan.boundaries[-1]}"
@@ -327,9 +334,12 @@ class CoverCertificate:
         blocks = tuple(
             tuple(flat[a:b]) for a, b in zip(plan.boundaries, plan.boundaries[1:])
         )
+        verified = obj.get("verified", False)
+        if not isinstance(verified, bool):
+            raise SchemaError("'verified' must be a boolean")
         return cls(
             translate=blocks,
-            verified=bool(obj.get("verified", False)),
+            verified=verified,
             checked_count=_as_int(obj.get("checked_count", 0), "checked_count"),
         )
 
@@ -725,9 +735,10 @@ def verify_cover(
         raise CapExceeded(f"{_count_text(total)} slalom elements exceed the verification cap {cap}")
     if len(translate) != plan.depth:
         raise PreconditionViolated(f"translate has {len(translate)} blocks, plan has {plan.depth}")
-    if plan.mode == "product":
-        return _verify_product(spec, translate, slalom, total)
-    return _verify_padic(spec, translate, slalom, total)
+    # index_of rejects a translate block of the wrong length or range
+    offsets = [plan.block_group(n).index_of(block) for n, block in enumerate(translate)]
+    verify = _verify_product if plan.mode == "product" else _verify_padic
+    return verify(spec, offsets, slalom, total)
 
 
 def _contains(kept: Sequence[int], index: int) -> bool:
@@ -735,14 +746,11 @@ def _contains(kept: Sequence[int], index: int) -> bool:
     return i < len(kept) and kept[i] == index
 
 
-def _verify_product(spec: NullsetSpec, translate, slalom: Slalom, total: int) -> VerifyResult:
+def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, total: int) -> VerifyResult:
     plan = spec.plan
     passes = []
-    for n, values in enumerate(slalom.sets):
-        group = plan.block_group(n)
-        # index_of rejects a translate block of the wrong length or range
-        t = group.index_of(translate[n])
-        shifted = _differences(_digit_columns(group.orders, values), t, x_first=False)
+    for n, (values, t) in enumerate(zip(slalom.sets, offsets)):
+        shifted = _differences(_digit_columns(plan.block_group(n).orders, values), t, x_first=False)
         kept = spec.kept[n]
         passes.append([_contains(kept, v) for v in shifted])
     failing = [n for n, flags in enumerate(passes) if not all(flags)]
@@ -758,16 +766,15 @@ def _verify_product(spec: NullsetSpec, translate, slalom: Slalom, total: int) ->
     return VerifyResult(ok=False, witness=witness, checked_count=total)
 
 
-def _verify_padic(spec: NullsetSpec, translate, slalom: Slalom, total: int) -> VerifyResult:
+def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, total: int) -> VerifyResult:
     plan = spec.plan
     depth = plan.depth
     # inside[n][c] and out[n][c]: per slalom value of block n with carry c
     # into the block, whether the block sum lands in the kept set and
     # whether it carries out of the block
     inside, out = [], []
-    for n, values in enumerate(slalom.sets):
+    for n, (values, offset) in enumerate(zip(slalom.sets, offsets)):
         order = plan.block_orders[n]
-        offset = plan.block_group(n).value(translate[n])
         kept = spec.kept[n]
         sums = [[v + offset + c for v in values] for c in (0, 1)]
         inside.append([[_contains(kept, x % order) for x in row] for row in sums])
@@ -820,28 +827,25 @@ def _verify_padic(spec: NullsetSpec, translate, slalom: Slalom, total: int) -> V
                         carry_cases=(checked * depth - carry_total, carry_total))
 
 
-def random_slalom(
-    plan: BlockPlan,
-    width: WidthSpec,
-    seed: int,
-    sizes: Optional[Sequence[int]] = None,
-) -> Slalom:
+def random_slalom(plan: BlockPlan, width: WidthSpec, seed: int) -> Slalom:
     """Deterministically sample a slalom over the plan's blocks.
 
     Each set is drawn without replacement from its block domain via an
     explicit partial Fisher-Yates on the seeded generator, so identical
-    seeds give identical slaloms on any platform.  Default set sizes are
-    min(width(n), block order).
+    seeds give identical slaloms on any platform.  Set n has
+    min(width(n), block order) values; more than ``DEFAULT_ENUM_CAP``
+    values in all raise :class:`CapExceeded` before any is drawn.
     """
     f = width_fn(width)
+    counts = [min(f(n), size) for n, size in enumerate(plan.block_orders)]
+    total = sum(counts)
+    if total > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"a slalom of {_count_text(total)} values exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     rng = random.Random(seed)
-    sets = []
-    for n, size in enumerate(plan.block_orders):
-        k = min(f(n), size) if sizes is None else sizes[n]
-        if not 1 <= k <= min(f(n), size):
-            raise PreconditionViolated(f"requested size {k} invalid for block {n}")
-        sets.append(tuple(sorted(_sample_without_replacement(rng, size, k))))
-    return Slalom(width=width, sets=tuple(sets))
+    sets = tuple(
+        tuple(sorted(_sample_without_replacement(rng, size, k))) for size, k in zip(plan.block_orders, counts)
+    )
+    return Slalom(width=width, sets=sets)
 
 
 def _sample_without_replacement(rng: random.Random, population: int, k: int) -> list[int]:

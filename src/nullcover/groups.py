@@ -1,6 +1,6 @@
-"""Exact arithmetic for finite abelian groups and the truncated-carry
-digit-block groups; the truncated p-adic integers of length L are the
-digit block [0, L).
+"""Exact arithmetic for finite abelian groups, and the digit codec of
+p-adic blocks; the truncated p-adic integers of length L are the digit
+block [0, L).
 
 Elements are plain tuples of small nonnegative ints: residue vectors for
 finite groups, digit vectors (least significant digit first) for p-adic
@@ -23,20 +23,29 @@ DigitVector = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 1 << 20
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13, the least odd composite that is a strong probable prime to all
+# thirteen bases above: the test is exact exactly below it
+PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses).
+    """Deterministic primality test (Miller-Rabin to the prime bases 2..41).
 
-    The witness set is exact for every n < 3.3 * 10^24, far beyond any
-    modulus this library enumerates.
+    Exact for every n < psi_13 = 3317044064679887385961981 (about
+    3.3 * 10^24).  A larger n with none of the bases as a factor raises
+    :class:`CapExceeded` before any modular power.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n >= PRIME_TEST_LIMIT:
+        raise CapExceeded(
+            f"a {n.bit_length()}-bit number is past the exact range of the primality test (below {PRIME_TEST_LIMIT})"
+        )
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -130,12 +139,12 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class BlockGroup:
-    """Digits on the interval [start, stop) of a p-adic integer, added
-    with carries inside the block and the final carried digit forgotten.
-
-    Isomorphic to the integers mod p^len under the value map that puts
-    the least significant digit at position ``start``; the canonical
-    enumeration order is by that value.
+    """The digit codec of a p-adic block: the base-p digits on the interval
+    [start, stop) of a p-adic integer, least significant first, read as
+    their value, an element of the integers mod p^len.  The block's group
+    law is addition of values mod p^len (carried digit addition with the
+    final carry forgotten), so the cover and the verifier work on values
+    alone; digits appear only in certificates.
     """
 
     p: int
@@ -162,37 +171,6 @@ class BlockGroup:
         if any(not 0 <= d < self.p for d in x):
             raise PreconditionViolated(f"digits {x} out of range for p = {self.p}")
 
-    def zero(self) -> DigitVector:
-        return (0,) * self.len
-
-    def carry_unit(self) -> DigitVector:
-        """The element with a single 1 in the block's lowest digit; adding
-        it models a carry arriving from below the block."""
-        return (1,) + (0,) * (self.len - 1)
-
-    def add(self, x: DigitVector, y: DigitVector) -> DigitVector:
-        self.check(x)
-        self.check(y)
-        out = []
-        carry = 0
-        for a, b in zip(x, y):
-            carry, digit = divmod(a + b + carry, self.p)
-            out.append(digit)
-        # the carry out of the top digit is forgotten
-        return tuple(out)
-
-    def neg(self, x: DigitVector) -> DigitVector:
-        self.check(x)
-        complement = tuple(self.p - 1 - d for d in x)
-        return self.add(complement, self.carry_unit())
-
-    def sub(self, x: DigitVector, y: DigitVector) -> DigitVector:
-        return self.add(x, self.neg(y))
-
-    def value(self, x: DigitVector) -> int:
-        self.check(x)
-        return sum(d * self.p**k for k, d in enumerate(x))
-
     def element_at(self, index: int) -> DigitVector:
         if not 0 <= index < self.order:
             raise PreconditionViolated(f"value {index} out of range for block of order {self.order}")
@@ -203,20 +181,14 @@ class BlockGroup:
         return tuple(digits)
 
     def index_of(self, x: DigitVector) -> int:
-        return self.value(x)
-
-    def elements(self, cap: int = DEFAULT_ENUM_CAP):
-        if self.order > cap:
-            raise CapExceeded(f"block order {self.order} exceeds enumeration cap {cap}")
-        for v in range(self.order):
-            yield self.element_at(v)
+        self.check(x)
+        return sum(d * self.p**k for k, d in enumerate(x))
 
 
 class PadicContext(BlockGroup):
     """Truncated p-adic integers: ``length`` base-p digits, least
-    significant first, with carried addition.  This is the digit block
-    [0, length); its value map identifies it with the integers mod
-    p^length, and the carry out of the top digit is discarded.
+    significant first.  This is the digit block [0, length), the codec of
+    the integers mod p^length.
     """
 
     def __init__(self, p: int, length: int) -> None:
@@ -225,10 +197,3 @@ class PadicContext(BlockGroup):
     @property
     def length(self) -> int:
         return self.stop
-
-    @property
-    def modulus(self) -> int:
-        return self.order
-
-    def from_int(self, value: int) -> DigitVector:
-        return self.element_at(value % self.order)

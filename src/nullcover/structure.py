@@ -254,15 +254,25 @@ def _descriptor_from_json(obj: object, nesting: int) -> Descriptor:
 # primary decomposition and the trichotomy
 
 
+# trial division stops at this bound; a cofactor with no prime factor up
+# to it is prime when below its square, and is_prime decides the rest
+TRIAL_DIVISION_LIMIT = 1 << 20
+
+
 def _factor(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= TRIAL_DIVISION_LIMIT:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 1
+        p += 1 if p == 2 else 2
     if n > 1:
+        if n >= TRIAL_DIVISION_LIMIT**2 and not is_prime(n):
+            raise CapExceeded(
+                f"a {n.bit_length()}-bit cofactor has no prime factor up to {TRIAL_DIVISION_LIMIT}"
+                " and is not prime; factoring it is refused"
+            )
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -273,6 +283,9 @@ def primary_decomposition(d: Descriptor) -> list[tuple[int, Descriptor]]:
 
     Each cyclic factor of order m contributes, via the Chinese remainder
     splitting, one cyclic factor of order p^k per prime power p^k in m.
+    Orders are factored by trial division up to ``TRIAL_DIVISION_LIMIT``
+    = 2^20; an order whose cofactor past that bound is composite (or too
+    large for :func:`is_prime` to decide) raises :class:`CapExceeded`.
     """
     if not is_finite(d):
         raise NotFiniteTorsion(f"{d!r} does not denote a finite group")
@@ -598,43 +611,41 @@ def niceness_pipeline(d: Descriptor) -> PipelineResult:
 # exhaustive descriptor enumeration (used by the involution checks)
 
 
-def enumerate_descriptors(
-    max_size: int, primes: tuple[int, ...] = (2, 3), orders: tuple[int, ...] = (2, 3)
-) -> Iterator[Descriptor]:
-    """All descriptors of syntactic size <= max_size over a finite palette
-    of atoms, compounds included; sizes count nodes."""
+# the atoms of every enumerated descriptor, one shared instance each
+_ATOMS: tuple[Descriptor, ...] = (
+    Int(), Reals(), Torus(), Cyclic(2), Cyclic(3),
+    Quasicyclic(2), Quasicyclic(3), Padic(2), Padic(3),
+)
+
+
+def enumerate_descriptors(max_size: int) -> Iterator[Descriptor]:
+    """All descriptors of syntactic size <= max_size over the atoms Int,
+    Reals, Torus and, for 2 and 3, Cyclic, Quasicyclic and Padic,
+    compounds included; sizes count nodes."""
     for size in range(1, max_size + 1):
-        yield from _descriptors_of_size(size, primes, orders)
+        yield from _descriptors_of_size(size)
 
 
-def _atoms(primes: tuple[int, ...], orders: tuple[int, ...]) -> list[Descriptor]:
-    out: list[Descriptor] = [Int(), Reals(), Torus()]
-    out += [Cyclic(m) for m in orders]
-    out += [Quasicyclic(p) for p in primes]
-    out += [Padic(p) for p in primes]
-    return out
-
-
-def _descriptors_of_size(size, primes, orders) -> Iterator[Descriptor]:
+def _descriptors_of_size(size: int) -> Iterator[Descriptor]:
     if size == 1:
-        yield from _atoms(primes, orders)
+        yield from _ATOMS
         return
-    for seq in _part_sequences(size - 1, primes, orders, finite_only=False):
+    for seq in _part_sequences(size - 1, finite_only=False):
         yield FiniteSum(seq)
-    for seq in _part_sequences(size - 1, primes, orders, finite_only=True):
+    for seq in _part_sequences(size - 1, finite_only=True):
         yield SumOmega(seq)
         yield ProdOmega(seq)
 
 
-def _part_sequences(total, primes, orders, finite_only) -> Iterator[tuple[Descriptor, ...]]:
+def _part_sequences(total: int, finite_only: bool) -> Iterator[tuple[Descriptor, ...]]:
     if total == 0:
         return
     for first_size in range(1, total + 1):
-        for first in _descriptors_of_size(first_size, primes, orders):
+        for first in _descriptors_of_size(first_size):
             if finite_only and not is_finite(first):
                 continue
             if first_size == total:
                 yield (first,)
             else:
-                for rest in _part_sequences(total - first_size, primes, orders, finite_only):
+                for rest in _part_sequences(total - first_size, finite_only):
                     yield (first,) + rest

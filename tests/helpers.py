@@ -42,6 +42,19 @@ def translators_by_scan(group, kept, targets):
     ]
 
 
+def add_digits(p, x, y):
+    """Carried addition of two base-p digit vectors of one length, least
+    significant digit first, with the carry out of the top digit
+    forgotten: the group law of a p-adic digit block, digit by digit."""
+    assert len(x) == len(y)
+    out = []
+    carry = 0
+    for a, b in zip(x, y):
+        carry, digit = divmod(a + b + carry, p)
+        out.append(digit)
+    return tuple(out)
+
+
 def least_translator_by_scan(group, kept, targets):
     found = translators_by_scan(group, kept, targets)
     return found[0] if found else None
@@ -80,7 +93,7 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
     modulus = p ** cuts[-1]
     block_sizes = plan.block_orders
     kept_sets = [frozenset(ind) for ind in spec.kept]
-    offset_vals = [plan.block_group(n).value(block) for n, block in enumerate(translate)]
+    offset_vals = [plan.block_group(n).index_of(block) for n, block in enumerate(translate)]
     offset_total = sum(v * p ** cuts[n] for n, v in enumerate(offset_vals))
     no_carry = carried = 0
     checked = 0
@@ -105,6 +118,22 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
                 ok=False, witness=combo, checked_count=checked, carry_cases=(no_carry, carried)
             )
     return VerifyResult(ok=True, witness=None, checked_count=checked, carry_cases=(no_carry, carried))
+
+
+def factor_by_trial_division(n):
+    """Prime factorization {p: k} of n >= 1, dividing by every integer
+    from 2 up to the square root of what is left: the reference for the
+    bounded factoring in ``primary_decomposition``."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def bound_product_by_product(n_blocks):

@@ -260,6 +260,104 @@ class TestErrorChannel:
         assert result.output.count("\n") == 1
         assert json.loads(result.output)["error"]["type"] == "SchemaError"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["plan", "padic", "--p", "x", "--depth", "1"],
+            ["plan", "padic", "--depth", "1"],
+            ["frobnicate"],
+            ["dual", "--bogus"],
+            ["ek", "sup", "--depth", "4", "--format", "xml"],
+            ["ek", "sup", "--depth", "1" * 5000],
+        ],
+    )
+    def test_usage_error_exits_2_with_one_document(self, runner, args):
+        result = run(runner, args)
+        assert result.exit_code == 2
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
+        # click's usage message still goes to stderr
+        assert "Error:" in result.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["plan", "padic", "--help"]])
+    def test_help_is_unchanged(self, runner, args):
+        result = run(runner, args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage:") and result.stderr == ""
+
+    @pytest.mark.parametrize(
+        "args,code,kind",
+        [
+            # psi_12 = 399165290221 * 798330580441 passes every prime base up to 37
+            (["plan", "padic", "--p", "318665857834031151167461", "--depth", "1"], 3, "PreconditionViolated"),
+            (["dual", "--in", '{"type":"Padic","p":"318665857834031151167461"}'], 3, "PreconditionViolated"),
+            # psi_13 and past it: beyond the exact range of the primality test
+            (["plan", "padic", "--p", "3317044064679887385961981", "--depth", "1"], 4, "CapExceeded"),
+            (["plan", "padic", "--p", str(2**89 - 1), "--depth", "1"], 4, "CapExceeded"),
+            (["dual", "--in", '{"type":"Quasicyclic","p":"' + str(10**3913 + 7) + '"}'], 4, "CapExceeded"),
+        ],
+    )
+    def test_primes_past_the_test_range(self, runner, args, code, kind):
+        start = time.perf_counter()
+        result = run(runner, args)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == code
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output)["error"]["type"] == kind
+
+    def test_threshold_exponent_is_bounded(self, runner):
+        # 1e-10000000 would build a ten-million-digit power of ten
+        start = time.perf_counter()
+        result = run(runner, ["measure", "--first-below", "1e-10000000"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"]["type"] == "SchemaError"
+        assert run_json(runner, ["measure", "--first-below", "1e-1"]) == run_json(
+            runner, ["measure", "--first-below", "1/10"]
+        )
+
+    def test_slalom_size_is_capped(self, runner):
+        plan = '{"mode":"padic","p":2,"boundaries":[0,30]}'
+        start = time.perf_counter()
+        result = run(runner, ["slalom-gen", "--in", plan, "--width", "[1000000000]"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 4
+        assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            # an array field given as a number, a digit string or an object
+            ("build-nullset", '{"mode":"product","boundaries":[0,3],"orders":5}'),
+            ("build-nullset", '{"mode":"padic","p":2,"boundaries":"037"}'),
+            ("build-nullset", '{"mode":"padic","p":2,"boundaries":[0,3],"block_orders":{"8":1}}'),
+            ("measure", '{"plan":{"mode":"padic","p":2,"boundaries":[0,3]},"A":[7]}'),
+            ("cube-check", '{"plan":{"mode":"padic","p":2,"boundaries":[0,3]},"family":[{"width":"n+2","sets":[2.5]}]}'),
+        ],
+    )
+    def test_array_fields_are_strict(self, runner, command, payload):
+        args = [command, "--in", payload] + (["--blocks", "1"] if command == "measure" else [])
+        result = run(runner, args)
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("field,value", [("translate", "000"), ("verified", "yes")])
+    def test_certificate_fields_are_strict(self, runner, field, value):
+        bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "1", "--seed", "0"])
+        bundle["certificate"][field] = value
+        result = run(runner, ["verify", "--in", json.dumps(bundle)])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"]["type"] == "SchemaError"
+
+    def test_padic_cover_of_a_product_spec_exits_3(self, runner):
+        bundle = run_json(runner, ["cover", "product", "--orders", "2", "--cycle", "--depth", "2"])
+        del bundle["certificate"]
+        result = run(runner, ["cover", "padic", "--in", json.dumps(bundle)])
+        assert result.exit_code == 3
+        assert result.output.count("\n") == 1
+        assert json.loads(result.output)["error"]["type"] == "PreconditionViolated"
+
     def test_orders_tokens_are_stripped(self, runner):
         spaced = run_json(runner, ["plan", "product", "--orders", " 2 , 3,", "--cycle", "--depth", "3"])
         assert spaced == run_json(runner, ["plan", "product", "--orders", "2,3", "--cycle", "--depth", "3"])

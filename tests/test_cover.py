@@ -79,14 +79,17 @@ class TestFindTranslator:
             find_translator(G, tuple(range(6)), {0, 1, 2}, 0)
 
     def test_exhaustive_small_sweep(self):
-        # every group of order <= 8 (and every p-adic digit block of order
+        # every group of order <= 8 (and six p-adic digit blocks of order
         # <= 8), every level n <= 3, every kept set of exactly the minimal
         # admissible size, every nonempty target set within the width
         # budget; cross-checked against the full scan and the forbidden-set
-        # characterisation
+        # characterisation.  A digit block's values are the integers mod its
+        # order, so its scan runs in the cyclic group of that order.
         blocks = [BlockGroup(2, 0, 1), BlockGroup(2, 1, 3), BlockGroup(2, 4, 7),
                   BlockGroup(3, 0, 1), BlockGroup(5, 2, 3), BlockGroup(7, 0, 1)]
-        for G in [*abelian_groups_up_to(8), *blocks]:
+        searched = [*abelian_groups_up_to(8), *blocks]
+        scanned = [*abelian_groups_up_to(8), *(FiniteAbelianGroup((B.order,)) for B in blocks)]
+        for searched_group, G in zip(searched, scanned):
             indices = range(G.order)
             elements = [G.element_at(i) for i in indices]
             for n in range(4):
@@ -98,7 +101,7 @@ class TestFindTranslator:
                     complement = [elements[i] for i in indices if i not in kept]
                     for width in range(1, n + 3):
                         for targets in itertools.combinations(indices, width):
-                            g = find_translator(G, kept, targets, n)
+                            g = find_translator(searched_group, kept, targets, n)
                             target_elements = [elements[t] for t in targets]
                             valid = [G.index_of(e) for e in
                                      translators_by_scan(G, kept_elements, target_elements)]

@@ -1,9 +1,14 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nullcover.errors import CapExceeded, DimensionMismatch, PreconditionViolated
-from nullcover.groups import BlockGroup, FiniteAbelianGroup, PadicContext, is_prime
+from nullcover.groups import PRIME_TEST_LIMIT, BlockGroup, FiniteAbelianGroup, PadicContext, is_prime
+
+from helpers import add_digits
 
 
 small_groups = st.builds(
@@ -75,10 +80,18 @@ class TestFiniteAbelianGroup:
 
 
 class TestPadic:
+    # PadicContext is the codec of the integers mod p^length; carried digit
+    # addition (the oracle add_digits) must be addition of values through it
+
     def test_add_examples(self):
-        assert PadicContext(2, 3).add((1, 1, 0), (1, 0, 0)) == (0, 0, 1)
-        assert PadicContext(3, 2).add((0, 0), (2, 1)) == (2, 1)
-        assert PadicContext(2, 2).add((1, 1), (1, 1)) == (0, 1)
+        for p, length, x, y, total in [
+            (2, 3, (1, 1, 0), (1, 0, 0), (0, 0, 1)),
+            (3, 2, (0, 0), (2, 1), (2, 1)),
+            (2, 2, (1, 1), (1, 1), (0, 1)),
+        ]:
+            ctx = PadicContext(p, length)
+            assert add_digits(p, x, y) == total
+            assert ctx.element_at((ctx.index_of(x) + ctx.index_of(y)) % ctx.order) == total
 
     def test_composite_p_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -89,73 +102,106 @@ class TestPadic:
     @pytest.mark.parametrize("p,length", [(2, 1), (2, 4), (2, 6), (3, 3), (5, 2), (7, 2)])
     def test_add_matches_integers_exhaustively(self, p, length):
         ctx = PadicContext(p, length)
-        for u in range(ctx.modulus):
-            for v in range(ctx.modulus):
-                total = ctx.add(ctx.from_int(u), ctx.from_int(v))
-                assert ctx.value(total) == (u + v) % ctx.modulus
+        for u in range(ctx.order):
+            for v in range(ctx.order):
+                total = add_digits(p, ctx.element_at(u), ctx.element_at(v))
+                assert ctx.index_of(total) == (u + v) % ctx.order
 
     @given(st.sampled_from([(2, 16), (3, 10), (5, 8)]), st.data())
     def test_add_matches_integers_randomized(self, params, data):
         ctx = PadicContext(*params)
-        u = data.draw(st.integers(0, ctx.modulus - 1))
-        v = data.draw(st.integers(0, ctx.modulus - 1))
-        assert ctx.value(ctx.add(ctx.from_int(u), ctx.from_int(v))) == (u + v) % ctx.modulus
+        u = data.draw(st.integers(0, ctx.order - 1))
+        v = data.draw(st.integers(0, ctx.order - 1))
+        assert ctx.index_of(add_digits(ctx.p, ctx.element_at(u), ctx.element_at(v))) == (u + v) % ctx.order
 
     @given(st.sampled_from([(2, 8), (3, 5), (5, 4)]), st.data())
     def test_neg_is_inverse(self, params, data):
+        # the digits of minus the value add to zero
         ctx = PadicContext(*params)
-        x = ctx.from_int(data.draw(st.integers(0, ctx.modulus - 1)))
-        assert ctx.add(x, ctx.neg(x)) == ctx.zero()
+        u = data.draw(st.integers(0, ctx.order - 1))
+        assert add_digits(ctx.p, ctx.element_at(u), ctx.element_at(-u % ctx.order)) == (0,) * ctx.length
 
     def test_value_round_trip(self):
         ctx = PadicContext(3, 4)
-        for v in range(ctx.modulus):
-            assert ctx.value(ctx.from_int(v)) == v
+        for v in range(ctx.order):
+            assert ctx.index_of(ctx.element_at(v)) == v
+        for x in itertools.product(range(3), repeat=4):
+            assert ctx.element_at(ctx.index_of(x)) == x
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            PadicContext(2, 3).add((1, 0), (0, 1, 0))
+            PadicContext(2, 3).index_of((1, 0))
+        with pytest.raises(DimensionMismatch):
+            PadicContext(2, 3).index_of((1, 0, 0, 0))
+
+    def test_out_of_range(self):
+        ctx = PadicContext(3, 2)
+        with pytest.raises(PreconditionViolated):
+            ctx.index_of((3, 0))
+        with pytest.raises(PreconditionViolated):
+            ctx.element_at(9)
+        with pytest.raises(PreconditionViolated):
+            ctx.element_at(-1)
 
 
 class TestBlockGroup:
     def test_add_examples(self):
         B = BlockGroup(2, 0, 3)
-        assert B.value(B.add(B.element_at(3), B.element_at(1))) == 4
-        assert B.value(B.add(B.element_at(5), B.element_at(5))) == 2
+        assert B.index_of(add_digits(2, B.element_at(3), B.element_at(1))) == 4
+        assert B.index_of(add_digits(2, B.element_at(5), B.element_at(5))) == 2
         x = B.element_at(6)
-        assert B.add(x, B.zero()) == x
+        assert add_digits(2, x, B.element_at(0)) == x
 
     def test_neg_examples(self):
+        # the negative of value 3 in Z_8 is value 5: their digits add to zero
         B = BlockGroup(2, 0, 3)
-        assert B.value(B.neg(B.element_at(3))) == 5
-        assert B.neg(B.zero()) == B.zero()
-        assert BlockGroup(3, 0, 1).neg((1,)) == (2,)
+        assert add_digits(2, B.element_at(3), B.element_at(5)) == B.element_at(0) == (0, 0, 0)
+        assert BlockGroup(3, 0, 1).element_at(-1 % 3) == (2,)
 
     @pytest.mark.parametrize("p,start,stop", [(2, 0, 3), (2, 3, 7), (3, 2, 4), (5, 0, 2)])
     def test_add_matches_integers(self, p, start, stop):
         B = BlockGroup(p, start, stop)
         for u in range(B.order):
             for v in range(B.order):
-                assert B.value(B.add(B.element_at(u), B.element_at(v))) == (u + v) % B.order
+                assert B.index_of(add_digits(p, B.element_at(u), B.element_at(v))) == (u + v) % B.order
 
     def test_carry_unit_has_value_one(self):
-        assert BlockGroup(3, 5, 8).value(BlockGroup(3, 5, 8).carry_unit()) == 1
+        # a carry arriving from below the block is a single 1 in its
+        # lowest digit, the element of value 1
+        B = BlockGroup(3, 5, 8)
+        assert B.element_at(1) == (1, 0, 0)
+        assert B.index_of((1, 0, 0)) == 1
 
     @pytest.mark.parametrize("p,start,stop", [(2, 2, 5), (3, 1, 3)])
     def test_agrees_with_padic_when_no_low_carry(self, p, start, stop):
-        # if both summands vanish below the block, the carried addition
-        # never sends anything into it, so the block digits agree
+        # block digits sit at positions [start, stop) of the whole number;
+        # if both summands vanish below the block, carried addition of the
+        # whole numbers sends no carry into it, so the block digits agree
         B = BlockGroup(p, start, stop)
         ctx = PadicContext(p, stop + 1)
         for u in range(B.order):
+            x = ctx.element_at(u * p**start)
+            assert x[start:stop] == B.element_at(u)
+            assert x[:start] + x[stop:] == (0,) * (ctx.length - B.len)
             for v in range(B.order):
-                x = ctx.from_int(u * p**start)
-                y = ctx.from_int(v * p**start)
-                assert ctx.add(x, y)[start:stop] == B.add(B.element_at(u), B.element_at(v))
+                y = ctx.element_at(v * p**start)
+                assert add_digits(p, x, y)[start:stop] == add_digits(p, B.element_at(u), B.element_at(v))
 
     def test_enumeration_is_by_value(self):
-        B = BlockGroup(2, 0, 2)
-        assert list(B.elements()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        expected = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        for B in (BlockGroup(2, 0, 2), BlockGroup(2, 5, 7)):
+            assert [B.element_at(v) for v in range(B.order)] == expected
+            assert [B.index_of(x) for x in expected] == [0, 1, 2, 3]
+
+    @given(st.sampled_from([(2, 0, 9), (3, 4, 9), (7, 1, 4)]), st.data())
+    def test_index_round_trip(self, params, data):
+        B = BlockGroup(*params)
+        x = tuple(data.draw(st.integers(0, B.p - 1)) for _ in range(B.len))
+        assert B.element_at(B.index_of(x)) == x
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            BlockGroup(2, 3, 7).index_of((1, 0, 1))
 
 
 class TestPrimality:
@@ -170,3 +216,22 @@ class TestPrimality:
         assert is_prime(2**31 - 1)
         assert not is_prime(2**31)
         assert not is_prime(1_000_003 * 1_000_033)
+
+    def test_least_strong_pseudoprime_to_bases_up_to_37(self):
+        # psi_12 passes the strong test to every prime base up to 37
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not is_prime(psi12)
+
+    @pytest.mark.parametrize("n", [PRIME_TEST_LIMIT, 2**89 - 1, 10**3913 + 7])
+    def test_past_the_exact_range(self, n):
+        # psi_13 = 1287836182261 * 2575672364521 passes all thirteen bases;
+        # a 3,914-digit number is refused before any modular power
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            is_prime(n)
+        assert time.perf_counter() - start < 0.1
+
+    def test_small_factor_decided_past_the_exact_range(self):
+        assert not is_prime(2**200)
+        assert not is_prime(41 * PRIME_TEST_LIMIT)

@@ -10,6 +10,8 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import nullcover.cli as cli
+from nullcover import cover as cov
+from nullcover.errors import VerificationFailed
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -77,3 +79,43 @@ def test_schemas_reject_junk():
     validator = load_validator("slalom.schema.json")
     assert not validator.is_valid({"width": "n+3", "sets": [[0]]})
     assert not validator.is_valid({"width": "n+2", "sets": [[]]})
+
+
+def fail(args, code):
+    result = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    assert result.exit_code == code, result.output
+    assert result.stdout.count("\n") == 1
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["verify", "--in", "{not json"], 2),
+        (["plan", "padic", "--p", "x", "--depth", "1"], 2),
+        (["frobnicate"], 2),
+        (["plan", "padic", "--p", "4", "--depth", "2"], 3),
+        (["classify", "--in", '{"type":"Cyclic","m":4}'], 3),
+        (["ek", "sup", "--depth", "200000"], 4),
+        (["plan", "padic", "--p", "3317044064679887385961981", "--depth", "1"], 4),
+    ],
+)
+def test_error_documents_match_schema(args, code):
+    load_validator("error.schema.json").validate(fail(args, code))
+
+
+def test_internal_failure_document_matches_schema(monkeypatch):
+    def broken(ctx, spec, slalom, cap_enum, cap_verify):
+        raise VerificationFailed("synthetic")
+
+    monkeypatch.setattr(cov, "cover_padic_slalom", broken)
+    document = fail(["cover", "padic", "--p", "2", "--depth", "2", "--seed", "0"], 10)
+    load_validator("error.schema.json").validate(document)
+    assert "repro" in document["error"]
+
+
+def test_error_schema_rejects_junk():
+    validator = load_validator("error.schema.json")
+    assert not validator.is_valid({"error": {"type": "SchemaError"}})
+    assert not validator.is_valid({"error": {"type": "KeyError", "message": "x"}})
+    assert not validator.is_valid({"error": {"type": "SchemaError", "message": "x"}, "ok": True})

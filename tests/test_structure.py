@@ -1,3 +1,4 @@
+import time
 from math import prod
 
 import pytest
@@ -41,7 +42,7 @@ from nullcover.structure import (
     syntactic_size,
 )
 
-from helpers import abelian_groups_up_to, divisible_chain_by_elements
+from helpers import abelian_groups_up_to, divisible_chain_by_elements, factor_by_trial_division
 
 atoms = st.sampled_from(
     [Int(), Reals(), Torus(), Cyclic(2), Cyclic(3), Cyclic(12), Quasicyclic(2), Padic(5)]
@@ -120,6 +121,29 @@ class TestPrimaryDecomposition:
     def test_rejects_infinite(self):
         with pytest.raises(NotFiniteTorsion):
             primary_decomposition(FiniteSum((Cyclic(4), Int())))
+
+    def test_matches_trial_division_oracle(self):
+        for m in range(2, 5001):
+            expected = [(p, Cyclic(p**k)) for p, k in sorted(factor_by_trial_division(m).items())]
+            assert primary_decomposition(Cyclic(m)) == expected
+
+    def test_large_prime_cofactor(self):
+        # a Mersenne prime: trial division stops at 2^20 and is_prime decides
+        start = time.perf_counter()
+        assert primary_decomposition(Cyclic(2**61 - 1)) == [(2**61 - 1, Cyclic(2**61 - 1))]
+        # a cofactor below 2^40 with no factor up to 2^20 is prime
+        m = 1048573 * 1048583
+        assert primary_decomposition(FiniteSum((Cyclic(m), Cyclic(2)))) == [
+            (2, Cyclic(2)), (1048573, Cyclic(1048573)), (1048583, Cyclic(1048583))
+        ]
+        assert time.perf_counter() - start < 1
+
+    def test_composite_cofactor_refused(self):
+        # two 10-digit primes: no factor up to 2^20 and a composite cofactor
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            primary_decomposition(Cyclic(1000000007 * 1000000009))
+        assert time.perf_counter() - start < 1
 
     @given(finite_descriptors)
     def test_order_preserved(self, d):
