@@ -12,11 +12,9 @@ SchemaError document, and click's usage message still goes to stderr.
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from typing import Optional
@@ -32,52 +30,40 @@ from .groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, PadicContext
 ENV_CAP_VERIFY = "NULLCOVER_CAP_VERIFY"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    cap_enum: int = DEFAULT_ENUM_CAP
-    cap_verify: int = cov.DEFAULT_VERIFY_CAP
-    fmt: str = "json"
-    out: Optional[str] = None
+class _Integer(click.ParamType):
+    """Every integer option: the strict spelling of ``errors._as_int``
+    (``-?[0-9]+``, nothing else); a cap must also be positive."""
+
+    name = "integer"
+
+    def __init__(self, positive: bool = False) -> None:
+        self.positive = positive
+
+    def convert(self, value, param, ctx) -> int:
+        try:
+            number = _as_int(value, "value")
+        except SchemaError:
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+        if self.positive and number <= 0:
+            self.fail(f"{number} is not positive.", param, ctx)
+        return number
 
 
-def _default_cap_verify() -> int:
-    raw = os.environ.get(ENV_CAP_VERIFY)
-    if raw is None:
-        return cov.DEFAULT_VERIFY_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SchemaError(f"{ENV_CAP_VERIFY} must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise SchemaError(f"{ENV_CAP_VERIFY} must be positive, got {cap}")
-    return cap
+INTEGER = _Integer()
+CAP = _Integer(positive=True)
 
-
-def common_options(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True, help="Deterministic seed.")(fn)
-    fn = click.option("--cap-enum", type=int, default=None, help="Enumeration cap (default 2^20).")(fn)
-    fn = click.option(
-        "--cap-verify", type=int, default=None, help=f"Verification cap (default 2^20; env {ENV_CAP_VERIFY})."
-    )(fn)
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True
-    )(fn)
-    fn = click.option("--out", type=str, default=None, help="Write output here instead of stdout.")(fn)
-    return fn
-
-
-def _config(seed, cap_enum, cap_verify, fmt, out) -> RunConfig:
-    cfg = RunConfig(
-        seed=seed,
-        cap_enum=DEFAULT_ENUM_CAP if cap_enum is None else cap_enum,
-        cap_verify=_default_cap_verify() if cap_verify is None else cap_verify,
-        fmt=fmt,
-        out=out,
-    )
-    if cfg.cap_enum <= 0 or cfg.cap_verify <= 0:
-        raise SchemaError("caps must be positive")
-    return cfg
+seed_option = click.option("--seed", type=INTEGER, default=0, show_default=True, help="Deterministic seed.")
+cap_enum_option = click.option(
+    "--cap-enum", type=CAP, default=DEFAULT_ENUM_CAP, help="Enumeration cap (default 2^20)."
+)
+cap_verify_option = click.option(
+    "--cap-verify",
+    type=CAP,
+    default=cov.DEFAULT_VERIFY_CAP,
+    envvar=ENV_CAP_VERIFY,
+    show_envvar=True,
+    help="Verification cap (default 2^20).",
+)
 
 
 def parse_payload(raw: Optional[str]) -> object:
@@ -98,29 +84,15 @@ def parse_payload(raw: Optional[str]) -> object:
         raise SchemaError("JSON nested too deeply to decode") from None
 
 
-def _render_table(payload: object, prefix: str = "") -> list[str]:
-    if isinstance(payload, dict):
-        lines = []
-        for key in sorted(payload):
-            lines.extend(_render_table(payload[key], f"{prefix}{key}." if prefix else f"{key}."))
-        return lines
-    if isinstance(payload, list):
-        return [f"{prefix.rstrip('.')}: {json.dumps(payload, sort_keys=True)}"]
-    return [f"{prefix.rstrip('.')}: {json.dumps(payload)}"]
-
-
-def emit(cfg: RunConfig, payload: dict) -> None:
+def emit(out: Optional[str], payload: dict) -> None:
     try:
-        if cfg.fmt == "json":
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        else:
-            text = "\n".join(_render_table(payload)) + "\n"
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     except ValueError:
         # payloads hold no cycles, so this is an integer past the
         # interpreter's limit on decimal conversion
         raise CapExceeded("the output holds an integer past the interpreter's decimal digit limit") from None
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -136,13 +108,14 @@ def _write_error(exc: NullcoverError) -> None:
 
 
 def command(fn):
-    """Wrap a subcommand body: build the config, emit, map errors to codes."""
+    """Wrap a subcommand body: add ``--out``, pass the other options to
+    the body as keyword arguments, emit its document, map errors to codes."""
 
+    @click.option("--out", type=str, default=None, help="Write output here instead of stdout.")
     @wraps(fn)
-    def runner(seed, cap_enum, cap_verify, fmt, out, **kwargs):
+    def runner(out, **kwargs):
         try:
-            cfg = _config(seed, cap_enum, cap_verify, fmt, out)
-            emit(cfg, fn(cfg, **kwargs))
+            emit(out, fn(**kwargs))
         except NullcoverError as exc:
             _write_error(exc)
             raise SystemExit(getattr(exc, "exit_code", 3))
@@ -224,20 +197,18 @@ def plan_group() -> None:
 @plan_group.command("product")
 @click.option("--orders", required=True, help="Comma-separated cyclic orders of the coordinates.")
 @click.option("--cycle", is_flag=True, help="Repeat the orders list cyclically as needed.")
-@click.option("--depth", type=int, required=True)
-@common_options
+@click.option("--depth", type=INTEGER, required=True)
 @command
-def plan_product(cfg: RunConfig, orders: str, cycle: bool, depth: int) -> dict:
+def plan_product(orders: str, cycle: bool, depth: int) -> dict:
     plan = cov.plan_blocks_product(_order_supply(_parse_orders(orders), cycle), depth)
     return plan.to_json()
 
 
 @plan_group.command("padic")
-@click.option("--p", type=int, required=True)
-@click.option("--depth", type=int, required=True)
-@common_options
+@click.option("--p", type=INTEGER, required=True)
+@click.option("--depth", type=INTEGER, required=True)
 @command
-def plan_padic(cfg: RunConfig, p: int, depth: int) -> dict:
+def plan_padic(p: int, depth: int) -> dict:
     return cov.plan_blocks_padic(p, depth).to_json()
 
 
@@ -246,9 +217,8 @@ def plan_padic(cfg: RunConfig, p: int, depth: int) -> dict:
 
 @main.command("build-nullset")
 @click.option("--in", "payload", default=None, help="Block plan JSON (inline or @file).")
-@common_options
 @command
-def build_nullset_cmd(cfg: RunConfig, payload: Optional[str]) -> dict:
+def build_nullset_cmd(payload: Optional[str]) -> dict:
     plan = cov.BlockPlan.from_json(parse_payload(payload))
     return cov.build_nullset(plan).to_json()
 
@@ -256,7 +226,7 @@ def build_nullset_cmd(cfg: RunConfig, payload: Optional[str]) -> dict:
 # -- covers -------------------------------------------------------------------
 
 
-def _cover_inputs(cfg, payload, plan_builder, width):
+def _cover_inputs(payload, plan_builder, width, seed):
     """Either a full {spec, slalom} payload or a seeded self-contained run."""
     if payload is not None:
         obj = parse_payload(payload)
@@ -265,7 +235,7 @@ def _cover_inputs(cfg, payload, plan_builder, width):
         return cov.NullsetSpec.from_json(obj["spec"]), cov.Slalom.from_json(obj["slalom"])
     plan = plan_builder()
     spec = cov.build_nullset(plan)
-    slalom = cov.random_slalom(plan, width, cfg.seed)
+    slalom = cov.random_slalom(plan, width, seed)
     return spec, slalom
 
 
@@ -289,46 +259,46 @@ def cover_group() -> None:
 @click.option("--in", "payload", default=None, help="{'spec':…,'slalom':…} (inline or @file).")
 @click.option("--orders", default=None, help="Self-contained mode: coordinate orders.")
 @click.option("--cycle", is_flag=True)
-@click.option("--depth", type=int, default=None)
-@common_options
+@click.option("--depth", type=INTEGER, default=None)
+@seed_option
+@cap_enum_option
+@cap_verify_option
 @command
-def cover_product_cmd(cfg, payload, orders, cycle, depth) -> dict:
+def cover_product_cmd(payload, orders, cycle, depth, seed, cap_enum, cap_verify) -> dict:
     def build():
         if orders is None or depth is None:
             raise SchemaError("self-contained mode needs --orders and --depth")
         return cov.plan_blocks_product(_order_supply(_parse_orders(orders), cycle), depth)
 
-    spec, slalom = _cover_inputs(cfg, payload, build, "n+2")
-    return _cover_bundle(
-        spec, slalom, lambda: cov.cover_product_slalom(spec, slalom, cfg.cap_enum, cfg.cap_verify)
-    )
+    spec, slalom = _cover_inputs(payload, build, "n+2", seed)
+    return _cover_bundle(spec, slalom, lambda: cov.cover_product_slalom(spec, slalom, cap_enum, cap_verify))
 
 
 @cover_group.command("padic")
 @click.option("--in", "payload", default=None, help="{'spec':…,'slalom':…} (inline or @file).")
-@click.option("--p", type=int, default=None, help="Self-contained mode: the prime.")
-@click.option("--depth", type=int, default=None)
-@common_options
+@click.option("--p", type=INTEGER, default=None, help="Self-contained mode: the prime.")
+@click.option("--depth", type=INTEGER, default=None)
+@seed_option
+@cap_enum_option
+@cap_verify_option
 @command
-def cover_padic_cmd(cfg, payload, p, depth) -> dict:
+def cover_padic_cmd(payload, p, depth, seed, cap_enum, cap_verify) -> dict:
     def build():
         if p is None or depth is None:
             raise SchemaError("self-contained mode needs --p and --depth")
         return cov.plan_blocks_padic(p, depth)
 
-    spec, slalom = _cover_inputs(cfg, payload, build, "(n+2)//2")
+    spec, slalom = _cover_inputs(payload, build, "(n+2)//2", seed)
     # a product-mode spec has no prime; the cover refuses its mode
     ctx = PadicContext(spec.plan.p, spec.plan.boundaries[-1]) if spec.plan.mode == "padic" else None
-    return _cover_bundle(
-        spec, slalom, lambda: cov.cover_padic_slalom(ctx, spec, slalom, cfg.cap_enum, cfg.cap_verify)
-    )
+    return _cover_bundle(spec, slalom, lambda: cov.cover_padic_slalom(ctx, spec, slalom, cap_enum, cap_verify))
 
 
 @main.command("verify")
 @click.option("--in", "payload", default=None, help="{'spec':…,'slalom':…,'certificate':…}.")
-@common_options
+@cap_verify_option
 @command
-def verify_cmd(cfg: RunConfig, payload: Optional[str]) -> dict:
+def verify_cmd(payload: Optional[str], cap_verify: int) -> dict:
     obj = parse_payload(payload)
     if not isinstance(obj, dict) or not {"spec", "slalom", "certificate"} <= obj.keys():
         raise SchemaError("verify payload must carry 'spec', 'slalom' and 'certificate'")
@@ -339,7 +309,7 @@ def verify_cmd(cfg: RunConfig, payload: Optional[str]) -> dict:
         raise SchemaError(
             f"certificate claims {cert.checked_count} checked elements, slalom has {slalom.element_count()}"
         )
-    return cov.verify_cover(spec, cert.translate, slalom, cfg.cap_verify).to_json()
+    return cov.verify_cover(spec, cert.translate, slalom, cap_verify).to_json()
 
 
 # -- measure ------------------------------------------------------------------
@@ -347,11 +317,10 @@ def verify_cmd(cfg: RunConfig, payload: Optional[str]) -> dict:
 
 @main.command("measure")
 @click.option("--in", "payload", default=None, help="Nullset spec JSON (with --blocks).")
-@click.option("--blocks", type=int, default=None)
+@click.option("--blocks", type=INTEGER, default=None)
 @click.option("--first-below", default=None, help="Fraction threshold, e.g. 1/10.")
-@common_options
 @command
-def measure_cmd(cfg: RunConfig, payload, blocks, first_below) -> dict:
+def measure_cmd(payload, blocks, first_below) -> dict:
     if first_below is not None:
         threshold = _parse_fraction(first_below)
         n = cov.first_bound_below(threshold)
@@ -381,11 +350,10 @@ def ek_group() -> None:
 @ek_group.command("member")
 @click.option("--num", required=True)
 @click.option("--den", required=True)
-@click.option("--depth", type=int, required=True)
+@click.option("--depth", type=INTEGER, required=True)
 @click.option("--digits", is_flag=True, help="Also emit the expansions, digit arrays starting at n=2.")
-@common_options
 @command
-def ek_member_cmd(cfg: RunConfig, num: str, den: str, depth: int, digits: bool) -> dict:
+def ek_member_cmd(num: str, den: str, depth: int, digits: bool) -> dict:
     q = ns.rational_from_json({"num": num, "den": den})
     payload = {"verdict": ns.ek_membership(q, depth)}
     if digits:
@@ -398,18 +366,16 @@ def ek_member_cmd(cfg: RunConfig, num: str, den: str, depth: int, digits: bool) 
 
 
 @ek_group.command("measure")
-@click.option("--depth", type=int, required=True)
-@common_options
+@click.option("--depth", type=INTEGER, required=True)
 @command
-def ek_measure_cmd(cfg: RunConfig, depth: int) -> dict:
+def ek_measure_cmd(depth: int) -> dict:
     return {"depth": depth, "value": ns.rational_to_json(ns.ek_outer_measure(depth))}
 
 
 @ek_group.command("sup")
-@click.option("--depth", type=int, required=True)
-@common_options
+@click.option("--depth", type=INTEGER, required=True)
 @command
-def ek_sup_cmd(cfg: RunConfig, depth: int) -> dict:
+def ek_sup_cmd(depth: int) -> dict:
     return {"depth": depth, "value": ns.rational_to_json(ns.ek_sup(depth))}
 
 
@@ -418,40 +384,37 @@ def ek_sup_cmd(cfg: RunConfig, depth: int) -> dict:
 
 @main.command("classify")
 @click.option("--in", "payload", default=None, help="Group descriptor JSON.")
-@common_options
 @command
-def classify_cmd(cfg: RunConfig, payload) -> dict:
+def classify_cmd(payload) -> dict:
     descriptor = st.descriptor_from_json(parse_payload(payload))
     return st.classify_subgroup(descriptor).to_json()
 
 
 @main.command("dual")
 @click.option("--in", "payload", default=None, help="Group descriptor JSON.")
-@common_options
 @command
-def dual_cmd(cfg: RunConfig, payload) -> dict:
+def dual_cmd(payload) -> dict:
     descriptor = st.descriptor_from_json(parse_payload(payload))
     return st.descriptor_to_json(st.dual(descriptor))
 
 
 @main.command("pipeline")
 @click.option("--in", "payload", default=None, help="Group descriptor JSON.")
-@common_options
 @command
-def pipeline_cmd(cfg: RunConfig, payload) -> dict:
+def pipeline_cmd(payload) -> dict:
     descriptor = st.descriptor_from_json(parse_payload(payload))
     return st.niceness_pipeline(descriptor).to_json()
 
 
 @main.command("chain")
 @click.option("--orders", required=True, help="Comma-separated cyclic orders of the finite group.")
-@click.option("--p", type=int, required=True)
-@click.option("--depth", type=int, required=True)
-@common_options
+@click.option("--p", type=INTEGER, required=True)
+@click.option("--depth", type=INTEGER, required=True)
+@cap_enum_option
 @command
-def chain_cmd(cfg: RunConfig, orders: str, p: int, depth: int) -> dict:
+def chain_cmd(orders: str, p: int, depth: int, cap_enum: int) -> dict:
     group = FiniteAbelianGroup(_parse_orders(orders))
-    chain = st.divisible_chain(group, p, depth, cfg.cap_enum)
+    chain = st.divisible_chain(group, p, depth, cap_enum)
     return {
         "depth": depth,
         "chain": None if chain is None else [list(g) for g in chain],
@@ -464,9 +427,9 @@ def chain_cmd(cfg: RunConfig, orders: str, p: int, depth: int) -> dict:
 @main.command("slalom-gen")
 @click.option("--in", "payload", default=None, help="Block plan JSON.")
 @click.option("--width", default="n+2", show_default=True, help='Width tag or JSON table, e.g. "[1,2,2]".')
-@common_options
+@seed_option
 @command
-def slalom_gen_cmd(cfg: RunConfig, payload, width: str) -> dict:
+def slalom_gen_cmd(payload, width: str, seed: int) -> dict:
     plan = cov.BlockPlan.from_json(parse_payload(payload))
     spec = width
     if width.startswith("["):
@@ -474,14 +437,14 @@ def slalom_gen_cmd(cfg: RunConfig, payload, width: str) -> dict:
         if not isinstance(parsed, list):
             raise SchemaError("width table must be a JSON array")
         spec = tuple(parsed)
-    return cov.random_slalom(plan, spec, cfg.seed).to_json()
+    return cov.random_slalom(plan, spec, seed).to_json()
 
 
 @main.command("cube-check")
 @click.option("--in", "payload", default=None, help="{'plan':…,'family':[slaloms]}.")
-@common_options
+@cap_verify_option
 @command
-def cube_check_cmd(cfg: RunConfig, payload) -> dict:
+def cube_check_cmd(payload, cap_verify: int) -> dict:
     obj = parse_payload(payload)
     if not isinstance(obj, dict) or "plan" not in obj or "family" not in obj:
         raise SchemaError("cube-check payload must carry 'plan' and 'family'")
@@ -489,7 +452,7 @@ def cube_check_cmd(cfg: RunConfig, payload) -> dict:
     if not isinstance(obj["family"], list):
         raise SchemaError("'family' must be an array of slaloms")
     family = [cov.Slalom.from_json(s) for s in obj["family"]]
-    covered, witness = cov.cube_cover_check(family, plan, cfg.cap_verify)
+    covered, witness = cov.cube_cover_check(family, plan, cap_verify)
     return {"covered": covered, "witness": None if witness is None else list(witness)}
 
 

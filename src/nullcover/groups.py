@@ -1,6 +1,7 @@
-"""Exact arithmetic for finite abelian groups, and the digit codec of
-p-adic blocks; the truncated p-adic integers of length L are the digit
-block [0, L).
+"""The index codecs of finite abelian groups and of p-adic digit blocks
+(element to enumeration index and back; the library does its group
+arithmetic on indices), and primality; the truncated p-adic integers of
+length L are the digit block [0, L).
 
 Elements are plain tuples of small nonnegative ints: residue vectors for
 finite groups, digit vectors (least significant digit first) for p-adic
@@ -10,7 +11,6 @@ values, so everything here can be shared freely between threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
@@ -91,25 +91,6 @@ class FiniteAbelianGroup:
         if any(not 0 <= r < m for r, m in zip(a, self.orders)):
             raise PreconditionViolated(f"residues {a} out of range for orders {self.orders}")
 
-    def zero(self) -> GroupElement:
-        return (0,) * len(self.orders)
-
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self.check(a)
-        self.check(b)
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
-
-    def neg(self, a: GroupElement) -> GroupElement:
-        self.check(a)
-        return tuple((-x) % m for x, m in zip(a, self.orders))
-
-    def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.add(a, self.neg(b))
-
-    def scalar_mul(self, k: int, a: GroupElement) -> GroupElement:
-        self.check(a)
-        return tuple(k * x % m for x, m in zip(a, self.orders))
-
     def element_at(self, index: int) -> GroupElement:
         if not 0 <= index < self.order:
             raise PreconditionViolated(f"index {index} out of range for group of order {self.order}")
@@ -125,16 +106,6 @@ class FiniteAbelianGroup:
         for r, m in zip(a, self.orders):
             index = index * m + r
         return index
-
-    def elements(self, cap: int = DEFAULT_ENUM_CAP):
-        """Yield all elements in canonical order.
-
-        Raises :class:`CapExceeded` up front when the group order exceeds
-        ``cap``; never silently truncates.
-        """
-        if self.order > cap:
-            raise CapExceeded(f"group order {self.order} exceeds enumeration cap {cap}")
-        yield from itertools.product(*(range(m) for m in self.orders))
 
 
 @dataclass(frozen=True)

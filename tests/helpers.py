@@ -32,13 +32,48 @@ def abelian_groups_up_to(max_order: int):
             yield FiniteAbelianGroup(orders)
 
 
+def zero_residues(group):
+    """The zero of a ``FiniteAbelianGroup`` as a residue vector.  This and
+    the arithmetic below work on whole residue vectors, coordinate by
+    coordinate: the reference for the library's index-space arithmetic."""
+    return (0,) * len(group.orders)
+
+
+def add_residues(group, a, b):
+    group.check(a)
+    group.check(b)
+    return tuple((x + y) % m for x, y, m in zip(a, b, group.orders))
+
+
+def neg_residues(group, a):
+    group.check(a)
+    return tuple((-x) % m for x, m in zip(a, group.orders))
+
+
+def sub_residues(group, a, b):
+    return add_residues(group, a, neg_residues(group, b))
+
+
+def scale_residues(group, k, a):
+    group.check(a)
+    return tuple(k * x % m for x, m in zip(a, group.orders))
+
+
+def all_residues(group, cap=DEFAULT_ENUM_CAP):
+    """Every element in canonical order, last coordinate fastest; a group
+    of order above ``cap`` raises :class:`CapExceeded` before the first."""
+    if group.order > cap:
+        raise CapExceeded(f"group order {group.order} exceeds enumeration cap {cap}")
+    return itertools.product(*(range(m) for m in group.orders))
+
+
 def translators_by_scan(group, kept, targets):
     """All g with targets inside g + kept, found by scanning the whole
     group in canonical order."""
     kept = set(kept)
     targets = list(targets)
     return [
-        g for g in group.elements() if all(group.sub(s, g) in kept for s in targets)
+        g for g in all_residues(group) if all(sub_residues(group, s, g) in kept for s in targets)
     ]
 
 
@@ -80,7 +115,7 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
         ok_flags = []
         for n, values in enumerate(slalom.sets):
             group = plan.block_group(n)
-            shifted = {group.add(translate[n], group.element_at(i)) for i in spec.kept[n]}
+            shifted = {add_residues(group, translate[n], group.element_at(i)) for i in spec.kept[n]}
             ok_flags.append([group.element_at(v) in shifted for v in values])
         for combo in itertools.product(*(zip(s, flags) for s, flags in zip(slalom.sets, ok_flags))):
             if not all(flag for _, flag in combo):
@@ -203,10 +238,10 @@ def divisible_chain_by_elements(G, p, depth, cap=DEFAULT_ENUM_CAP):
         raise PreconditionViolated(f"depth must be >= 0, got {depth}")
     if not is_prime(p):
         raise PreconditionViolated(f"p = {p} is not prime")
-    elements = list(G.elements(cap))
+    elements = list(all_residues(G, cap))
     preimages = {}
     for g in elements:
-        preimages.setdefault(G.scalar_mul(p, g), []).append(g)
+        preimages.setdefault(scale_residues(G, p, g), []).append(g)
     dead = set()
 
     def reachable(g, remaining):
@@ -220,7 +255,7 @@ def divisible_chain_by_elements(G, p, depth, cap=DEFAULT_ENUM_CAP):
         dead.add((g, remaining))
         return False
 
-    zero = G.zero()
+    zero = zero_residues(G)
     for start in elements:
         if start == zero or not reachable(start, depth):
             continue

@@ -37,7 +37,7 @@ from nullcover.structure import (
     niceness_pipeline,
 )
 
-from helpers import abelian_groups_up_to
+from helpers import abelian_groups_up_to, all_residues, scale_residues, sub_residues, zero_residues
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -55,7 +55,7 @@ def test_translator_sweep():
     failures = 0
     checked = 0
     for G in abelian_groups_up_to(24):
-        elements = list(G.elements())
+        elements = list(all_residues(G))
         for n in range(4):
             size = -(-(G.order * (n + 2)) // (n + 3))
             if size >= G.order:
@@ -66,7 +66,7 @@ def test_translator_sweep():
                 targets = rng.sample(elements, width)
                 g = G.element_at(find_translator(
                     G, sorted(map(G.index_of, kept)), map(G.index_of, targets), n))
-                if not all(G.sub(s, g) in kept for s in targets):
+                if not all(sub_residues(G, s, g) in kept for s in targets):
                     failures += 1
                 checked += 1
     elapsed = time.perf_counter() - started
@@ -189,8 +189,8 @@ def test_divisible_chains():
                 if chain is None:
                     break
                 deepest = depth
-                ok &= chain[0] != G.zero()
-                ok &= all(G.scalar_mul(p, h) == g for g, h in zip(chain, chain[1:]))
+                ok &= chain[0] != zero_residues(G)
+                ok &= all(scale_residues(G, p, h) == g for g, h in zip(chain, chain[1:]))
             ok &= deepest == k - 1
     report("divisible chains in prime-power cyclic groups", ok, "p in {2,3}, k <= 6")
 

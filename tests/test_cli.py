@@ -1,6 +1,8 @@
+import inspect
 import json
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -23,6 +25,28 @@ def run_json(runner, args):
     result = run(runner, args)
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+def leaf_commands(group=cli.main, path=()):
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            yield from leaf_commands(command, path + (name,))
+        else:
+            yield path + (name,), command
+
+
+SPEC = json.dumps(cov.build_nullset(cov.plan_blocks_padic(2, 1)).to_json())
+COVER = ["cover", "padic", "--p", "2", "--depth", "1", "--seed", "0"]
+CUBE = '{"plan":{"mode":"padic","p":2,"boundaries":[0,3]},"family":[]}'
+# each integer option on a command that reads it, the value last
+INTEGER_OPTIONS = [
+    ["ek", "sup", "--depth"],
+    ["plan", "padic", "--depth", "1", "--p"],
+    ["slalom-gen", "--in", '{"mode":"padic","p":2,"boundaries":[0,3]}', "--seed"],
+    ["measure", "--in", SPEC, "--blocks"],
+    ["chain", "--orders", "8", "--p", "2", "--depth", "2", "--cap-enum"],
+    COVER + ["--cap-verify"],
+]
 
 
 class TestPlanAndBuild:
@@ -252,13 +276,16 @@ class TestErrorChannel:
             ["plan", "product", "--orders", "2_0, 3", "--depth", "2"],
             ["chain", "--orders", "8,2.0", "--p", "2", "--depth", "2"],
             ["build-nullset", "--in", '{"mode":"padic","p":' + "7" * 5000 + ',"boundaries":[0,3]}'],
-        ],
+        ]
+        # a sign "+", surrounding space or an underscore, each of which
+        # Python's int() accepts
+        + [option + [value] for option in INTEGER_OPTIONS for value in ("+4", " 4", "1_0")],
     )
     def test_integer_arguments_are_strict(self, runner, args):
         result = run(runner, args)
         assert result.exit_code == 2
-        assert result.output.count("\n") == 1
-        assert json.loads(result.output)["error"]["type"] == "SchemaError"
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
 
     @pytest.mark.parametrize(
         "args",
@@ -269,6 +296,13 @@ class TestErrorChannel:
             ["dual", "--bogus"],
             ["ek", "sup", "--depth", "4", "--format", "xml"],
             ["ek", "sup", "--depth", "1" * 5000],
+            # an option of another command
+            ["ek", "sup", "--depth", "3", "--seed", "5"],
+            ["dual", "--in", '{"type":"Int"}', "--cap-enum", "4"],
+            ["plan", "padic", "--p", "2", "--depth", "1", "--cap-verify", "4"],
+            # a cap must be positive
+            ["chain", "--orders", "8", "--p", "2", "--depth", "2", "--cap-enum", "0"],
+            COVER + ["--cap-verify", "-1"],
         ],
     )
     def test_usage_error_exits_2_with_one_document(self, runner, args):
@@ -388,6 +422,26 @@ class TestErrorChannel:
         )
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("value", [" 1_0", "abc", "0"])
+    def test_cap_verify_variable_is_strict(self, runner, value):
+        bundle = run(runner, COVER).output
+        env = {cli.ENV_CAP_VERIFY: value}
+        for args in (["verify", "--in", bundle], COVER, ["cube-check", "--in", CUBE]):
+            result = run(runner, args, env=env)
+            assert result.exit_code == 2
+            assert result.stdout.count("\n") == 1
+            assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
+        # read only by the commands that have --cap-verify
+        assert run(runner, ["ek", "sup", "--depth", "4"], env=env).exit_code == 0
+
+    def test_empty_cap_verify_variable_is_unset(self, runner):
+        bundle = run(runner, COVER).output
+        for args in (["verify", "--in", bundle], COVER, ["cube-check", "--in", CUBE]):
+            unset = run(runner, args)
+            empty = run(runner, args, env={cli.ENV_CAP_VERIFY: ""})
+            assert empty.exit_code == unset.exit_code == 0
+            assert empty.output == unset.output
+
     def test_internal_failure_exits_10_with_repro(self, runner, monkeypatch):
         def broken(ctx, spec, slalom, cap_enum, cap_verify):
             raise VerificationFailed("synthetic")
@@ -412,12 +466,27 @@ class TestDeterminismAndFormats:
             assert first.output == second.output and first.exit_code == second.exit_code == 0
 
     def test_table_format(self, runner):
-        result = run(runner, ["ek", "measure", "--depth", "4", "--format", "table"])
-        assert result.exit_code == 0
-        assert "value.num: \"1\"" in result.output
+        # there is no --format: every command writes one JSON document
+        for fmt in ("table", "json"):
+            result = run(runner, ["ek", "measure", "--depth", "4", "--format", fmt])
+            assert result.exit_code == 2
+            assert result.stdout.count("\n") == 1
+            assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
 
     def test_out_file(self, runner, tmp_path):
         target = tmp_path / "result.json"
         result = run(runner, ["dual", "--in", '{"type":"Int"}', "--out", str(target)])
         assert result.exit_code == 0 and result.output == ""
         assert json.loads(target.read_text()) == {"type": "Torus"}
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", [pytest.param(c, id=" ".join(path)) for path, c in leaf_commands()])
+    def test_each_command_takes_only_what_it_reads(self, command):
+        # integer options parse strictly, output is always JSON, and every
+        # option but --out is an argument of the command's body
+        for param in command.params:
+            assert not isinstance(param.type, click.types.IntParamType), param.name
+            assert "--format" not in param.opts
+        body = inspect.signature(command.callback.__wrapped__).parameters
+        assert {param.name for param in command.params} - {"out"} == set(body)

@@ -37,11 +37,14 @@ from nullcover.nullset import NUMERIC_DEPTH_CAP
 
 from helpers import (
     abelian_groups_up_to,
+    add_residues,
     bound_product_by_product,
     first_bound_below_by_scan,
     least_translator_by_scan,
+    sub_residues,
     translators_by_scan,
     verify_cover_by_enumeration,
+    zero_residues,
 )
 
 
@@ -62,7 +65,7 @@ class TestFindTranslator:
         G = FiniteAbelianGroup((2, 3))
         kept = tuple(G.index_of(e) for e in [(0, 0), (0, 1), (0, 2), (1, 0)])
         targets = {G.index_of((0, 1)), G.index_of((1, 0))}
-        assert find_translator(G, kept, targets, 0) == G.index_of(G.zero())
+        assert find_translator(G, kept, targets, 0) == G.index_of(zero_residues(G))
 
     def test_z8_example(self):
         G = FiniteAbelianGroup((8,))
@@ -106,7 +109,7 @@ class TestFindTranslator:
                             valid = [G.index_of(e) for e in
                                      translators_by_scan(G, kept_elements, target_elements)]
                             assert g == valid[0]
-                            forbidden = {G.index_of(G.sub(s, c))
+                            forbidden = {G.index_of(sub_residues(G, s, c))
                                          for s in target_elements for c in complement}
                             assert set(valid) == set(indices) - forbidden
 
@@ -121,8 +124,8 @@ class TestFindTranslator:
         ys = data.draw(st.lists(index, min_size=1, max_size=12))
         columns = _digit_columns(G.orders, ys)
         ex = G.element_at(x)
-        assert _differences(columns, x, True) == [G.index_of(G.sub(ex, G.element_at(y))) for y in ys]
-        assert _differences(columns, x, False) == [G.index_of(G.sub(G.element_at(y), ex)) for y in ys]
+        assert _differences(columns, x, True) == [G.index_of(sub_residues(G, ex, G.element_at(y))) for y in ys]
+        assert _differences(columns, x, False) == [G.index_of(sub_residues(G, G.element_at(y), ex)) for y in ys]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(2, 6), min_size=2, max_size=4), st.integers(0, 4), st.randoms(use_true_random=False))
@@ -342,7 +345,7 @@ class TestProductCover:
         spec = product_spec(2)
         slalom = Slalom(width="n+2", sets=((0, 1), (2, 3, 4)))
         cert = cover_product_slalom(spec, slalom)
-        assert cert.translate == (spec.plan.block_group(0).zero(), spec.plan.block_group(1).zero())
+        assert cert.translate == tuple(zero_residues(spec.plan.block_group(n)) for n in range(2))
         assert cert.verified
 
     def test_depth_two_example(self):
@@ -470,8 +473,8 @@ class TestVerifyCover:
         bad = (G0.element_at(1), G1.element_at(1))
         result = verify_cover(spec, bad, slalom)
         # oracle: scan the four slalom elements in order
-        kept0 = {G0.add(bad[0], G0.element_at(i)) for i in spec.kept[0]}
-        kept1 = {G1.add(bad[1], G1.element_at(i)) for i in spec.kept[1]}
+        kept0 = {add_residues(G0, bad[0], G0.element_at(i)) for i in spec.kept[0]}
+        kept1 = {add_residues(G1, bad[1], G1.element_at(i)) for i in spec.kept[1]}
         expected = None
         for a, b in itertools.product(*slalom.sets):
             if G0.element_at(a) not in kept0 or G1.element_at(b) not in kept1:
@@ -489,7 +492,7 @@ class TestVerifyCover:
         spec = product_spec(2)
         slalom = Slalom(width="n+2", sets=((0, 1), (0, 1, 2)))
         with pytest.raises(CapExceeded):
-            verify_cover(spec, (spec.plan.block_group(0).zero(), spec.plan.block_group(1).zero()), slalom, cap=5)
+            verify_cover(spec, tuple(zero_residues(spec.plan.block_group(n)) for n in range(2)), slalom, cap=5)
 
     def test_carry_dichotomy_counts_cover_all_checks(self):
         spec = padic_spec(5, 4)

@@ -6,10 +6,11 @@ Each example picks a command, passes each of its options with some
 probability, and draws every value from a mix of plausible and hostile
 values.  A payload is usually a valid document of the kind the command
 reads with one subtree replaced by a random JSON value, sometimes a
-document of another kind, sometimes random JSON.  Left out on purpose:
-``--format table`` (lossy text, not JSON), caps raised above their
-defaults (a raised cap asks for more work) and ``--out`` (it writes a
-file instead of stdout).
+document of another kind, sometimes random JSON.  The seed and cap
+options are passed rarely to every command: most runs keep the defaults,
+and a command that does not take them must refuse them.  Left out on
+purpose: caps raised above their defaults (a raised cap asks for more
+work) and ``--out`` (it writes a file instead of stdout).
 """
 
 import copy
@@ -59,9 +60,10 @@ COMMANDS = {
     ("plan", "product"): (["--orders", "--cycle", "--depth"], None),
     ("plan", "padic"): (["--p", "--depth"], None),
     ("build-nullset",): (["--in"], "plan"),
-    ("cover", "product"): (["--in", "--orders", "--cycle", "--depth"], "bundle"),
-    ("cover", "padic"): (["--in", "--p", "--depth"], "bundle"),
-    ("verify",): (["--in"], "bundle"),
+    ("cover", "product"): (["--in", "--orders", "--cycle", "--depth", "--seed", "--cap-enum", "--cap-verify"],
+                           "bundle"),
+    ("cover", "padic"): (["--in", "--p", "--depth", "--seed", "--cap-enum", "--cap-verify"], "bundle"),
+    ("verify",): (["--in", "--cap-verify"], "bundle"),
     ("measure",): (["--in", "--blocks", "--first-below"], "spec"),
     ("ek", "member"): (["--num", "--den", "--depth", "--digits"], None),
     ("ek", "measure"): (["--depth"], None),
@@ -69,11 +71,12 @@ COMMANDS = {
     ("classify",): (["--in"], "descriptor"),
     ("dual",): (["--in"], "descriptor"),
     ("pipeline",): (["--in"], "descriptor"),
-    ("chain",): (["--orders", "--p", "--depth"], None),
-    ("slalom-gen",): (["--in", "--width"], "plan"),
-    ("cube-check",): (["--in"], "cube"),
+    ("chain",): (["--orders", "--p", "--depth", "--cap-enum"], None),
+    ("slalom-gen",): (["--in", "--width", "--seed"], "plan"),
+    ("cube-check",): (["--in", "--cap-verify"], "cube"),
 }
-SHARED = ["--seed", "--cap-enum", "--cap-verify"]
+# drawn rarely, for the commands that take them and for those that do not
+RARE = ["--seed", "--cap-enum", "--cap-verify"]
 
 small = st.integers(-2, 14)
 ints = st.one_of(
@@ -138,8 +141,8 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     options, kind = COMMANDS[command]
     args = list(command)
-    for option in options + SHARED:
-        if (draw(st.integers(0, 9)) != 5) == (option in options):
+    for option in options + [option for option in RARE if option not in options]:
+        if (draw(st.integers(0, 9)) != 5) == (option in options and option not in RARE):
             if option in ("--cycle", "--digits"):
                 args.append(option)
             elif option == "--in":
