@@ -20,6 +20,7 @@ from functools import wraps
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from . import cover as cov
 from . import nullset as ns
@@ -226,9 +227,22 @@ def build_nullset_cmd(payload: Optional[str]) -> dict:
 # -- covers -------------------------------------------------------------------
 
 
+# the flags of a self-contained cover run, which a --in payload replaces
+_SELF_CONTAINED = ("orders", "cycle", "p", "depth", "seed")
+
+
 def _cover_inputs(payload, plan_builder, width, seed):
-    """Either a full {spec, slalom} payload or a seeded self-contained run."""
+    """Either a full {spec, slalom} payload or a seeded self-contained run;
+    a payload given with any self-contained flag is refused."""
     if payload is not None:
+        ctx = click.get_current_context()
+        given = [
+            f"--{name}"
+            for name in _SELF_CONTAINED
+            if ctx.get_parameter_source(name) not in (None, ParameterSource.DEFAULT)
+        ]
+        if given:
+            raise SchemaError(f"--in replaces the self-contained flags; drop {', '.join(given)}")
         obj = parse_payload(payload)
         if not isinstance(obj, dict) or "spec" not in obj or "slalom" not in obj:
             raise SchemaError("cover payload must be an object with 'spec' and 'slalom'")

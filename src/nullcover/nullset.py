@@ -4,9 +4,10 @@ factorial-base digits d_n (n >= 2) all satisfy d_n <= n-2.
 Everything is exact rational arithmetic.  A real in [0, 1) has one
 factorial-base expansion unless it terminates, in which case it has
 exactly two: the terminating one and the alternate whose last nonzero
-digit is decremented and every later digit is maximal (n-1).  Membership
-at finite depth inspects both and reports a tri-state verdict rather than
-guessing about digits beyond the truncation.
+digit is decremented and every later digit is maximal (n-1).  The
+alternate's maximal tail always breaks the digit bound, so membership at
+finite depth reads the greedy expansion alone and reports a tri-state
+verdict rather than guessing about digits beyond the truncation.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class FactorialDigits:
                 raise PreconditionViolated(f"digit d_{n} = {d} outside [0, {n - 1}]")
         if self.tail not in (TAIL_ZERO, TAIL_MAX, TAIL_UNKNOWN):
             raise PreconditionViolated(f"unknown tail kind {self.tail!r}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits) + 1
 
     def value(self) -> Fraction:
         """Exact value of the explicit digits (the tail contributes 0)."""
@@ -102,23 +99,17 @@ def ek_membership(q: Fraction, depth: int) -> str:
     """Tri-state membership of q in the nullset, judged from digits up to
     the given depth: "in", "out", or "undetermined".
 
-    "in" needs a witness expansion that terminated with every digit
-    <= n-2; "out" needs every expansion to violate the digit bound
-    definitely (a bad explicit digit, or the alternate's all-maximal
-    tail); anything else is "undetermined".  Verdicts only refine as the
-    depth grows, they never flip.  The expansion is capped as in
-    :func:`factorial_expand`.
+    Only the greedy expansion is read: "out" when some digit is maximal
+    (d_n = n-1), else "in" when the expansion terminated, else
+    "undetermined".  The alternate expansion of a terminating value ends
+    in maximal digits, so it can neither witness "in" nor save q from
+    "out".  Verdicts only refine as the depth grows, they never flip.
+    The expansion is capped as in :func:`factorial_expand`.
     """
-    greedy, alternate = factorial_expand(q, depth)
-    expansions = [greedy] + ([alternate] if alternate is not None else [])
-    for e in expansions:
-        if e.tail == TAIL_ZERO and e.admissible_prefix():
-            return "in"
-    def definitely_violates(e: FactorialDigits) -> bool:
-        return not e.admissible_prefix() or e.tail == TAIL_MAX
-    if all(definitely_violates(e) for e in expansions):
+    greedy, _ = factorial_expand(q, depth)
+    if not greedy.admissible_prefix():
         return "out"
-    return "undetermined"
+    return "in" if greedy.tail == TAIL_ZERO else "undetermined"
 
 
 def ek_outer_measure(depth: int) -> Fraction:

@@ -12,6 +12,7 @@ outside the grammar are reported as unclassifiable, never guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Optional
 
 from .errors import (
@@ -145,23 +146,6 @@ def is_finite(d: Descriptor) -> bool:
             return all(is_finite(p) for p in parts)
         case _:
             return False
-
-
-def order_of(d: Descriptor) -> Optional[int]:
-    """Group order for finite descriptors, None for infinite ones."""
-    match d:
-        case Cyclic(order):
-            return order
-        case FiniteSum(parts):
-            total = 1
-            for p in parts:
-                o = order_of(p)
-                if o is None:
-                    return None
-                total *= o
-            return total
-        case _:
-            return None
 
 
 def is_discrete(d: Descriptor) -> bool:
@@ -346,7 +330,7 @@ def classify_subgroup(d: Descriptor) -> TrichotomyVerdict:
     """
     if not is_discrete(d):
         raise NotDiscrete(f"{d!r} does not denote a discrete group")
-    if order_of(d) is not None:
+    if is_finite(d):
         raise NotInfinite(f"{d!r} denotes a finite group")
     found_int = _scan(d, Int)
     if found_int is not None:
@@ -379,17 +363,15 @@ def divisible_chain(
     """Lexicographically least chain (g_0, ..., g_depth) with g_0 nonzero
     and p * g_(i+1) = g_i, or None when no chain that deep exists.
 
-    The elements with r successive p-th roots form the level
-    alive_r = p^r G, the image of alive_(r-1) under multiplication by p.
-    The levels shrink until one equals its image, and every later level
-    equals that one.  g_0 is the least nonzero element of alive_depth,
-    and each next link is the least preimage in the next level down, so
-    no search backtracks.  On the stable level multiplication by p is a
-    bijection, and there each link is read from the inverse map.  All of
-    it runs on enumeration indices, which follow canonical order; only
-    the returned chain is converted to residue vectors.  The chain has
-    depth + 1 entries, so depths above ``NUMERIC_DEPTH_CAP`` raise
-    :class:`CapExceeded`.
+    Entry g_i has depth - i successive p-th roots, so it lies in p^r G
+    with r = depth - i, and p^r (Z_m0 + ... + Z_mk) is d_0 Z_m0 + ... +
+    d_k Z_mk with d = gcd(p^r, m) per coordinate.  Canonical order puts
+    the last coordinate fastest, so g_0 is zero except for d in the last
+    coordinate where p^depth G is nontrivial, and each next link is, per
+    coordinate, the least x in d Z_m with p x = y: with h = gcd(p d, m),
+    x = d * ((y / h) * (p d / h)^-1 mod m / h).  No search backtracks
+    and no element table is built.  The chain has depth + 1 entries, so
+    depths above ``NUMERIC_DEPTH_CAP`` raise :class:`CapExceeded`.
     """
     if depth < 0:
         raise PreconditionViolated(f"depth must be >= 0, got {depth}")
@@ -400,32 +382,24 @@ def divisible_chain(
     order = G.order
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds enumeration cap {cap}")
-    # images[i] is the index of p * element_at(i); indices are mixed-radix
-    # values with the last coordinate fastest, so the map extends one
-    # coordinate at a time
-    images = [0]
-    for m in G.orders:
-        column = [p * c % m for c in range(m)]
-        images = [x * m + c for x in images for c in column]
-    # alive[r] is the level p^r G in increasing order, up to depth or to
-    # the first level that stops shrinking, whichever comes first
-    alive = [range(order)]
-    while len(alive) <= depth:
-        level = sorted({images[h] for h in alive[-1]})
-        if len(level) == len(alive[-1]):
-            break
-        alive.append(level)
-    last = len(alive) - 1
-    # index 0 is the zero element
-    start = next((g for g in alive[min(depth, last)] if g != 0), None)
-    if start is None:
+
+    def level(r: int, m: int) -> int:
+        # the generator d of p^r Z_m; exponents past log2(m) leave it fixed
+        return gcd(p ** min(r, m.bit_length()), m)
+
+    top = [level(depth, m) for m in G.orders]
+    last = next((i for i in reversed(range(len(top))) if top[i] < G.orders[i]), None)
+    if last is None:
         return None
-    inverse = {images[h]: h for h in alive[last]} if depth > last else {}
-    chain = [start]
+    chain = [tuple(top[i] if i == last else 0 for i in range(len(top)))]
     for r in range(depth - 1, -1, -1):
-        g = chain[-1]
-        chain.append(inverse[g] if r >= last else next(h for h in alive[r] if images[h] == g))
-    return tuple(G.element_at(i) for i in chain)
+        link = []
+        for y, m in zip(chain[-1], G.orders):
+            d = level(r, m)
+            h = gcd(p * d, m)
+            link.append(d * (y // h * pow(p * d // h, -1, m // h) % (m // h)))
+        chain.append(tuple(link))
+    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +540,9 @@ def niceness_pipeline(d: Descriptor) -> PipelineResult:
         return PipelineResult(VERDICT_DISCRETE, tuple(steps), ())
 
     if isinstance(current, FiniteSum):
-        shed = tuple(p for p in current.parts if is_discrete(p) and order_of(p) is None)
+        shed = tuple(p for p in current.parts if is_discrete(p) and not is_finite(p))
         if shed:
-            kept = tuple(p for p in current.parts if not (is_discrete(p) and order_of(p) is None))
+            kept = tuple(p for p in current.parts if not is_discrete(p) or is_finite(p))
             subgroup = kept[0] if len(kept) == 1 else FiniteSum(kept)
             steps.append(TraceStep("open-subgroup", current, subgroup))
             current = subgroup

@@ -14,7 +14,8 @@ from math import prod
 from nullcover.cover import VerifyResult
 from nullcover.errors import CapExceeded, PreconditionViolated, VerificationFailed
 from nullcover.groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, is_prime
-from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits
+from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits, factorial_expand
+from nullcover.structure import Cyclic, FiniteSum
 
 
 def abelian_groups_up_to(max_order: int):
@@ -228,6 +229,34 @@ def factorial_expand_by_fractions(q, depth):
         for n, d in enumerate(greedy.digits, start=2)
     )
     return greedy, FactorialDigits(digits=alternate, tail=TAIL_MAX)
+
+
+def ek_membership_by_expansions(q, depth):
+    """Tri-state membership judged from both expansions: "in" when one
+    terminated with every digit <= n-2, "out" when each breaks the digit
+    bound for certain (a maximal explicit digit, or the alternate's
+    all-maximal tail), "undetermined" otherwise."""
+    greedy, alternate = factorial_expand(q, depth)
+    expansions = [greedy] + ([alternate] if alternate is not None else [])
+    for e in expansions:
+        if e.tail == TAIL_ZERO and e.admissible_prefix():
+            return "in"
+    if all(not e.admissible_prefix() or e.tail == TAIL_MAX for e in expansions):
+        return "out"
+    return "undetermined"
+
+
+def order_of(d):
+    """Group order of a finite descriptor, the product of its cyclic
+    orders; None for an infinite one."""
+    match d:
+        case Cyclic(order):
+            return order
+        case FiniteSum(parts):
+            orders = [order_of(p) for p in parts]
+            return None if None in orders else prod(orders)
+        case _:
+            return None
 
 
 def divisible_chain_by_elements(G, p, depth, cap=DEFAULT_ENUM_CAP):

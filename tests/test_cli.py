@@ -37,6 +37,9 @@ def leaf_commands(group=cli.main, path=()):
 
 SPEC = json.dumps(cov.build_nullset(cov.plan_blocks_padic(2, 1)).to_json())
 COVER = ["cover", "padic", "--p", "2", "--depth", "1", "--seed", "0"]
+# self-contained cover runs, after "cover"
+PADIC_RUN = ["padic", "--p", "2", "--depth", "2"]
+PRODUCT_RUN = ["product", "--orders", "2", "--cycle", "--depth", "2"]
 CUBE = '{"plan":{"mode":"padic","p":2,"boundaries":[0,3]},"family":[]}'
 # each integer option on a command that reads it, the value last
 INTEGER_OPTIONS = [
@@ -94,6 +97,27 @@ class TestCoverRoundTrip:
         )
         assert bundle["slalom"] == slalom
         assert bundle["certificate"]["verified"] is True
+
+    @pytest.mark.parametrize(
+        "run_args,flags,named",
+        [
+            (PADIC_RUN, ["--p", "7", "--depth", "9", "--seed", "3"], "--p, --depth, --seed"),
+            (PADIC_RUN, ["--seed", "0"], "--seed"),
+            (PRODUCT_RUN, ["--orders", "2", "--cycle"], "--orders, --cycle"),
+        ],
+    )
+    def test_cover_payload_refuses_self_contained_flags(self, runner, tmp_path, run_args, flags, named):
+        bundle = run_json(runner, ["cover"] + run_args)
+        payload = tmp_path / "payload.json"
+        payload.write_text(json.dumps({"spec": bundle["spec"], "slalom": bundle["slalom"]}))
+        result = run(runner, ["cover", run_args[0], "--in", f"@{payload}"] + flags)
+        assert result.exit_code == 2
+        assert result.stdout.count("\n") == 1
+        error = json.loads(result.stdout)["error"]
+        assert error["type"] == "SchemaError" and named in error["message"]
+        # the caps apply to both input modes
+        again = run_json(runner, ["cover", run_args[0], "--in", f"@{payload}", "--cap-enum", "100000"])
+        assert again == bundle
 
     def test_verify_flags_bad_translate(self, runner):
         bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "1", "--seed", "0"])

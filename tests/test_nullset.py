@@ -20,7 +20,7 @@ from nullcover.nullset import (
     rational_to_json,
 )
 
-from helpers import ek_sup_by_series, factorial_expand_by_fractions
+from helpers import ek_membership_by_expansions, ek_sup_by_series, factorial_expand_by_fractions
 
 unit_rationals = st.builds(
     lambda den, num: Fraction(num % den, den), st.integers(1, 5000), st.integers(0, 5000)
@@ -109,6 +109,17 @@ class TestMembership:
         # so depth 4 already decides
         assert ek_membership(Fraction(1, 8), 3) == "undetermined"
         assert ek_membership(Fraction(1, 8), 4) == "out"
+
+    def test_matches_two_expansion_oracle(self):
+        verdicts = set()
+        for den in range(1, 40):
+            for num in range(den):
+                q = Fraction(num, den)
+                for depth in range(2, 13):
+                    verdict = ek_membership(q, depth)
+                    assert verdict == ek_membership_by_expansions(q, depth), (q, depth)
+                    verdicts.add(verdict)
+        assert verdicts == {"in", "out", "undetermined"}
 
     @given(unit_rationals, st.integers(2, 10))
     def test_monotone_in_depth(self, q, depth):

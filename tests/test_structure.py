@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import prod
 
 import pytest
@@ -14,6 +15,7 @@ from nullcover.errors import (
     SchemaError,
 )
 from nullcover.groups import FiniteAbelianGroup
+from nullcover.nullset import NUMERIC_DEPTH_CAP
 from nullcover.structure import (
     MAX_DESCRIPTOR_NESTING,
     RULES,
@@ -36,7 +38,6 @@ from nullcover.structure import (
     is_discrete,
     is_finite,
     niceness_pipeline,
-    order_of,
     primary_decomposition,
     r_power,
     syntactic_size,
@@ -47,6 +48,7 @@ from helpers import (
     all_residues,
     divisible_chain_by_elements,
     factor_by_trial_division,
+    order_of,
     scale_residues,
     zero_residues,
 )
@@ -258,6 +260,25 @@ class TestDivisibleChain:
             divisible_chain_by_elements(G, 2, 1, cap=15)
         assert str(raised.value) == str(expected.value)
         assert divisible_chain(G, 2, 1, cap=16) is not None
+
+    def test_no_element_table(self):
+        # the group at the enumeration cap: a table of its 2^20 elements
+        # alone would take tens of MiB
+        G = FiniteAbelianGroup((1 << 20,))
+        tracemalloc.start()
+        try:
+            chain = divisible_chain(G, 2, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chain == tuple((1 << k,) for k in range(19, -1, -1))
+        assert peak < 1 << 20
+
+    def test_longest_chain_under_the_depth_cap(self):
+        # multiplication by 2 is a bijection of Z_3: 1 -> 2 -> 1 -> ...
+        chain = divisible_chain(FiniteAbelianGroup((3,)), 2, NUMERIC_DEPTH_CAP)
+        assert len(chain) == NUMERIC_DEPTH_CAP + 1
+        assert chain[:3] == ((1,), (2,), (1,)) and chain[-1] == (1,)
 
 
 class TestDual:
