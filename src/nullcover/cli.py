@@ -424,7 +424,12 @@ def pipeline_cmd(payload) -> dict:
 @click.option("--orders", required=True, help="Comma-separated cyclic orders of the finite group.")
 @click.option("--p", type=INTEGER, required=True)
 @click.option("--depth", type=INTEGER, required=True)
-@cap_enum_option
+@click.option(
+    "--cap-enum",
+    type=CAP,
+    default=DEFAULT_ENUM_CAP,
+    help="Cap on the chain's entries, (depth + 1) x coordinates (default 2^20).",
+)
 @command
 def chain_cmd(orders: str, p: int, depth: int, cap_enum: int) -> dict:
     group = FiniteAbelianGroup(_parse_orders(orders))

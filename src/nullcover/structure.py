@@ -44,22 +44,22 @@ class Descriptor:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Int(Descriptor):
     """The integers, discrete."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reals(Descriptor):
     """The real line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Torus(Descriptor):
     """The circle group."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cyclic(Descriptor):
     order: int
 
@@ -68,7 +68,7 @@ class Cyclic(Descriptor):
             raise PreconditionViolated(f"cyclic order must be >= 2, got {self.order}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quasicyclic(Descriptor):
     """Union of the cyclic p-power groups inside the rationals mod 1; discrete."""
 
@@ -79,7 +79,7 @@ class Quasicyclic(Descriptor):
             raise PreconditionViolated(f"p = {self.p} is not prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Padic(Descriptor):
     """The compact group of p-adic integers."""
 
@@ -90,7 +90,7 @@ class Padic(Descriptor):
             raise PreconditionViolated(f"p = {self.p} is not prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteSum(Descriptor):
     """Finite direct sum of the parts."""
 
@@ -101,7 +101,7 @@ class FiniteSum(Descriptor):
             raise PreconditionViolated("FiniteSum needs at least one part")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumOmega(Descriptor):
     """Countable direct sum repeating the given finite groups cyclically;
     discrete."""
@@ -112,7 +112,7 @@ class SumOmega(Descriptor):
         _check_omega_parts(self.parts, "SumOmega")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProdOmega(Descriptor):
     """Countable direct product repeating the given finite groups
     cyclically; compact."""
@@ -138,64 +138,54 @@ def r_power(n: int) -> Descriptor:
     return Reals() if n == 1 else FiniteSum((Reals(),) * n)
 
 
+# kind bits: an atom's bits come from its class, a finite sum's are the
+# AND of its parts' bits
+FINITE, DISCRETE, COMPACT = 1, 2, 4
+_KIND_BITS: dict[type, int] = {
+    Int: DISCRETE,
+    Reals: 0,
+    Torus: COMPACT,
+    Cyclic: FINITE | DISCRETE | COMPACT,
+    Quasicyclic: DISCRETE,
+    Padic: COMPACT,
+    SumOmega: DISCRETE,
+    ProdOmega: COMPACT,
+}
+
+
+def _kind_bits(d: Descriptor) -> int:
+    if type(d) is not FiniteSum:
+        return _KIND_BITS.get(type(d), 0)
+    bits = FINITE | DISCRETE | COMPACT
+    for part in d.parts:
+        bits &= _kind_bits(part)
+        if not bits:
+            break
+    return bits
+
+
 def is_finite(d: Descriptor) -> bool:
-    match d:
-        case Cyclic():
-            return True
-        case FiniteSum(parts):
-            return all(is_finite(p) for p in parts)
-        case _:
-            return False
+    return bool(_kind_bits(d) & FINITE)
 
 
 def is_discrete(d: Descriptor) -> bool:
-    match d:
-        case Int() | Cyclic() | Quasicyclic() | SumOmega():
-            return True
-        case FiniteSum(parts):
-            return all(is_discrete(p) for p in parts)
-        case _:
-            return False
+    return bool(_kind_bits(d) & DISCRETE)
 
 
 def is_compact(d: Descriptor) -> bool:
-    match d:
-        case Torus() | Cyclic() | Padic() | ProdOmega():
-            return True
-        case FiniteSum(parts):
-            return all(is_compact(p) for p in parts)
-        case _:
-            return False
-
-
-def syntactic_size(d: Descriptor) -> int:
-    match d:
-        case FiniteSum(parts) | SumOmega(parts) | ProdOmega(parts):
-            return 1 + sum(syntactic_size(p) for p in parts)
-        case _:
-            return 1
+    return bool(_kind_bits(d) & COMPACT)
 
 
 def descriptor_to_json(d: Descriptor) -> dict:
-    match d:
-        case Int():
-            return {"type": "Int"}
-        case Reals():
-            return {"type": "Reals"}
-        case Torus():
-            return {"type": "Torus"}
-        case Cyclic(order):
-            return {"type": "Cyclic", "m": order}
-        case Quasicyclic(p):
-            return {"type": "Quasicyclic", "p": p}
-        case Padic(p):
-            return {"type": "Padic", "p": p}
-        case FiniteSum(parts):
-            return {"type": "FiniteSum", "parts": [descriptor_to_json(p) for p in parts]}
-        case SumOmega(parts):
-            return {"type": "SumOmega", "parts": [descriptor_to_json(p) for p in parts]}
-        case ProdOmega(parts):
-            return {"type": "ProdOmega", "parts": [descriptor_to_json(p) for p in parts]}
+    kind = type(d)
+    if kind is FiniteSum or kind is SumOmega or kind is ProdOmega:
+        return {"type": kind.__name__, "parts": [descriptor_to_json(p) for p in d.parts]}
+    if kind is Cyclic:
+        return {"type": "Cyclic", "m": d.order}
+    if kind is Quasicyclic or kind is Padic:
+        return {"type": kind.__name__, "p": d.p}
+    if kind is Int or kind is Reals or kind is Torus:
+        return {"type": kind.__name__}
     raise SchemaError(f"not a descriptor: {d!r}")
 
 
@@ -210,23 +200,24 @@ def _descriptor_from_json(obj: object, nesting: int) -> Descriptor:
         raise SchemaError("descriptor must be an object with a 'type' field")
     kind = obj["type"]
     try:
-        if kind == "Int":
-            return Int()
-        if kind == "Reals":
-            return Reals()
-        if kind == "Torus":
-            return Torus()
+        # a tuple test, not a dict lookup: the field may be unhashable JSON
+        if kind in ("FiniteSum", "SumOmega", "ProdOmega"):
+            if nesting == MAX_DESCRIPTOR_NESTING:
+                raise SchemaError(f"descriptor nests more than {MAX_DESCRIPTOR_NESTING} compounds")
+            parts = tuple([_descriptor_from_json(p, nesting + 1) for p in obj["parts"]])
+            return {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}[kind](parts)
         if kind == "Cyclic":
             return Cyclic(_as_int(obj["m"], "Cyclic m"))
         if kind == "Quasicyclic":
             return Quasicyclic(_as_int(obj["p"], "Quasicyclic p"))
         if kind == "Padic":
             return Padic(_as_int(obj["p"], "Padic p"))
-        if kind in ("FiniteSum", "SumOmega", "ProdOmega"):
-            if nesting == MAX_DESCRIPTOR_NESTING:
-                raise SchemaError(f"descriptor nests more than {MAX_DESCRIPTOR_NESTING} compounds")
-            parts = tuple(_descriptor_from_json(p, nesting + 1) for p in obj["parts"])
-            return {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}[kind](parts)
+        if kind == "Int":
+            return Int()
+        if kind == "Reals":
+            return Reals()
+        if kind == "Torus":
+            return Torus()
     except KeyError as missing:
         raise SchemaError(f"descriptor {kind} is missing field {missing}") from None
     except (TypeError, ValueError):
@@ -296,7 +287,7 @@ def _cyclic_orders(d: Descriptor) -> list[int]:
     raise NotFiniteTorsion(f"{d!r} does not denote a finite group")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrichotomyVerdict:
     """Which unavoidable subgroup an infinite discrete group contains.
 
@@ -328,19 +319,15 @@ def classify_subgroup(d: Descriptor) -> TrichotomyVerdict:
     and "an infinite elementary p-summand" are expressible only through
     SumOmega, so case 2 reduces to SumOmega presence.
     """
-    if not is_discrete(d):
+    bits = _kind_bits(d)
+    if not bits & DISCRETE:
         raise NotDiscrete(f"{d!r} does not denote a discrete group")
-    if is_finite(d):
+    if bits & FINITE:
         raise NotInfinite(f"{d!r} denotes a finite group")
-    found_int = _scan(d, Int)
-    if found_int is not None:
-        return TrichotomyVerdict(case=1, witness=found_int)
-    found_sum = _scan(d, SumOmega)
-    if found_sum is not None:
-        return TrichotomyVerdict(case=2, witness=found_sum)
-    found_quasi = _scan(d, Quasicyclic)
-    if found_quasi is not None:
-        return TrichotomyVerdict(case=3, witness=found_quasi.p)
+    for case, kind in ((1, Int), (2, SumOmega), (3, Quasicyclic)):
+        found = _scan(d, kind)
+        if found is not None:
+            return TrichotomyVerdict(case=case, witness=found.p if case == 3 else found)
     return TrichotomyVerdict(case=None, witness=None)
 
 
@@ -370,8 +357,9 @@ def divisible_chain(
     coordinate where p^depth G is nontrivial, and each next link is, per
     coordinate, the least x in d Z_m with p x = y: with h = gcd(p d, m),
     x = d * ((y / h) * (p d / h)^-1 mod m / h).  No search backtracks
-    and no element table is built.  The chain has depth + 1 entries, so
-    depths above ``NUMERIC_DEPTH_CAP`` raise :class:`CapExceeded`.
+    and no element table is built, so the group order is not capped.  The
+    chain has depth + 1 links: depths above ``NUMERIC_DEPTH_CAP``, or more
+    than ``cap`` coordinates in all, raise :class:`CapExceeded`.
     """
     if depth < 0:
         raise PreconditionViolated(f"depth must be >= 0, got {depth}")
@@ -379,9 +367,10 @@ def divisible_chain(
         raise PreconditionViolated(f"p = {p} is not prime")
     if depth > NUMERIC_DEPTH_CAP:
         raise CapExceeded(f"chain depth {depth} exceeds the numeric depth cap {NUMERIC_DEPTH_CAP}")
-    order = G.order
-    if order > cap:
-        raise CapExceeded(f"group order {order} exceeds enumeration cap {cap}")
+    entries = (depth + 1) * len(G.orders)
+    if entries > cap:
+        raise CapExceeded(f"a chain of {depth + 1} links over {len(G.orders)} coordinates"
+                          f" has {entries} entries, above the cap {cap}")
 
     def level(r: int, m: int) -> int:
         # the generator d of p^r Z_m; exponents past log2(m) leave it fixed
@@ -411,25 +400,23 @@ def dual(d: Descriptor) -> Descriptor:
     cyclic groups are self-dual, quasicyclic and p-adic swap, and the
     sum/product constructors swap componentwise.  An involution on the
     whole grammar by construction."""
-    match d:
-        case Int():
-            return Torus()
-        case Torus():
-            return Int()
-        case Reals():
-            return Reals()
-        case Cyclic(order):
-            return Cyclic(order)
-        case Quasicyclic(p):
-            return Padic(p)
-        case Padic(p):
-            return Quasicyclic(p)
-        case FiniteSum(parts):
-            return FiniteSum(tuple(dual(p) for p in parts))
-        case SumOmega(parts):
-            return ProdOmega(tuple(dual(p) for p in parts))
-        case ProdOmega(parts):
-            return SumOmega(tuple(dual(p) for p in parts))
+    kind = type(d)
+    if kind is FiniteSum:
+        return FiniteSum(tuple([dual(p) for p in d.parts]))
+    if kind is Cyclic or kind is Reals:
+        return d
+    if kind is Int:
+        return Torus()
+    if kind is Torus:
+        return Int()
+    if kind is Quasicyclic:
+        return Padic(d.p)
+    if kind is Padic:
+        return Quasicyclic(d.p)
+    if kind is SumOmega:
+        return ProdOmega(tuple([dual(p) for p in d.parts]))
+    if kind is ProdOmega:
+        return SumOmega(tuple([dual(p) for p in d.parts]))
     raise SchemaError(f"not a descriptor: {d!r}")
 
 
@@ -456,11 +443,10 @@ SIDE_CONDITION_INDEX = "open-subgroup-index-bounded"
 
 VERDICT_NICE = "nice"
 VERDICT_DISCRETE = "not-nice:discrete"
-VERDICT_LARGE_INDEX = "not-nice:large-index"
 VERDICT_UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     rule: str
     before: Descriptor
@@ -478,7 +464,7 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineResult:
     verdict: str
     steps: tuple[TraceStep, ...]
@@ -493,7 +479,11 @@ class PipelineResult:
 
 
 def _flatten(d: Descriptor) -> Descriptor:
+    """The flat form of d: d itself when it is no finite sum, or a sum of
+    two or more parts none of which is a finite sum."""
     if not isinstance(d, FiniteSum):
+        return d
+    if len(d.parts) > 1 and not any(isinstance(part, FiniteSum) for part in d.parts):
         return d
     parts: list[Descriptor] = []
     for part in d.parts:
@@ -505,15 +495,11 @@ def _flatten(d: Descriptor) -> Descriptor:
     return parts[0] if len(parts) == 1 else FiniteSum(tuple(parts))
 
 
-def _terminal_rule(d: Descriptor) -> Optional[str]:
-    match d:
-        case Torus():
-            return "terminal-circle"
-        case ProdOmega():
-            return "terminal-finite-product"
-        case Padic():
-            return "terminal-padic"
-    return None
+_TERMINAL_RULES = {
+    Torus: "terminal-circle",
+    ProdOmega: "terminal-finite-product",
+    Padic: "terminal-padic",
+}
 
 
 def niceness_pipeline(d: Descriptor) -> PipelineResult:
@@ -528,37 +514,34 @@ def niceness_pipeline(d: Descriptor) -> PipelineResult:
     "nice" verdict is conditional on the recorded index side condition.
     """
     steps: list[TraceStep] = []
-    current = d
+    current = _flatten(d)
+    if current is not d:
+        steps.append(TraceStep("flatten-sum", d, current))
 
-    flat = _flatten(current)
-    if flat != current:
-        steps.append(TraceStep("flatten-sum", current, flat))
-        current = flat
-
-    if is_discrete(current):
+    # a flat sum's parts are atoms and omega nodes: one table read each
+    parts = current.parts if isinstance(current, FiniteSum) else (current,)
+    part_bits = [_kind_bits(part) for part in parts]
+    if all(bits & DISCRETE for bits in part_bits):
         steps.append(TraceStep("discrete-no-nullset", current, None))
         return PipelineResult(VERDICT_DISCRETE, tuple(steps), ())
 
-    if isinstance(current, FiniteSum):
-        shed = tuple(p for p in current.parts if is_discrete(p) and not is_finite(p))
-        if shed:
-            kept = tuple(p for p in current.parts if not is_discrete(p) or is_finite(p))
-            subgroup = kept[0] if len(kept) == 1 else FiniteSum(kept)
-            steps.append(TraceStep("open-subgroup", current, subgroup))
-            current = subgroup
+    kept = [i for i, bits in enumerate(part_bits) if bits & FINITE or not bits & DISCRETE]
+    if len(kept) < len(parts):
+        parts = tuple([parts[i] for i in kept])
+        part_bits = [part_bits[i] for i in kept]
+        subgroup = parts[0] if len(parts) == 1 else FiniteSum(parts)
+        steps.append(TraceStep("open-subgroup", current, subgroup))
+        current = subgroup
 
-    has_real = current == Reals() or (
-        isinstance(current, FiniteSum) and any(p == Reals() for p in current.parts)
-    )
-    if has_real:
+    if any(isinstance(part, Reals) for part in parts):
         steps.append(TraceStep("real-factor", current, None))
         return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
 
-    if not is_compact(current):
+    if not all(bits & COMPACT for bits in part_bits):
         steps.append(TraceStep("no-applicable-rule", current, None))
         return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
 
-    terminal = _terminal_rule(current)
+    terminal = _TERMINAL_RULES.get(type(current))
     if terminal is not None:
         steps.append(TraceStep(terminal, current, current))
         return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
@@ -573,7 +556,7 @@ def niceness_pipeline(d: Descriptor) -> PipelineResult:
     steps.append(TraceStep("subgroup-trichotomy", dualized, witness))
     factor = dual(witness)
     steps.append(TraceStep("dualize-witness", witness, factor))
-    terminal = _terminal_rule(factor)
+    terminal = _TERMINAL_RULES.get(type(factor))
     if terminal is None:
         steps.append(TraceStep("no-applicable-rule", factor, None))
         return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
@@ -595,31 +578,36 @@ _ATOMS: tuple[Descriptor, ...] = (
 def enumerate_descriptors(max_size: int) -> Iterator[Descriptor]:
     """All descriptors of syntactic size <= max_size over the atoms Int,
     Reals, Torus and, for 2 and 3, Cyclic, Quasicyclic and Padic,
-    compounds included; sizes count nodes."""
+    compounds included; sizes count nodes.  Each size class is built
+    once from the smaller ones, whose descriptors are the parts of its
+    compounds."""
+    # sized[s]: descriptors of size s; finite[s]: the finite groups among
+    # them; seqs[t], finite_seqs[t]: part tuples of total size t
+    sized: list[list[Descriptor]] = [[]]
+    finite: list[list[Descriptor]] = [[]]
+    seqs: list[list[tuple[Descriptor, ...]]] = [[()]]
+    finite_seqs: list[list[tuple[Descriptor, ...]]] = [[()]]
     for size in range(1, max_size + 1):
-        yield from _descriptors_of_size(size)
+        if size == 1:
+            level = list(_ATOMS)
+        else:
+            finite.append([d for d in sized[-1] if is_finite(d)])
+            seqs.append(_part_sequences(sized, seqs))
+            finite_seqs.append(_part_sequences(finite, finite_seqs))
+            level = [FiniteSum(seq) for seq in seqs[-1]]
+            for seq in finite_seqs[-1]:
+                level += (SumOmega(seq), ProdOmega(seq))
+        sized.append(level)
+        yield from level
 
 
-def _descriptors_of_size(size: int) -> Iterator[Descriptor]:
-    if size == 1:
-        yield from _ATOMS
-        return
-    for seq in _part_sequences(size - 1, finite_only=False):
-        yield FiniteSum(seq)
-    for seq in _part_sequences(size - 1, finite_only=True):
-        yield SumOmega(seq)
-        yield ProdOmega(seq)
-
-
-def _part_sequences(total: int, finite_only: bool) -> Iterator[tuple[Descriptor, ...]]:
-    if total == 0:
-        return
-    for first_size in range(1, total + 1):
-        for first in _descriptors_of_size(first_size):
-            if finite_only and not is_finite(first):
-                continue
-            if first_size == total:
-                yield (first,)
-            else:
-                for rest in _part_sequences(total - first_size, finite_only):
-                    yield (first,) + rest
+def _part_sequences(sized: list, seqs: list) -> list[tuple[Descriptor, ...]]:
+    # the sequences of total size len(seqs): each first part, by size and
+    # then by place in its size class, before every rest of the remainder
+    total = len(seqs)
+    return [
+        (first,) + rest
+        for first_size in range(1, total + 1)
+        for first in sized[first_size]
+        for rest in seqs[total - first_size]
+    ]

@@ -15,7 +15,16 @@ from nullcover.cover import VerifyResult
 from nullcover.errors import CapExceeded, PreconditionViolated, VerificationFailed
 from nullcover.groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, is_prime
 from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits, factorial_expand
-from nullcover.structure import Cyclic, FiniteSum
+from nullcover.structure import (
+    Cyclic,
+    FiniteSum,
+    Int,
+    Padic,
+    ProdOmega,
+    Quasicyclic,
+    SumOmega,
+    Torus,
+)
 
 
 def abelian_groups_up_to(max_order: int):
@@ -257,6 +266,62 @@ def order_of(d):
             return None if None in orders else prod(orders)
         case _:
             return None
+
+
+def is_finite_by_match(d):
+    """Finiteness by structural pattern matching over the whole tree: the
+    reference for the library's kind bits, as are the two below."""
+    match d:
+        case Cyclic():
+            return True
+        case FiniteSum(parts):
+            return all(is_finite_by_match(p) for p in parts)
+        case _:
+            return False
+
+
+def is_discrete_by_match(d):
+    match d:
+        case Int() | Cyclic() | Quasicyclic() | SumOmega():
+            return True
+        case FiniteSum(parts):
+            return all(is_discrete_by_match(p) for p in parts)
+        case _:
+            return False
+
+
+def is_compact_by_match(d):
+    match d:
+        case Torus() | Cyclic() | Padic() | ProdOmega():
+            return True
+        case FiniteSum(parts):
+            return all(is_compact_by_match(p) for p in parts)
+        case _:
+            return False
+
+
+def flatten_by_rebuilding(d):
+    """Nested finite sums spliced into one flat sum, always built afresh:
+    the reference for the pipeline's flattening."""
+    if not isinstance(d, FiniteSum):
+        return d
+    parts = []
+    for part in d.parts:
+        flat = flatten_by_rebuilding(part)
+        if isinstance(flat, FiniteSum):
+            parts.extend(flat.parts)
+        else:
+            parts.append(flat)
+    return parts[0] if len(parts) == 1 else FiniteSum(tuple(parts))
+
+
+def syntactic_size(d):
+    """Node count of a descriptor, compounds included."""
+    match d:
+        case FiniteSum(parts) | SumOmega(parts) | ProdOmega(parts):
+            return 1 + sum(syntactic_size(p) for p in parts)
+        case _:
+            return 1
 
 
 def divisible_chain_by_elements(G, p, depth, cap=DEFAULT_ENUM_CAP):

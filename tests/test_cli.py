@@ -204,6 +204,14 @@ class TestSymbolicCommands:
         assert time.perf_counter() - start < 5
         assert payload["chain"] is None
 
+    def test_chain_above_the_order_cap(self, runner):
+        # --cap-enum bounds the chain's entries, not the group order
+        payload = run_json(runner, ["chain", "--orders", "2097152", "--p", "2", "--depth", "3"])
+        assert payload["chain"] == [[8], [4], [2], [1]]
+        result = run(runner, ["chain", "--orders", "8,8", "--p", "2", "--depth", "3", "--cap-enum", "7"])
+        assert result.exit_code == 4
+        assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+
 
 class TestCubeCheck:
     def test_small_cube(self, runner):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 import tracemalloc
 from math import prod
@@ -14,7 +16,7 @@ from nullcover.errors import (
     PreconditionViolated,
     SchemaError,
 )
-from nullcover.groups import FiniteAbelianGroup
+from nullcover.groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup
 from nullcover.nullset import NUMERIC_DEPTH_CAP
 from nullcover.structure import (
     MAX_DESCRIPTOR_NESTING,
@@ -28,6 +30,7 @@ from nullcover.structure import (
     Reals,
     SumOmega,
     Torus,
+    _flatten,
     classify_subgroup,
     descriptor_from_json,
     descriptor_to_json,
@@ -40,7 +43,6 @@ from nullcover.structure import (
     niceness_pipeline,
     primary_decomposition,
     r_power,
-    syntactic_size,
 )
 
 from helpers import (
@@ -48,8 +50,13 @@ from helpers import (
     all_residues,
     divisible_chain_by_elements,
     factor_by_trial_division,
+    flatten_by_rebuilding,
+    is_compact_by_match,
+    is_discrete_by_match,
+    is_finite_by_match,
     order_of,
     scale_residues,
+    syntactic_size,
     zero_residues,
 )
 
@@ -108,8 +115,34 @@ class TestGrammar:
 
         deepest = descriptor_from_json(nested(MAX_DESCRIPTOR_NESTING))
         assert syntactic_size(deepest) == MAX_DESCRIPTOR_NESTING + 1
+        assert_kinds_match_oracles(deepest)
+        assert _flatten(deepest) == Int()
         with pytest.raises(SchemaError, match=str(MAX_DESCRIPTOR_NESTING)):
             descriptor_from_json(nested(MAX_DESCRIPTOR_NESTING + 1))
+
+
+def assert_kinds_match_oracles(d):
+    assert is_finite(d) == is_finite_by_match(d)
+    assert is_discrete(d) == is_discrete_by_match(d)
+    assert is_compact(d) == is_compact_by_match(d)
+    flat = _flatten(d)
+    assert flat == flatten_by_rebuilding(d)
+    # flattening hands back its argument exactly when nothing changes
+    assert (flat is d) == (flatten_by_rebuilding(d) == d)
+
+
+class TestKindBits:
+    def test_small_descriptors_match_oracles(self):
+        for d in enumerate_descriptors(5):
+            assert_kinds_match_oracles(d)
+
+    @given(descriptors)
+    def test_match_oracles(self, d):
+        assert_kinds_match_oracles(d)
+
+    def test_not_a_descriptor(self):
+        for x in (None, 3, "Cyclic", (Cyclic(2),)):
+            assert not (is_finite(x) or is_discrete(x) or is_compact(x))
 
 
 class TestPrimaryDecomposition:
@@ -253,13 +286,24 @@ class TestDivisibleChain:
         assert divisible_chain(G, p, depth) == divisible_chain_by_elements(G, p, depth)
 
     def test_cap(self):
+        # the cap bounds the entries built, (depth + 1) x coordinates, and
+        # applies after the depth and prime checks
         G = FiniteAbelianGroup((4, 4))
-        with pytest.raises(CapExceeded) as raised:
-            divisible_chain(G, 2, 1, cap=15)
-        with pytest.raises(CapExceeded) as expected:
+        with pytest.raises(CapExceeded, match="has 4 entries, above the cap 3"):
+            divisible_chain(G, 2, 1, cap=3)
+        assert divisible_chain(G, 2, 1, cap=4) == divisible_chain_by_elements(G, 2, 1)
+        with pytest.raises(PreconditionViolated):
+            divisible_chain(G, 2, -1, cap=1)
+        with pytest.raises(PreconditionViolated):
+            divisible_chain(G, 4, 1, cap=1)
+        with pytest.raises(CapExceeded, match="numeric depth cap"):
+            divisible_chain(G, 2, NUMERIC_DEPTH_CAP + 1, cap=1)
+        # the enumerating oracle still caps the group order; the closed
+        # form does not
+        with pytest.raises(CapExceeded, match="group order 16 exceeds enumeration cap 15"):
             divisible_chain_by_elements(G, 2, 1, cap=15)
-        assert str(raised.value) == str(expected.value)
-        assert divisible_chain(G, 2, 1, cap=16) is not None
+        big = FiniteAbelianGroup((2 * DEFAULT_ENUM_CAP,))
+        assert divisible_chain(big, 2, 3) == ((8,), (4,), (2,), (1,))
 
     def test_no_element_table(self):
         # the group at the enumeration cap: a table of its 2^20 elements
@@ -304,6 +348,25 @@ class TestDual:
             assert dual(dual(d)) == d
             count += 1
         assert count == 1241  # size census of the palette, frozen
+
+    def test_enumeration_memory(self):
+        # the parts of each compound are shared, not rebuilt per compound
+        tracemalloc.start()
+        try:
+            descriptors = list(enumerate_descriptors(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(descriptors) == 178277
+        assert peak < 28 << 20
+
+    def test_compound_parts_are_earlier_descriptors(self):
+        seen = {}
+        for d in enumerate_descriptors(4):
+            if isinstance(d, (FiniteSum, SumOmega, ProdOmega)):
+                for part in d.parts:
+                    assert seen.get(id(part)) is part
+            seen[id(d)] = d
 
     def test_enumeration_sizes_and_uniqueness(self):
         seen = set()
@@ -386,3 +449,29 @@ class TestPipeline:
             last = result.steps[-1]
             assert last.rule in ("terminal-circle", "terminal-finite-product", "terminal-padic", "real-factor")
             assert result.side_conditions == ("open-subgroup-index-bounded",)
+
+
+class TestGoldenDigests:
+    """Digests of outputs recorded before the descriptor layer was
+    rewritten for speed; they pin its order and every output byte."""
+
+    def test_enumeration_order(self):
+        # the benchmark picks its descriptor chunks by enumeration index
+        digest = hashlib.sha256()
+        for d in enumerate_descriptors(6):
+            digest.update(repr(d).encode() + b"\n")
+        assert digest.hexdigest() == "dbadf2f3fd02f1c42cbda879052a3d41c5bf9b8392f48b76c66a6ee19322b6c5"
+
+    def test_pipeline_dual_and_classify_outputs(self):
+        digest = hashlib.sha256()
+        count = 0
+        for d in enumerate_descriptors(5):
+            try:
+                verdict = classify_subgroup(d).to_json()
+            except (NotDiscrete, NotInfinite) as refused:
+                verdict = type(refused).__name__
+            doc = [niceness_pipeline(d).to_json(), descriptor_to_json(dual(d)), verdict]
+            digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+            count += 1
+        assert count == 14331
+        assert digest.hexdigest() == "8323687d93ee10e026f5383929776275dcd77c4fdb370f0976f9e7ca8e82a1ff"
