@@ -1,53 +1,9 @@
 """nullcover: exact finite-depth covering constructions for compact
 nullsets in abelian groups, with certified translates, a factorial-base
-nullset, and a symbolic duality pipeline."""
+nullset, and a symbolic duality pipeline.
 
-from .cover import (
-    BlockPlan,
-    CoverCertificate,
-    NullsetSpec,
-    Slalom,
-    VerifyResult,
-    bound_product,
-    build_nullset,
-    cover_padic_slalom,
-    cover_product_slalom,
-    cube_cover_check,
-    find_translator,
-    first_bound_below,
-    measure_upper,
-    plan_blocks_padic,
-    plan_blocks_product,
-    random_slalom,
-    verify_cover,
-)
-from .groups import BlockGroup, FiniteAbelianGroup, PadicContext, is_prime
-from .nullset import (
-    FactorialDigits,
-    ek_membership,
-    ek_outer_measure,
-    ek_sup,
-    factorial_expand,
-)
-from .structure import (
-    Cyclic,
-    Descriptor,
-    FiniteSum,
-    Int,
-    Padic,
-    PipelineResult,
-    ProdOmega,
-    Quasicyclic,
-    Reals,
-    SumOmega,
-    Torus,
-    TrichotomyVerdict,
-    classify_subgroup,
-    divisible_chain,
-    dual,
-    enumerate_descriptors,
-    niceness_pipeline,
-    primary_decomposition,
-)
+The package root exports nothing, so importing it loads no submodule;
+import ``nullcover.cover``, ``nullcover.groups``, ``nullcover.nullset``,
+``nullcover.structure`` or ``nullcover.errors`` for what you need."""
 
 __version__ = "0.1.0"

@@ -7,6 +7,10 @@ arguments.  Exit codes: 0 ok, 2 malformed input, 3 precondition violated,
 reproduction payload).  A usage error (an unknown command or option, a
 missing or ill-typed value) is malformed input too: it exits 2 with a
 SchemaError document, and click's usage message still goes to stderr.
+
+Only what every command uses is imported here; each command body imports
+the library modules it calls, so a start loads no module its command
+does not run.
 """
 
 from __future__ import annotations
@@ -15,18 +19,13 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import wraps
 from typing import Optional
 
 import click
 from click.core import ParameterSource
 
-from . import cover as cov
-from . import nullset as ns
-from . import structure as st
-from .errors import CapExceeded, NullcoverError, SchemaError, _as_int
-from .groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, PadicContext
+from .errors import DEFAULT_ENUM_CAP, DEFAULT_VERIFY_CAP, CapExceeded, NullcoverError, SchemaError, _as_int
 
 ENV_CAP_VERIFY = "NULLCOVER_CAP_VERIFY"
 
@@ -60,7 +59,7 @@ cap_enum_option = click.option(
 cap_verify_option = click.option(
     "--cap-verify",
     type=CAP,
-    default=cov.DEFAULT_VERIFY_CAP,
+    default=DEFAULT_VERIFY_CAP,
     envvar=ENV_CAP_VERIFY,
     show_envvar=True,
     help="Verification cap (default 2^20).",
@@ -75,7 +74,7 @@ def parse_payload(raw: Optional[str]) -> object:
         try:
             with open(raw[1:], "r", encoding="utf-8") as handle:
                 raw = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read {raw[1:]!r}: {exc}") from None
     try:
         return json.loads(raw)
@@ -93,8 +92,11 @@ def emit(out: Optional[str], payload: dict) -> None:
         # interpreter's limit on decimal conversion
         raise CapExceeded("the output holds an integer past the interpreter's decimal digit limit") from None
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -171,7 +173,9 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 _MAX_EXPONENT = 4300
 
 
-def _parse_fraction(raw: str) -> Fraction:
+def _parse_fraction(raw: str):
+    from fractions import Fraction
+
     try:
         exponent = _EXPONENT.search(raw)
         if exponent is not None and abs(int(exponent.group(1))) > _MAX_EXPONENT:
@@ -201,6 +205,8 @@ def plan_group() -> None:
 @click.option("--depth", type=INTEGER, required=True)
 @command
 def plan_product(orders: str, cycle: bool, depth: int) -> dict:
+    from . import cover as cov
+
     plan = cov.plan_blocks_product(_order_supply(_parse_orders(orders), cycle), depth)
     return plan.to_json()
 
@@ -210,6 +216,8 @@ def plan_product(orders: str, cycle: bool, depth: int) -> dict:
 @click.option("--depth", type=INTEGER, required=True)
 @command
 def plan_padic(p: int, depth: int) -> dict:
+    from . import cover as cov
+
     return cov.plan_blocks_padic(p, depth).to_json()
 
 
@@ -220,6 +228,8 @@ def plan_padic(p: int, depth: int) -> dict:
 @click.option("--in", "payload", default=None, help="Block plan JSON (inline or @file).")
 @command
 def build_nullset_cmd(payload: Optional[str]) -> dict:
+    from . import cover as cov
+
     plan = cov.BlockPlan.from_json(parse_payload(payload))
     return cov.build_nullset(plan).to_json()
 
@@ -234,6 +244,8 @@ _SELF_CONTAINED = ("orders", "cycle", "p", "depth", "seed")
 def _cover_inputs(payload, plan_builder, width, seed):
     """Either a full {spec, slalom} payload or a seeded self-contained run;
     a payload given with any self-contained flag is refused."""
+    from . import cover as cov
+
     if payload is not None:
         ctx = click.get_current_context()
         given = [
@@ -279,6 +291,8 @@ def cover_group() -> None:
 @cap_verify_option
 @command
 def cover_product_cmd(payload, orders, cycle, depth, seed, cap_enum, cap_verify) -> dict:
+    from . import cover as cov
+
     def build():
         if orders is None or depth is None:
             raise SchemaError("self-contained mode needs --orders and --depth")
@@ -297,6 +311,9 @@ def cover_product_cmd(payload, orders, cycle, depth, seed, cap_enum, cap_verify)
 @cap_verify_option
 @command
 def cover_padic_cmd(payload, p, depth, seed, cap_enum, cap_verify) -> dict:
+    from . import cover as cov
+    from .groups import PadicContext
+
     def build():
         if p is None or depth is None:
             raise SchemaError("self-contained mode needs --p and --depth")
@@ -313,6 +330,8 @@ def cover_padic_cmd(payload, p, depth, seed, cap_enum, cap_verify) -> dict:
 @cap_verify_option
 @command
 def verify_cmd(payload: Optional[str], cap_verify: int) -> dict:
+    from . import cover as cov
+
     obj = parse_payload(payload)
     if not isinstance(obj, dict) or not {"spec", "slalom", "certificate"} <= obj.keys():
         raise SchemaError("verify payload must carry 'spec', 'slalom' and 'certificate'")
@@ -335,6 +354,9 @@ def verify_cmd(payload: Optional[str], cap_verify: int) -> dict:
 @click.option("--first-below", default=None, help="Fraction threshold, e.g. 1/10.")
 @command
 def measure_cmd(payload, blocks, first_below) -> dict:
+    from . import cover as cov
+    from . import nullset as ns
+
     if first_below is not None:
         threshold = _parse_fraction(first_below)
         n = cov.first_bound_below(threshold)
@@ -368,6 +390,8 @@ def ek_group() -> None:
 @click.option("--digits", is_flag=True, help="Also emit the expansions, digit arrays starting at n=2.")
 @command
 def ek_member_cmd(num: str, den: str, depth: int, digits: bool) -> dict:
+    from . import nullset as ns
+
     q = ns.rational_from_json({"num": num, "den": den})
     payload = {"verdict": ns.ek_membership(q, depth)}
     if digits:
@@ -383,6 +407,8 @@ def ek_member_cmd(num: str, den: str, depth: int, digits: bool) -> dict:
 @click.option("--depth", type=INTEGER, required=True)
 @command
 def ek_measure_cmd(depth: int) -> dict:
+    from . import nullset as ns
+
     return {"depth": depth, "value": ns.rational_to_json(ns.ek_outer_measure(depth))}
 
 
@@ -390,6 +416,8 @@ def ek_measure_cmd(depth: int) -> dict:
 @click.option("--depth", type=INTEGER, required=True)
 @command
 def ek_sup_cmd(depth: int) -> dict:
+    from . import nullset as ns
+
     return {"depth": depth, "value": ns.rational_to_json(ns.ek_sup(depth))}
 
 
@@ -400,6 +428,8 @@ def ek_sup_cmd(depth: int) -> dict:
 @click.option("--in", "payload", default=None, help="Group descriptor JSON.")
 @command
 def classify_cmd(payload) -> dict:
+    from . import structure as st
+
     descriptor = st.descriptor_from_json(parse_payload(payload))
     return st.classify_subgroup(descriptor).to_json()
 
@@ -408,6 +438,8 @@ def classify_cmd(payload) -> dict:
 @click.option("--in", "payload", default=None, help="Group descriptor JSON.")
 @command
 def dual_cmd(payload) -> dict:
+    from . import structure as st
+
     descriptor = st.descriptor_from_json(parse_payload(payload))
     return st.descriptor_to_json(st.dual(descriptor))
 
@@ -416,6 +448,8 @@ def dual_cmd(payload) -> dict:
 @click.option("--in", "payload", default=None, help="Group descriptor JSON.")
 @command
 def pipeline_cmd(payload) -> dict:
+    from . import structure as st
+
     descriptor = st.descriptor_from_json(parse_payload(payload))
     return st.niceness_pipeline(descriptor).to_json()
 
@@ -432,6 +466,9 @@ def pipeline_cmd(payload) -> dict:
 )
 @command
 def chain_cmd(orders: str, p: int, depth: int, cap_enum: int) -> dict:
+    from . import structure as st
+    from .groups import FiniteAbelianGroup
+
     group = FiniteAbelianGroup(_parse_orders(orders))
     chain = st.divisible_chain(group, p, depth, cap_enum)
     return {
@@ -449,6 +486,8 @@ def chain_cmd(orders: str, p: int, depth: int, cap_enum: int) -> dict:
 @seed_option
 @command
 def slalom_gen_cmd(payload, width: str, seed: int) -> dict:
+    from . import cover as cov
+
     plan = cov.BlockPlan.from_json(parse_payload(payload))
     spec = width
     if width.startswith("["):
@@ -464,6 +503,8 @@ def slalom_gen_cmd(payload, width: str, seed: int) -> dict:
 @cap_verify_option
 @command
 def cube_check_cmd(payload, cap_verify: int) -> dict:
+    from . import cover as cov
+
     obj = parse_payload(payload)
     if not isinstance(obj, dict) or "plan" not in obj or "family" not in obj:
         raise SchemaError("cube-check payload must carry 'plan' and 'family'")

@@ -35,6 +35,9 @@ from math import comb, floor, pi, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
+    DEFAULT_ENUM_CAP,
+    DEFAULT_VERIFY_CAP,
+    NUMERIC_DEPTH_CAP,
     CapExceeded,
     EmptyWindow,
     NoTranslator,
@@ -43,10 +46,7 @@ from .errors import (
     VerificationFailed,
     _as_int,
 )
-from .groups import DEFAULT_ENUM_CAP, BlockGroup, FiniteAbelianGroup, is_prime
-from .nullset import NUMERIC_DEPTH_CAP
-
-DEFAULT_VERIFY_CAP = 1 << 20
+from .groups import BlockGroup, FiniteAbelianGroup, is_prime
 
 # Width functions admitted by slaloms.  The names are the formulas.
 WIDTHS: dict[str, Callable[[int], int]] = {

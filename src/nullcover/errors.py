@@ -4,10 +4,24 @@ The CLI maps these onto exit codes, so the split between "bad input"
 (:class:`SchemaError`), "valid input violating a precondition"
 (:class:`PreconditionViolated`), "work refused by a cap"
 (:class:`CapExceeded`) and "internal contradiction"
-(:class:`VerificationFailed`) is part of the interface.
+(:class:`VerificationFailed`) is part of the interface.  The default
+caps live here too, beside :class:`CapExceeded`, so that the CLI can
+declare its options without importing the modules that apply them.
 """
 
 import re
+
+# Default cap on what a run enumerates: the order of a block the
+# translator searches, the elements of a nullset's blocks in all, the
+# values of a random slalom, the entries of a divisible chain.
+DEFAULT_ENUM_CAP = 1 << 20
+# Largest number of slalom elements a default verification certifies.
+DEFAULT_VERIFY_CAP = 1 << 20
+# Largest depth the exact numeric queries evaluate: the digit depth of
+# ek_sup, whose denominator is N!, and of factorial_expand, and the block
+# count first_bound_below may search, judged by its Wallis estimate
+# before any big-integer work.
+NUMERIC_DEPTH_CAP = 1 << 15
 
 # an optional minus sign and decimal digits, nothing else: no sign "+",
 # no underscores, no surrounding whitespace

@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from .errors import DEFAULT_ENUM_CAP  # noqa: F401 -- still read as groups.DEFAULT_ENUM_CAP
 from .errors import CapExceeded, DimensionMismatch, PreconditionViolated
 
 # Residue vector of a finite abelian group element.
 GroupElement = tuple[int, ...]
 # p-adic / block digit vector, least significant digit first.
 DigitVector = tuple[int, ...]
-
-DEFAULT_ENUM_CAP = 1 << 20
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 

@@ -15,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, PreconditionViolated, SchemaError, _as_int
-
-# Largest depth the exact numeric queries evaluate: the digit depth of
-# ek_sup, whose denominator is N!, and of factorial_expand, and the block
-# count first_bound_below may search, judged by its Wallis estimate
-# before any big-integer work.
-NUMERIC_DEPTH_CAP = 1 << 15
+from .errors import NUMERIC_DEPTH_CAP, CapExceeded, PreconditionViolated, SchemaError, _as_int
 
 # how the explicit digits continue beyond the truncation depth
 TAIL_ZERO = "zero"        # all further digits are 0 (expansion terminated)

@@ -16,6 +16,8 @@ from math import gcd
 from typing import Iterator, Optional
 
 from .errors import (
+    DEFAULT_ENUM_CAP,
+    NUMERIC_DEPTH_CAP,
     CapExceeded,
     NotDiscrete,
     NotFiniteTorsion,
@@ -24,8 +26,7 @@ from .errors import (
     SchemaError,
     _as_int,
 )
-from .groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, GroupElement, is_prime
-from .nullset import NUMERIC_DEPTH_CAP
+from .groups import FiniteAbelianGroup, GroupElement, is_prime
 
 
 # Deepest nesting of compound descriptors that parsing accepts: far below
@@ -456,13 +457,6 @@ class TraceStep:
         if self.rule not in RULES:
             raise PreconditionViolated(f"unregistered rule {self.rule!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "before": descriptor_to_json(self.before),
-            "after": None if self.after is None else descriptor_to_json(self.after),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class PipelineResult:
@@ -471,11 +465,22 @@ class PipelineResult:
     side_conditions: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "trace": [s.to_json() for s in self.steps],
-            "side_conditions": list(self.side_conditions),
-        }
+        # one step's after is the next step's before, and a terminal
+        # step's before is its after: each tree object is serialized once
+        # and its document shared, which json.dumps writes out in full
+        trees: dict[int, dict] = {}
+
+        def tree(d: Descriptor) -> dict:
+            doc = trees.get(id(d))
+            if doc is None:
+                doc = trees[id(d)] = descriptor_to_json(d)
+            return doc
+
+        trace = [
+            {"rule": s.rule, "before": tree(s.before), "after": None if s.after is None else tree(s.after)}
+            for s in self.steps
+        ]
+        return {"verdict": self.verdict, "trace": trace, "side_conditions": list(self.side_conditions)}
 
 
 def _flatten(d: Descriptor) -> Descriptor:

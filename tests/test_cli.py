@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 
 import click
@@ -511,6 +514,22 @@ class TestDeterminismAndFormats:
         assert result.exit_code == 0 and result.output == ""
         assert json.loads(target.read_text()) == {"type": "Torus"}
 
+    # a directory that does not exist, and a directory in place of a file
+    @pytest.mark.parametrize("target", ["missing/result.json", "."])
+    def test_unwritable_out_exits_2(self, runner, tmp_path, target):
+        result = run(runner, ["ek", "sup", "--depth", "3", "--out", str(tmp_path / target)])
+        assert result.exit_code == 2
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
+
+    def test_in_file_not_utf8_exits_2(self, runner, tmp_path):
+        payload = tmp_path / "plan.json"
+        payload.write_bytes(b"\xff\xfe" + b'{"mode":"padic","p":2,"boundaries":[0,3]}')
+        result = run(runner, ["build-nullset", "--in", f"@{payload}"])
+        assert result.exit_code == 2
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
+
 
 class TestOptionSurface:
     @pytest.mark.parametrize("command", [pytest.param(c, id=" ".join(path)) for path, c in leaf_commands()])
@@ -522,3 +541,67 @@ class TestOptionSurface:
             assert "--format" not in param.opts
         body = inspect.signature(command.callback.__wrapped__).parameters
         assert {param.name for param in command.params} - {"out"} == set(body)
+
+
+# the modules of the package that each command loads besides nullcover,
+# nullcover.cli and nullcover.errors, with one run of every command
+BUNDLE = CliRunner().invoke(cli.main, COVER).output
+PLAN = '{"mode":"padic","p":2,"boundaries":[0,3]}'
+DESCRIPTOR = '{"type":"FiniteSum","parts":[{"type":"Torus"},{"type":"Cyclic","m":3}]}'
+IMPORT_GRAPH = [
+    ((), [["--help"]]),
+    (("nullset",), [
+        ["ek", "member", "--num", "1", "--den", "3", "--depth", "4"],
+        ["ek", "measure", "--depth", "4"],
+        ["ek", "sup", "--depth", "4"],
+    ]),
+    (("groups", "structure"), [
+        ["classify", "--in", '{"type":"Int"}'],
+        ["dual", "--in", DESCRIPTOR],
+        ["pipeline", "--in", DESCRIPTOR],
+        ["chain", "--orders", "8", "--p", "2", "--depth", "2"],
+    ]),
+    (("groups", "cover"), [
+        ["plan", "product", "--orders", "2", "--cycle", "--depth", "2"],
+        ["plan", "padic", "--p", "2", "--depth", "3"],
+        ["build-nullset", "--in", PLAN],
+        ["cover"] + PRODUCT_RUN,
+        COVER,
+        ["verify", "--in", BUNDLE],
+        ["slalom-gen", "--in", PLAN],
+        ["cube-check", "--in", CUBE],
+    ]),
+    (("groups", "cover", "nullset"), [
+        ["measure", "--first-below", "1/10"],
+        ["measure", "--in", SPEC, "--blocks", "1"],
+    ]),
+]
+
+
+def package_modules(args):
+    """The modules of the package that a fresh interpreter run with args
+    imports, read from its ``-X importtime`` report."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stdout
+    names = (line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:"))
+    return {name for name in names if name == "nullcover" or name.startswith("nullcover.")}
+
+
+class TestImportGraph:
+    def test_package_root_loads_no_submodule(self):
+        assert package_modules(["-c", "import nullcover"]) == {"nullcover"}
+
+    @pytest.mark.parametrize(
+        "modules,argv",
+        [pytest.param(modules, argv, id=" ".join(argv[:2])) for modules, argvs in IMPORT_GRAPH for argv in argvs],
+    )
+    def test_command_loads_only_what_it_runs(self, modules, argv):
+        expected = {"nullcover", "nullcover.cli", "nullcover.errors"} | {f"nullcover.{m}" for m in modules}
+        assert package_modules(["-m", "nullcover", *argv]) == expected
+
+    def test_every_command_is_in_the_graph(self):
+        runs = {tuple(argv) for _, argvs in IMPORT_GRAPH for argv in argvs}
+        for path, _ in leaf_commands():
+            assert any(run[: len(path)] == path for run in runs), path

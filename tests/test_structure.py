@@ -442,7 +442,7 @@ class TestPipeline:
     @given(descriptors)
     def test_every_nice_trace_ends_in_terminal(self, d):
         result = niceness_pipeline(d)
-        assert result.verdict in ("nice", "not-nice:discrete", "not-nice:large-index", "unresolved")
+        assert result.verdict in ("nice", "not-nice:discrete", "unresolved")
         for step in result.steps:
             assert step.rule in RULES
         if result.verdict == "nice":
