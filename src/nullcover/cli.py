@@ -25,7 +25,15 @@ from typing import Optional
 import click
 from click.core import ParameterSource
 
-from .errors import DEFAULT_ENUM_CAP, DEFAULT_VERIFY_CAP, CapExceeded, NullcoverError, SchemaError, _as_int
+from .errors import (
+    DEFAULT_ENUM_CAP,
+    DEFAULT_VERIFY_CAP,
+    CapExceeded,
+    NullcoverError,
+    SchemaError,
+    _as_int,
+    rational_to_json,
+)
 
 ENV_CAP_VERIFY = "NULLCOVER_CAP_VERIFY"
 
@@ -355,23 +363,22 @@ def verify_cmd(payload: Optional[str], cap_verify: int) -> dict:
 @command
 def measure_cmd(payload, blocks, first_below) -> dict:
     from . import cover as cov
-    from . import nullset as ns
 
     if first_below is not None:
         threshold = _parse_fraction(first_below)
         n = cov.first_bound_below(threshold)
         return {
-            "threshold": ns.rational_to_json(threshold),
+            "threshold": rational_to_json(threshold),
             "first_n": n,
-            "bound": ns.rational_to_json(cov.bound_product(n)),
+            "bound": rational_to_json(cov.bound_product(n)),
         }
     if blocks is None:
         raise SchemaError("measure needs --blocks (with --in) or --first-below")
     spec = cov.NullsetSpec.from_json(parse_payload(payload))
     return {
         "blocks": blocks,
-        "measure": ns.rational_to_json(cov.measure_upper(spec, blocks)),
-        "bound": ns.rational_to_json(cov.bound_product(blocks)),
+        "measure": rational_to_json(cov.measure_upper(spec, blocks)),
+        "bound": rational_to_json(cov.bound_product(blocks)),
     }
 
 
@@ -409,7 +416,7 @@ def ek_member_cmd(num: str, den: str, depth: int, digits: bool) -> dict:
 def ek_measure_cmd(depth: int) -> dict:
     from . import nullset as ns
 
-    return {"depth": depth, "value": ns.rational_to_json(ns.ek_outer_measure(depth))}
+    return {"depth": depth, "value": rational_to_json(ns.ek_outer_measure(depth))}
 
 
 @ek_group.command("sup")
@@ -418,7 +425,7 @@ def ek_measure_cmd(depth: int) -> dict:
 def ek_sup_cmd(depth: int) -> dict:
     from . import nullset as ns
 
-    return {"depth": depth, "value": ns.rational_to_json(ns.ek_sup(depth))}
+    return {"depth": depth, "value": rational_to_json(ns.ek_sup(depth))}
 
 
 # -- symbolic layer -------------------------------------------------------------

@@ -10,15 +10,20 @@ into targets (p-adic targets also take the value plus an incoming
 carry) and the sign of the translate block.  Every certificate is
 re-checked by :func:`verify_cover`, which is deliberately independent
 of how the translate was found: an exact decision over all prod |S_n|
-slalom elements that reads each slalom value once per incoming carry (a
-two-state carry transducer in p-adic mode), so its cost is O(sum |S_n|)
-rather than the element count.  The translator search and the check
-both work on enumeration indices alone: subtraction mod the order in
-cyclic blocks (one coordinate, or a p-adic digit block), carry-free
-mixed-radix subtraction in products of several coordinates.  Group
-elements appear only as the translate blocks of a certificate: the
-cover body encodes them and the check decodes each block once.  Each
-plan builds its block orders and block groups once.
+slalom elements that never visits them one by one.  Product mode tests
+each slalom value, O(sum |S_n|).  p-adic mode is a two-state carry
+transducer that, per block and incoming carry, bisects the sorted slalom
+set (which :class:`Slalom` enforces) once for where carrying out starts
+and once per gap of the kept set (:attr:`NullsetSpec.gaps`, built once
+per spec), so its cost is O(sum gaps_n * log |S_n|); every nullset that
+:func:`build_nullset` makes has one gap per block.  The translator
+search and the check both work on enumeration indices alone:
+subtraction mod the order in cyclic blocks (one coordinate, or a p-adic
+digit block), carry-free mixed-radix subtraction in products of several
+coordinates.  Group elements appear only as the translate blocks of a
+certificate: the cover body encodes them and the check decodes each
+block once, in one pass that range-checks every digit.  Each plan
+builds its block orders and block groups once.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -225,6 +230,12 @@ class NullsetSpec:
     @property
     def depth(self) -> int:
         return len(self.kept)
+
+    @cached_property
+    def gaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per block, the complement of the kept set as half-open
+        intervals in increasing order; built once per spec, on first use."""
+        return tuple(tuple(_gaps(kept, order)) for kept, order in zip(self.kept, self.plan.block_orders))
 
     def to_json(self) -> dict:
         return {"plan": self.plan.to_json(), "A": [list(ind) for ind in self.kept]}
@@ -707,24 +718,30 @@ def verify_cover(
     translated nullset; on failure report the lexicographically least
     escaping element (as per-block enumeration indices).
 
-    No element is enumerated: the check reads each slalom value once per
-    incoming carry, so it costs O(sum |S_n|) block operations (and a
-    bisection of the kept set each) instead of prod |S_n|.
+    No element is enumerated, and the cost is a sum over blocks instead
+    of prod |S_n|.
 
     Product mode: blocks are independent, so an element escapes iff one
-    of its values v has v - translate_n outside the kept set.  The cover
+    of its values v has v - translate_n outside the kept set.  Each value
+    is tested, a bisection of the kept set each, O(sum |S_n|).  The cover
     holds iff every value passes; the least escaping element follows from
     the per-block flags.  ``checked_count`` is the element count either
     way.
 
     p-adic mode: adding the offset with carries is a two-state
-    transducer over the blocks (carry 0 or 1 into each block).  A
-    backward pass finds, per block and incoming carry, whether some
-    completion escapes and how many carried (element, block) pairs all
-    completions hold; a greedy forward pass then picks the least
-    escaping element, its mixed-radix rank (``checked_count`` is rank +
-    1, as in an enumeration that stops at the witness) and the carry
-    split over the elements up to it.  ``carry_cases`` counts, per
+    transducer over the blocks (carry 0 or 1 into each block).  Slalom
+    sets are sorted, so per block and incoming carry c two indices of
+    S_n decide everything: the first value that carries out of the block
+    (one bisection at order - offset - c), and the first value whose
+    block sum lands in a gap of the kept set (one bisection per gap, whose
+    preimage is one cyclic interval).  The check costs
+    O(sum gaps_n * log |S_n|).  A backward pass finds, per block and
+    incoming carry, whether some completion escapes and how many carried
+    (element, block) pairs all completions hold; a greedy forward pass
+    then picks the least escaping element, its mixed-radix rank
+    (``checked_count`` is rank + 1, as in an enumeration that stops at
+    the witness) and the carry split over the elements up to it.
+    ``carry_cases`` counts, per
     element and block, whether the block sum is target + offset or
     target + offset + 1.
     """
@@ -769,20 +786,17 @@ def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, t
 def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, total: int) -> VerifyResult:
     plan = spec.plan
     depth = plan.depth
-    # inside[n][c] and out[n][c]: per slalom value of block n with carry c
-    # into the block, whether the block sum lands in the kept set and
-    # whether it carries out of the block
-    inside, out = [], []
-    for n, (values, offset) in enumerate(zip(slalom.sets, offsets)):
-        order = plan.block_orders[n]
-        kept = spec.kept[n]
-        sums = [[v + offset + c for v in values] for c in (0, 1)]
-        inside.append([[_contains(kept, x % order) for x in row] for row in sums])
-        out.append([[x >= order for x in row] for row in sums])
+    # with carry c into block n the sorted values carry out of the block
+    # from index split[n][c] on, and first[n][c] is the least index whose
+    # block sum lands in a gap of the kept set (len(S_n) when none does)
+    split, first = [], []
+    for values, offset, order, gaps in zip(slalom.sets, offsets, plan.block_orders, spec.gaps):
+        split.append([bisect_left(values, order - offset - c) for c in (0, 1)])
+        first.append([_first_in_gaps(values, gaps, offset + c, order) for c in (0, 1)])
     # backward pass: completions[n] = prod_{m >= n} |S_m|; escapes[n][c]
     # and carried[n][c] cover the completions of blocks n.. entered with
-    # carry c, read from three counts per block and carry: does some value
-    # leave the kept set, and how many values carry out 0 and 1
+    # carry c, read from the two indices per block and carry: does some
+    # value leave the kept set, and how many values carry out 0 and 1
     completions = [1] * (depth + 1)
     escapes = [[False, False] for _ in range(depth + 1)]
     carried = [[0, 0] for _ in range(depth + 1)]
@@ -790,9 +804,9 @@ def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, tot
         size = len(slalom.sets[n])
         completions[n] = size * completions[n + 1]
         for c in (0, 1):
-            ones = sum(out[n][c])
-            zeros = size - ones
-            escapes[n][c] = (not all(inside[n][c]) or (zeros > 0 and escapes[n + 1][0])
+            zeros = split[n][c]
+            ones = size - zeros
+            escapes[n][c] = (first[n][c] < size or (zeros > 0 and escapes[n + 1][0])
                              or (ones > 0 and escapes[n + 1][1]))
             carried[n][c] = c * completions[n] + zeros * carried[n + 1][0] + ones * carried[n + 1][1]
     if not escapes[0][0]:
@@ -808,23 +822,44 @@ def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, tot
     escaped = False
     witness = []
     for n in range(depth):
-        lands, carries = inside[n][c], out[n][c]
-        j = 0
+        zeros, j = split[n][c], 0
         if not escaped:
-            while lands[j] and not escapes[n + 1][carries[j]]:
-                j += 1
+            # the first value in a gap, unless a completion escapes sooner
+            j = first[n][c]
+            if escapes[n + 1][1] and zeros < j:
+                j = zeros
+            if escapes[n + 1][0] and zeros > 0:
+                j = 0
             rank += j * completions[n + 1]
             carry_total += j * completions[n + 1] * (path_carries + c)
-            ones = sum(carries[:j])
+            ones = max(j - zeros, 0)
             carry_total += (j - ones) * carried[n + 1][0] + ones * carried[n + 1][1]
-            escaped = not lands[j]
+            escaped = j == first[n][c]
         witness.append(slalom.sets[n][j])
         path_carries += c
-        c = int(carries[j])
+        c = int(j >= zeros)
     checked = rank + 1
     carry_total += path_carries
     return VerifyResult(ok=False, witness=tuple(witness), checked_count=checked,
                         carry_cases=(checked * depth - carry_total, carry_total))
+
+
+def _first_in_gaps(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift: int, order: int) -> int:
+    """Index of the least of the sorted ``values`` whose sum with
+    ``shift`` lands, mod ``order``, in one of the ``gaps``, or
+    len(values).  The preimage of a gap [a, b) is the cyclic interval
+    [a - shift, b - shift) mod order: one bisection per gap, bounded by
+    the best index found so far."""
+    best = len(values)
+    for a, b in gaps:
+        lo = (a - shift) % order
+        hi = lo + b - a
+        if hi > order and values[0] < hi - order:   # the wrapped part [0, hi - order)
+            return 0
+        j = bisect_left(values, lo, 0, best)
+        if j < best and values[j] < hi:
+            best = j
+    return best
 
 
 def random_slalom(plan: BlockPlan, width: WidthSpec, seed: int) -> Slalom:

@@ -6,7 +6,9 @@ The CLI maps these onto exit codes, so the split between "bad input"
 (:class:`CapExceeded`) and "internal contradiction"
 (:class:`VerificationFailed`) is part of the interface.  The default
 caps live here too, beside :class:`CapExceeded`, so that the CLI can
-declare its options without importing the modules that apply them.
+declare its options without importing the modules that apply them, and
+so do the two helpers that every reader and writer of outside input
+shares: the strict integer parser and the JSON form of a rational.
 """
 
 import re
@@ -113,3 +115,9 @@ def _as_int(value: object, what: str) -> int:
         except ValueError:   # beyond the interpreter's int-to-str digit limit
             raise SchemaError(f"{what} has too many digits") from None
     raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")
+
+
+def rational_to_json(q) -> dict:
+    """An exact rational (a ``Fraction``) as decimal strings, so that
+    numerators and denominators of any size survive JSON."""
+    return {"num": str(q.numerator), "den": str(q.denominator)}

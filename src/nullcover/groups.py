@@ -85,10 +85,7 @@ class FiniteAbelianGroup:
         return prod(self.orders)
 
     def check(self, a: GroupElement) -> None:
-        if len(a) != len(self.orders):
-            raise DimensionMismatch(f"element of length {len(a)} in group of rank {len(self.orders)}")
-        if any(not 0 <= r < m for r, m in zip(a, self.orders)):
-            raise PreconditionViolated(f"residues {a} out of range for orders {self.orders}")
+        self.index_of(a)
 
     def element_at(self, index: int) -> GroupElement:
         if not 0 <= index < self.order:
@@ -100,9 +97,14 @@ class FiniteAbelianGroup:
         return tuple(reversed(residues))
 
     def index_of(self, a: GroupElement) -> int:
-        self.check(a)
+        # one pass: each residue is range-checked as it enters the
+        # mixed-radix value
+        if len(a) != len(self.orders):
+            raise DimensionMismatch(f"element of length {len(a)} in group of rank {len(self.orders)}")
         index = 0
         for r, m in zip(a, self.orders):
+            if not 0 <= r < m:
+                raise PreconditionViolated(f"residues {a} out of range for orders {self.orders}")
             index = index * m + r
         return index
 
@@ -136,10 +138,7 @@ class BlockGroup:
         return self.p**self.len
 
     def check(self, x: DigitVector) -> None:
-        if len(x) != self.len:
-            raise DimensionMismatch(f"digit vector of length {len(x)}, block expects {self.len}")
-        if any(not 0 <= d < self.p for d in x):
-            raise PreconditionViolated(f"digits {x} out of range for p = {self.p}")
+        self.index_of(x)
 
     def element_at(self, index: int) -> DigitVector:
         if not 0 <= index < self.order:
@@ -151,8 +150,17 @@ class BlockGroup:
         return tuple(digits)
 
     def index_of(self, x: DigitVector) -> int:
-        self.check(x)
-        return sum(d * self.p**k for k, d in enumerate(x))
+        # one Horner pass from the most significant digit, each digit
+        # range-checked on the way
+        if len(x) != self.len:
+            raise DimensionMismatch(f"digit vector of length {len(x)}, block expects {self.len}")
+        p = self.p
+        index = 0
+        for d in reversed(x):
+            if not 0 <= d < p:
+                raise PreconditionViolated(f"digits {x} out of range for p = {p}")
+            index = index * p + d
+        return index
 
 
 class PadicContext(BlockGroup):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NUMERIC_DEPTH_CAP, CapExceeded, PreconditionViolated, SchemaError, _as_int
+from .errors import rational_to_json  # noqa: F401 -- still read as nullset.rational_to_json
 
 # how the explicit digits continue beyond the truncation depth
 TAIL_ZERO = "zero"        # all further digits are 0 (expansion terminated)
@@ -131,10 +132,6 @@ def ek_sup(depth: int) -> Fraction:
         a = a * n + n - 2
         factorial *= n
     return Fraction(a, factorial)
-
-
-def rational_to_json(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
 def rational_from_json(obj: object) -> Fraction:

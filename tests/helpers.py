@@ -8,6 +8,7 @@ element and evaluate products and series term by term in ``Fraction``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 
@@ -163,6 +164,75 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
                 ok=False, witness=combo, checked_count=checked, carry_cases=(no_carry, carried)
             )
     return VerifyResult(ok=True, witness=None, checked_count=checked, carry_cases=(no_carry, carried))
+
+
+def verify_padic_by_values(spec, translate, slalom):
+    """The p-adic check value by value: per block and incoming carry, a
+    membership bisection and a carry flag for every slalom value, then
+    the same two-state carry passes as ``verify_cover`` (a backward pass
+    for escapes and carried counts, a greedy forward pass for the least
+    escaping element).  The reference for the gap-based check at depths
+    that enumeration cannot reach; the offsets are decoded as sums of
+    digit powers."""
+    plan = spec.plan
+    depth = plan.depth
+    total = slalom.element_count()
+    offsets = [sum(d * plan.p**k for k, d in enumerate(block)) for block in translate]
+
+    def contains(kept, index):
+        i = bisect_left(kept, index)
+        return i < len(kept) and kept[i] == index
+
+    # inside[n][c] and out[n][c]: per slalom value of block n with carry c
+    # into the block, whether the block sum lands in the kept set and
+    # whether it carries out of the block
+    inside, out = [], []
+    for n, (values, offset) in enumerate(zip(slalom.sets, offsets)):
+        order = plan.block_orders[n]
+        kept = spec.kept[n]
+        sums = [[v + offset + c for v in values] for c in (0, 1)]
+        inside.append([[contains(kept, x % order) for x in row] for row in sums])
+        out.append([[x >= order for x in row] for row in sums])
+    completions = [1] * (depth + 1)
+    escapes = [[False, False] for _ in range(depth + 1)]
+    carried = [[0, 0] for _ in range(depth + 1)]
+    for n in range(depth - 1, -1, -1):
+        size = len(slalom.sets[n])
+        completions[n] = size * completions[n + 1]
+        for c in (0, 1):
+            ones = sum(out[n][c])
+            zeros = size - ones
+            escapes[n][c] = (not all(inside[n][c]) or (zeros > 0 and escapes[n + 1][0])
+                             or (ones > 0 and escapes[n + 1][1]))
+            carried[n][c] = c * completions[n] + zeros * carried[n + 1][0] + ones * carried[n + 1][1]
+    if not escapes[0][0]:
+        plain = total * depth - carried[0][0]
+        return VerifyResult(ok=True, witness=None, checked_count=total,
+                            carry_cases=(plain, carried[0][0]))
+    rank = 0
+    carry_total = 0
+    path_carries = 0
+    c = 0
+    escaped = False
+    witness = []
+    for n in range(depth):
+        lands, carries = inside[n][c], out[n][c]
+        j = 0
+        if not escaped:
+            while lands[j] and not escapes[n + 1][carries[j]]:
+                j += 1
+            rank += j * completions[n + 1]
+            carry_total += j * completions[n + 1] * (path_carries + c)
+            ones = sum(carries[:j])
+            carry_total += (j - ones) * carried[n + 1][0] + ones * carried[n + 1][1]
+            escaped = not lands[j]
+        witness.append(slalom.sets[n][j])
+        path_carries += c
+        c = int(carries[j])
+    checked = rank + 1
+    carry_total += path_carries
+    return VerifyResult(ok=False, witness=tuple(witness), checked_count=checked,
+                        carry_cases=(checked * depth - carry_total, carry_total))
 
 
 def factor_by_trial_division(n):

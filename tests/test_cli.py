@@ -570,8 +570,6 @@ IMPORT_GRAPH = [
         ["verify", "--in", BUNDLE],
         ["slalom-gen", "--in", PLAN],
         ["cube-check", "--in", CUBE],
-    ]),
-    (("groups", "cover", "nullset"), [
         ["measure", "--first-below", "1/10"],
         ["measure", "--in", SPEC, "--blocks", "1"],
     ]),

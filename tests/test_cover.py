@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nullcover import cover as cover_module
 from nullcover.cover import (
     DEFAULT_VERIFY_CAP,
     BlockPlan,
@@ -44,6 +45,7 @@ from helpers import (
     sub_residues,
     translators_by_scan,
     verify_cover_by_enumeration,
+    verify_padic_by_values,
     zero_residues,
 )
 
@@ -578,6 +580,93 @@ class TestVerifyAgainstEnumeration:
         assert cert.verified and cert.checked_count == total
         assert result.ok and result.checked_count == total
         assert elapsed < 1.0
+
+
+class TestVerifyPadicAgainstValues:
+    """The gap-based p-adic check against the value-by-value carry passes
+    of ``helpers.verify_padic_by_values`` at depths 8-120, where
+    enumeration cannot reach: random kept sets anywhere in the window,
+    often with a gap at index 0, a gap at the end or both, so that gap
+    preimages wrap; three width functions; accepted and tampered
+    translates.  The whole result must agree."""
+
+    @staticmethod
+    def kept_set(size, n, rng, avoid=frozenset()):
+        # an admissible kept set whose complement misses ``avoid``
+        lo, hi = kept_window(size, n)
+        free = [i for i in range(size) if i not in avoid]
+        missing = rng.randint(size - hi, size - lo)
+        ends = [i for i in (0, size - 1) if i not in avoid and rng.random() < 0.5]
+        rest = [i for i in free if i not in ends]
+        gaps = set(ends[:missing]) | set(rng.sample(rest, min(missing - len(ends[:missing]), len(rest))))
+        return tuple(i for i in range(size) if i not in gaps)
+
+    def case(self, p, seed):
+        rng = random.Random(1000 * p + seed)
+        plan = plan_blocks_padic(p, rng.randint(8, 120))
+        width = ["(n+2)//2", "n+2", tuple(rng.randint(1, n + 2) for n in range(plan.depth))][seed % 3]
+        # value 0 in half the sets, so that gap preimages wrapping through 0 matter
+        sets = [tuple(sorted({0, *values[1:]})) if rng.random() < 0.5 else values
+                for values in random_slalom(plan, width, seed).sets]
+        slalom = Slalom(width, tuple(sets))
+        offsets = [rng.randrange(size) for size in plan.block_orders]
+        # accepted by construction: no gap holds a value plus offset plus carry
+        images = [{(v + t + c) % size for v in values for c in (0, 1)}
+                  for values, t, size in zip(slalom.sets, offsets, plan.block_orders)]
+        covering = NullsetSpec(plan, tuple(self.kept_set(size, n, rng, images[n])
+                                           for n, size in enumerate(plan.block_orders)))
+        random_kept = NullsetSpec(plan, tuple(self.kept_set(size, n, rng) for n, size in enumerate(plan.block_orders)))
+        return rng, covering, random_kept, slalom, offsets
+
+    @staticmethod
+    def tampered(spec, slalom, offsets, rng):
+        plan = spec.plan
+        # block 0 takes no carry: its first value is sent into a gap
+        a, b = spec.gaps[0][rng.randrange(len(spec.gaps[0]))]
+        yield [(rng.randrange(a, b) - slalom.sets[0][0]) % plan.block_orders[0]] + offsets[1:]
+        for _ in range(3):
+            n = rng.randrange(plan.depth)
+            yield offsets[:n] + [rng.randrange(plan.block_orders[n])] + offsets[n + 1:]
+        yield [rng.randrange(size) for size in plan.block_orders]
+
+    def check(self, spec, slalom, offsets):
+        translate = tuple(spec.plan.block_group(n).element_at(t) for n, t in enumerate(offsets))
+        expected = verify_padic_by_values(spec, translate, slalom)
+        assert verify_cover(spec, translate, slalom, cap=slalom.element_count()) == expected
+        return expected.ok
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_against_values(self, p, seed):
+        rng, covering, random_kept, slalom, offsets = self.case(p, seed)
+        assert self.check(covering, slalom, offsets)
+        if slalom.width == "(n+2)//2":
+            cert = cover_padic_slalom(PadicContext(p, random_kept.plan.boundaries[-1]), random_kept, slalom,
+                                      cap_verify=slalom.element_count())
+            accepted = [random_kept.plan.block_group(n).index_of(b) for n, b in enumerate(cert.translate)]
+            assert self.check(random_kept, slalom, accepted)
+        for spec in (covering, random_kept):
+            outcomes = {self.check(spec, slalom, bad) for bad in self.tampered(spec, slalom, offsets, rng)}
+            assert False in outcomes
+
+    def test_gaps_complement_kept_and_built_once(self, monkeypatch):
+        calls = []
+        real = cover_module._gaps
+        monkeypatch.setattr(cover_module, "_gaps", lambda kept, order: calls.append(order) or real(kept, order))
+        rng, covering, spec, slalom, offsets = self.case(3, 0)
+        for _ in range(2):
+            self.check(spec, slalom, offsets)
+        assert spec.gaps is spec.gaps
+        assert len(calls) == spec.depth
+        for kept, gaps, order in zip(spec.kept, spec.gaps, spec.plan.block_orders):
+            assert all(a < b for a, b in gaps)
+            assert all(b < a for (_, b), (a, _) in zip(gaps, gaps[1:]))   # sorted, never adjacent
+            assert sorted(set(kept) | {i for a, b in gaps for i in range(a, b)}) == list(range(order))
+            assert len(kept) + sum(b - a for a, b in gaps) == order
+
+    def test_built_nullsets_have_one_gap_per_block(self):
+        for plan in (plan_blocks_padic(2, 100), plan_blocks_product(itertools.cycle([2]), 30)):
+            assert all(len(gaps) == 1 for gaps in build_nullset(plan).gaps)
 
 
 class TestRandomSlalom:

@@ -65,6 +65,22 @@ class TestFiniteAbelianGroup:
         with pytest.raises(DimensionMismatch):
             FiniteAbelianGroup((2, 3)).index_of((1,))
 
+    @pytest.mark.parametrize("group,element,error,message", [
+        (FiniteAbelianGroup((2, 3)), (1,), DimensionMismatch, "element of length 1 in group of rank 2"),
+        (FiniteAbelianGroup((2, 3)), (1, 3), PreconditionViolated, "residues (1, 3) out of range for orders (2, 3)"),
+        (FiniteAbelianGroup((2, 3)), (-1, 0), PreconditionViolated, "residues (-1, 0) out of range for orders (2, 3)"),
+        (BlockGroup(2, 1, 4), (0, 1), DimensionMismatch, "digit vector of length 2, block expects 3"),
+        (BlockGroup(2, 1, 4), (0, 2, 1), PreconditionViolated, "digits (0, 2, 1) out of range for p = 2"),
+        (BlockGroup(3, 0, 2), (-1, 0), PreconditionViolated, "digits (-1, 0) out of range for p = 3"),
+        (BlockGroup(3, 0, 2), (0, 3), PreconditionViolated, "digits (0, 3) out of range for p = 3"),
+    ])
+    def test_decoders_refuse_bad_elements(self, group, element, error, message):
+        # index_of checks while it decodes; check() refuses the same way
+        for decode in (group.index_of, group.check):
+            with pytest.raises(error) as raised:
+                decode(element)
+            assert type(raised.value) is error and str(raised.value) == message
+
     def test_invalid_orders(self):
         with pytest.raises(PreconditionViolated):
             FiniteAbelianGroup((1, 3))
