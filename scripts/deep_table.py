@@ -1,0 +1,92 @@
+"""Deep covers, stage by stage: the time to plan, build the nullset,
+sample the slalom, cover it (the cover includes its re-check) and
+verify the certificate again, plus the size of the bundle that
+``nullcover cover`` prints, for p-adic covers at p = 2 and product
+covers over orders 2 cycled.
+
+Times are in-process, in milliseconds, the best of ``--repeats`` runs
+with the garbage collector off; the bundle size is in MB (10^6 bytes).
+
+The slalom has seed 0, as `nullcover cover` draws by default.
+
+Usage: python3 scripts/deep_table.py [--depths 100,400,850] [--repeats 5] [--json]
+"""
+
+import argparse
+import gc
+import itertools
+import json
+import time
+
+from nullcover.cover import (
+    build_nullset,
+    cover_padic_slalom,
+    cover_product_slalom,
+    plan_blocks_padic,
+    plan_blocks_product,
+    random_slalom,
+    verify_cover,
+)
+from nullcover.groups import PadicContext
+
+STAGES = ("plan", "build", "slalom", "cover", "verify_cover")
+SEED = 0
+
+
+def best_ms(run, repeats):
+    """The result of ``run`` and its fastest time over ``repeats`` runs."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    return result, min(times) * 1000
+
+
+def row(mode, depth, repeats):
+    ms = {}
+    if mode == "padic":
+        label = f"p-adic, p=2, depth {depth}"
+        plan, ms["plan"] = best_ms(lambda: plan_blocks_padic(2, depth), repeats)
+        width = "(n+2)//2"
+    else:
+        label = f"product, orders 2 cycled, depth {depth}"
+        plan, ms["plan"] = best_ms(lambda: plan_blocks_product(itertools.cycle([2]), depth), repeats)
+        width = "n+2"
+    spec, ms["build"] = best_ms(lambda: build_nullset(plan), repeats)
+    slalom, ms["slalom"] = best_ms(lambda: random_slalom(plan, width, SEED), repeats)
+    if mode == "padic":
+        ctx = PadicContext(2, plan.boundaries[-1])
+        cert, ms["cover"] = best_ms(lambda: cover_padic_slalom(ctx, spec, slalom), repeats)
+    else:
+        cert, ms["cover"] = best_ms(lambda: cover_product_slalom(spec, slalom), repeats)
+    result, ms["verify_cover"] = best_ms(lambda: verify_cover(spec, cert.translate, slalom), repeats)
+    if not result.ok:
+        raise SystemExit(f"{label}: the certificate failed its check")
+    # the document `nullcover cover` writes, byte for byte
+    bundle = {"spec": spec.to_json(), "slalom": slalom.to_json(), "certificate": cert.to_json()}
+    size = len(json.dumps(bundle, sort_keys=True, separators=(",", ":"))) + 1
+    return {"run": label, "ms": ms, "bundle_mb": size / 1e6}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--depths", default="100,400,850", help="Comma-separated depths.")
+    parser.add_argument("--repeats", type=int, default=5, help="Runs per stage; the best is kept.")
+    parser.add_argument("--json", action="store_true", help="Print the rows as one JSON document.")
+    args = parser.parse_args()
+    depths = [int(d) for d in args.depths.split(",")]
+    gc.disable()
+    rows = [row(mode, depth, args.repeats) for mode in ("padic", "product") for depth in depths]
+    if args.json:
+        print(json.dumps(rows, indent=1))
+        return
+    print("| run | " + " | ".join(STAGES) + " | bundle |")
+    print("| --- |" + " --- |" * (len(STAGES) + 1))
+    for r in rows:
+        cells = [f"{r['ms'][stage]:.3g}" for stage in STAGES]
+        print(f"| {r['run']} | " + " | ".join(cells) + f" | {r['bundle_mb']:.2f} MB |")
+
+
+if __name__ == "__main__":
+    main()

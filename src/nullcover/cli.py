@@ -64,14 +64,17 @@ seed_option = click.option("--seed", type=INTEGER, default=0, show_default=True,
 cap_enum_option = click.option(
     "--cap-enum", type=CAP, default=DEFAULT_ENUM_CAP, help="Enumeration cap (default 2^20)."
 )
-cap_verify_option = click.option(
-    "--cap-verify",
-    type=CAP,
-    default=DEFAULT_VERIFY_CAP,
-    envvar=ENV_CAP_VERIFY,
-    show_envvar=True,
-    help="Verification cap (default 2^20).",
-)
+
+
+def _cap_verify_option(default: Optional[int], help: str):
+    return click.option(
+        "--cap-verify", type=CAP, default=default, envvar=ENV_CAP_VERIFY, show_envvar=True, help=help
+    )
+
+
+# a cover check never visits slalom elements one by one, so by default it
+# certifies any number of them
+cap_verify_option = _cap_verify_option(None, "Most slalom elements a check may certify (default: no cap).")
 
 
 def parse_payload(raw: Optional[str]) -> object:
@@ -337,7 +340,7 @@ def cover_padic_cmd(payload, p, depth, seed, cap_enum, cap_verify) -> dict:
 @click.option("--in", "payload", default=None, help="{'spec':…,'slalom':…,'certificate':…}.")
 @cap_verify_option
 @command
-def verify_cmd(payload: Optional[str], cap_verify: int) -> dict:
+def verify_cmd(payload: Optional[str], cap_verify: Optional[int]) -> dict:
     from . import cover as cov
 
     obj = parse_payload(payload)
@@ -507,7 +510,7 @@ def slalom_gen_cmd(payload, width: str, seed: int) -> dict:
 
 @main.command("cube-check")
 @click.option("--in", "payload", default=None, help="{'plan':…,'family':[slaloms]}.")
-@cap_verify_option
+@_cap_verify_option(DEFAULT_VERIFY_CAP, "Most cube points the check scans (default 2^20).")
 @command
 def cube_check_cmd(payload, cap_verify: int) -> dict:
     from . import cover as cov

@@ -10,20 +10,25 @@ into targets (p-adic targets also take the value plus an incoming
 carry) and the sign of the translate block.  Every certificate is
 re-checked by :func:`verify_cover`, which is deliberately independent
 of how the translate was found: an exact decision over all prod |S_n|
-slalom elements that never visits them one by one.  Product mode tests
-each slalom value, O(sum |S_n|).  p-adic mode is a two-state carry
-transducer that, per block and incoming carry, bisects the sorted slalom
-set (which :class:`Slalom` enforces) once for where carrying out starts
-and once per gap of the kept set (:attr:`NullsetSpec.gaps`, built once
-per spec), so its cost is O(sum gaps_n * log |S_n|); every nullset that
-:func:`build_nullset` makes has one gap per block.  The translator
-search and the check both work on enumeration indices alone:
-subtraction mod the order in cyclic blocks (one coordinate, or a p-adic
-digit block), carry-free mixed-radix subtraction in products of several
-coordinates.  Group elements appear only as the translate blocks of a
-certificate: the cover body encodes them and the check decodes each
-block once, in one pass that range-checks every digit.  Each plan
-builds its block orders and block groups once.
+slalom elements that visits neither the elements nor the slalom values
+one by one.  Both modes read the kept set through its gaps
+(:attr:`NullsetSpec.gaps`, built once per spec; every nullset that
+:func:`build_nullset` makes has one gap per block) and bisect the sorted
+slalom sets (which :class:`Slalom` enforces) once per interval of
+values that lands in a gap.  Product mode splits each gap into at most
+2k - 1 cylinders of a block of k coordinates, each one or two intervals
+of values, so it costs O(sum gaps_n * k_n * log |S_n|).  p-adic mode is a
+two-state carry transducer that, per block and incoming carry, bisects
+once for where carrying out starts and once per gap, O(sum gaps_n *
+log |S_n|).  The translator search works on enumeration indices too:
+in a cyclic block (one coordinate, or a p-adic digit block) each target
+and gap forbid one interval of indices, read in order by one sweep that
+stops at the first free index; a product of several coordinates
+subtracts carry-free in mixed radix, pair by pair.  Group elements
+appear only as the translate blocks of a certificate: the cover body
+encodes them and the check decodes each block once, in one pass that
+range-checks every digit.  Each plan builds its block orders and block
+groups once.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -388,8 +393,11 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
     index outside it exists and is returned.  The complement is read off
     the gaps of ``kept``, and no group element is ever built.  In a
     cyclic block (one coordinate, or a p-adic digit block) index
-    subtraction is subtraction mod the order, so each gap forbids one
-    interval of indices.  In a product of several coordinates (``group``
+    subtraction is subtraction mod the order, so each target and gap
+    forbid one cyclic interval of indices.  Sorted targets give these
+    intervals already sorted by their starts, up to a rotation where they
+    begin to wrap, so one sweep that stops at the first free index finds
+    g without sorting anything.  In a product of several coordinates (``group``
     has ``orders`` of length > 1) subtraction is carry-free mixed radix:
     the larger of the target and complement sets is split into digits
     once, and each pair then costs one term per coordinate, as s - c is
@@ -431,24 +439,52 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
         while g in forbidden:
             g += 1
     else:
-        # s - c for c in the gap [a, b) is the cyclic interval [s - b + 1, s - a]
-        intervals = []
-        for s in targets:
-            for a, b in gaps:
-                lo = (s - b + 1) % order
-                hi = lo + b - a
-                intervals.append((lo, min(hi, order)))
-                if hi > order:
-                    intervals.append((0, hi - order))
-        intervals.sort()
-        g = 0
-        for lo, hi in intervals:
-            if lo > g:
-                break
-            g = max(g, hi)
+        g = _cyclic_translator(targets, gaps, order)
     if g >= order:
         raise NoTranslator(f"forbidden set exhausted a group of order {order}")
     return g
+
+
+def _cyclic_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], order: int) -> int:
+    """Least g in [0, order) outside targets - gaps in a cyclic block, or
+    the order when they forbid every g: one sweep over the forbidden
+    intervals in increasing order of their starts, which stops at the
+    first free g.  Several gaps merge their streams into the one sweep."""
+    streams = [_forbidden(targets, a, b, order) for a, b in gaps]
+    if len(streams) == 1:
+        intervals = streams[0]
+    else:
+        from heapq import merge   # several gaps, which only a spec read from JSON has
+
+        intervals = merge(*streams)
+    g = 0
+    for lo, hi in intervals:
+        if lo > g:
+            break
+        if hi > g:
+            g = hi
+    return g
+
+
+def _forbidden(targets: Sequence[int], a: int, b: int, order: int):
+    """The translators that the gap [a, b) and the sorted ``targets``
+    forbid in a cyclic block, as half-open intervals in increasing order
+    of their starts.  Target s forbids the cyclic interval
+    [s - b + 1, s - a + 1).  From s = b - 1 on it lies inside [0, order),
+    so those intervals come first, in target order.  Below b - 1 it wraps:
+    its upper part [s - b + 1 + order, ...) comes last, and reaches the
+    order only when s >= a; the lower parts [0, s - a + 1), empty when
+    s < a, nest in that of the largest wrapped target, which leads the
+    stream."""
+    k = bisect_left(targets, b - 1)
+    if k:
+        yield 0, targets[k - 1] - a + 1
+    for i in range(k, len(targets)):
+        s = targets[i]
+        yield s - b + 1, s - a + 1
+    for i in range(k):
+        s = targets[i]
+        yield s - b + 1 + order, order if s >= a else s - a + 1 + order
 
 
 def _digit_columns(radices: Sequence[int], indices: Sequence[int]) -> list[tuple[int, int, list[int]]]:
@@ -644,7 +680,7 @@ def cover_product_slalom(
     spec: NullsetSpec,
     slalom: Slalom,
     cap_enum: int = DEFAULT_ENUM_CAP,
-    cap_verify: int = DEFAULT_VERIFY_CAP,
+    cap_verify: Optional[int] = None,
 ) -> CoverCertificate:
     """Cover a width-(n+2) slalom by one translate of the product nullset.
 
@@ -662,7 +698,7 @@ def cover_padic_slalom(
     spec: NullsetSpec,
     slalom: Slalom,
     cap_enum: int = DEFAULT_ENUM_CAP,
-    cap_verify: int = DEFAULT_VERIFY_CAP,
+    cap_verify: Optional[int] = None,
 ) -> CoverCertificate:
     """Cover a width-((n+2)//2) slalom by one additive offset in the
     truncated p-adic integers ``ctx``, which must be the plan's.
@@ -682,7 +718,7 @@ def cover_padic_slalom(
     return _cover(spec, slalom, cap_enum, cap_verify)
 
 
-def _cover(spec: NullsetSpec, slalom: Slalom, cap_enum: int, cap_verify: int) -> CoverCertificate:
+def _cover(spec: NullsetSpec, slalom: Slalom, cap_enum: int, cap_verify: Optional[int]) -> CoverCertificate:
     """Both modes: per block, close the slalom values into targets, find
     the least translator with :func:`find_translator` and write its
     translate block; then re-check the assembled translate with
@@ -698,7 +734,11 @@ def _cover(spec: NullsetSpec, slalom: Slalom, cap_enum: int, cap_verify: int) ->
             raise PreconditionViolated(f"slalom set {n} is wider than {tag}")
         group = plan.block_group(n)
         order = plan.block_orders[n]
-        targets = {v for value in values for v in (value, (value + 1) % order)} if padic else values
+        targets = values
+        if padic:
+            # each value and its successor mod the order, which a carry into
+            # the block makes; values are sorted, so only the last one wraps
+            targets = [*values, *[v + 1 for v in values[:-1]], (values[-1] + 1) % order]
         g = find_translator(group, spec.kept[n], targets, n, cap_enum)
         translate.append(group.element_at(-g % order if padic else g))
     translate = tuple(translate)
@@ -712,7 +752,7 @@ def verify_cover(
     spec: NullsetSpec,
     translate: tuple[tuple[int, ...], ...],
     slalom: Slalom,
-    cap: int = DEFAULT_VERIFY_CAP,
+    cap: Optional[int] = None,
 ) -> VerifyResult:
     """Decide exactly whether every slalom element lands in the
     translated nullset; on failure report the lexicographically least
@@ -722,10 +762,14 @@ def verify_cover(
     of prod |S_n|.
 
     Product mode: blocks are independent, so an element escapes iff one
-    of its values v has v - translate_n outside the kept set.  Each value
-    is tested, a bisection of the kept set each, O(sum |S_n|).  The cover
-    holds iff every value passes; the least escaping element follows from
-    the per-block flags.  ``checked_count`` is the element count either
+    of its values v has v - translate_n (carry-free, in mixed radix)
+    outside the kept set.  Per block the values that escape form at most
+    two index intervals per cylinder of a gap, and a gap of a block of k
+    coordinates splits into at most 2k - 1 cylinders: one bisection of
+    the sorted slalom set each finds the first escaping value, in
+    O(sum gaps_n * k_n * log |S_n|).  The cover holds iff no block has
+    one; the least escaping element follows from the first escaping
+    index of each block.  ``checked_count`` is the element count either
     way.
 
     p-adic mode: adding the offset with carries is a two-state
@@ -744,11 +788,19 @@ def verify_cover(
     ``carry_cases`` counts, per
     element and block, whether the block sum is target + offset or
     target + offset + 1.
+
+    ``cap``, when given, bounds the number of slalom elements certified.
+    There is none by default, since no element is visited.  The bound on
+    the work is the slalom's own size: more than ``DEFAULT_ENUM_CAP``
+    values in all raise :class:`CapExceeded`.
     """
     plan = spec.plan
     slalom.check_domains(plan)
+    values = sum(len(s) for s in slalom.sets)
+    if values > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"a slalom of {_count_text(values)} values exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     total = slalom.element_count()
-    if total > cap:
+    if cap is not None and total > cap:
         raise CapExceeded(f"{_count_text(total)} slalom elements exceed the verification cap {cap}")
     if len(translate) != plan.depth:
         raise PreconditionViolated(f"translate has {len(translate)} blocks, plan has {plan.depth}")
@@ -758,27 +810,25 @@ def verify_cover(
     return verify(spec, offsets, slalom, total)
 
 
-def _contains(kept: Sequence[int], index: int) -> bool:
-    i = bisect_left(kept, index)
-    return i < len(kept) and kept[i] == index
-
-
 def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, total: int) -> VerifyResult:
     plan = spec.plan
-    passes = []
-    for n, (values, t) in enumerate(zip(slalom.sets, offsets)):
-        shifted = _differences(_digit_columns(plan.block_group(n).orders, values), t, x_first=False)
-        kept = spec.kept[n]
-        passes.append([_contains(kept, v) for v in shifted])
-    failing = [n for n, flags in enumerate(passes) if not all(flags)]
+    # first[n]: the least index of S_n whose value v has v - t_n in a gap
+    first = []
+    for n, (values, t, gaps) in enumerate(zip(slalom.sets, offsets, spec.gaps)):
+        radices = plan.block_group(n).orders
+        if len(radices) == 1:   # a cyclic block: carry-free is plain subtraction
+            first.append(_first_in_gaps(values, gaps, -t, radices[0]))
+        else:
+            first.append(_first_in_cylinders(values, gaps, t, radices))
+    failing = [n for n, (j, values) in enumerate(zip(first, slalom.sets)) if j < len(values)]
     if not failing:
         return VerifyResult(ok=True, witness=None, checked_count=total)
     # block 0 varies slowest: the first element escapes if any first value
     # fails; otherwise the least escaper differs from it only in the last
     # block with a failing value, where it takes the first such value
-    choice = [0] * len(passes)
-    if all(flags[0] for flags in passes):
-        choice[failing[-1]] = passes[failing[-1]].index(False)
+    choice = [0] * len(first)
+    if all(first):
+        choice[failing[-1]] = first[failing[-1]]
     witness = tuple(values[i] for values, i in zip(slalom.sets, choice))
     return VerifyResult(ok=False, witness=witness, checked_count=total)
 
@@ -859,6 +909,70 @@ def _first_in_gaps(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift
         j = bisect_left(values, lo, 0, best)
         if j < best and values[j] < hi:
             best = j
+    return best
+
+
+def _first_in_cylinders(values: Sequence[int], gaps: Sequence[tuple[int, int]], t: int,
+                        radices: Sequence[int]) -> int:
+    """Index of the least of the sorted ``values`` v whose carry-free
+    difference v - t, in the mixed radix of ``radices`` (last digit
+    fastest), lands in one of the ``gaps``, or len(values).
+
+    A cylinder fixes the digits before some level i, lets digit i run
+    over a range and leaves the later digits free.  A gap [a, b) is a
+    union of at most 2k - 1 cylinders, k = len(radices).  With c = b - 1,
+    the middle one sits at the first level where a and c differ.  Below
+    it, one chain follows the digits of a: digit i above a_i, and at a's
+    last nonzero digit, from a_i on.  Another follows the digits of c:
+    digit i below c_i, and at c's last digit short of its radix, up to
+    c_i.  Adding t carry-free maps a cylinder to the cylinder with fixed
+    digits (p_j + t_j) mod m_j whose digit i runs over a cyclic range:
+    one index interval, or two where it wraps.  Each interval costs one
+    bisection, bounded by the best index found so far."""
+    k = len(radices)
+    weights = [1] * k
+    for i in range(k - 1, 0, -1):
+        weights[i - 1] = weights[i] * radices[i]
+    shift = [t // w % m for w, m in zip(weights, radices)]
+    best = len(values)
+    for a, b in gaps:
+        low = [a // w % m for w, m in zip(weights, radices)]
+        high = [(b - 1) // w % m for w, m in zip(weights, radices)]
+        top = 0
+        while top < k - 1 and low[top] == high[top]:
+            top += 1
+        left = k - 1
+        while left > top and low[left] == 0:
+            left -= 1
+        right = k - 1
+        while right > top and high[right] == radices[right] - 1:
+            right -= 1
+        # (image of the fixed digits, level, digit range): the middle
+        # cylinder, then the chains of a and of c
+        base = sum((low[j] + shift[j]) % radices[j] * weights[j] for j in range(top))
+        pieces = [(base, top, low[top] + (left > top), high[top] + (right == top))]
+        fixed = base
+        for j in range(top + 1, left + 1):
+            fixed += (low[j - 1] + shift[j - 1]) % radices[j - 1] * weights[j - 1]
+            pieces.append((fixed, j, low[j] + (j < left), radices[j]))
+        fixed = base
+        for j in range(top + 1, right + 1):
+            fixed += (high[j - 1] + shift[j - 1]) % radices[j - 1] * weights[j - 1]
+            pieces.append((fixed, j, 0, high[j] + (j == right)))
+        for fixed, i, lo, hi in pieces:
+            if lo >= hi:
+                continue
+            m, w = radices[i], weights[i]
+            start = (lo + shift[i]) % m
+            stop = start + hi - lo
+            if stop > m:   # the digit range wraps: its part [0, stop - m) first
+                j = bisect_left(values, fixed, 0, best)
+                if j < best and values[j] < fixed + (stop - m) * w:
+                    best = j
+                stop = m
+            j = bisect_left(values, fixed + start * w, 0, best)
+            if j < best and values[j] < fixed + stop * w:
+                best = j
     return best
 
 

@@ -15,9 +15,12 @@ import re
 
 # Default cap on what a run enumerates: the order of a block the
 # translator searches, the elements of a nullset's blocks in all, the
-# values of a random slalom, the entries of a divisible chain.
+# values of a random slalom or of a checked one, the entries of a
+# divisible chain.
 DEFAULT_ENUM_CAP = 1 << 20
-# Largest number of slalom elements a default verification certifies.
+# Largest cube a default cube check scans point by point.  A cover check
+# has no element cap by default, since it never visits the elements one
+# by one; the slalom's values count against DEFAULT_ENUM_CAP.
 DEFAULT_VERIFY_CAP = 1 << 20
 # Largest depth the exact numeric queries evaluate: the digit depth of
 # ek_sup, whose denominator is N!, and of factorial_expand, and the block

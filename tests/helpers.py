@@ -12,7 +12,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 
-from nullcover.cover import VerifyResult
+from nullcover.cover import VerifyResult, _differences, _digit_columns
 from nullcover.errors import CapExceeded, PreconditionViolated, VerificationFailed
 from nullcover.groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, is_prime
 from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits, factorial_expand
@@ -166,6 +166,59 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
     return VerifyResult(ok=True, witness=None, checked_count=checked, carry_cases=(no_carry, carried))
 
 
+def contains(kept, index):
+    """Membership in a sorted index sequence, by one bisection."""
+    i = bisect_left(kept, index)
+    return i < len(kept) and kept[i] == index
+
+
+def cyclic_translator_by_sorting(targets, gaps, order):
+    """Least g in [0, order) outside targets - gaps mod order, or the
+    order when none is: every (target, gap) pair's forbidden interval
+    [s - b + 1, s - a] is built, cut at the order, sorted, and swept.  The
+    reference for the library's sweep, which sorts nothing."""
+    intervals = []
+    for s in targets:
+        for a, b in gaps:
+            lo = (s - b + 1) % order
+            hi = lo + b - a
+            intervals.append((lo, min(hi, order)))
+            if hi > order:
+                intervals.append((0, hi - order))
+    intervals.sort()
+    g = 0
+    for lo, hi in intervals:
+        if lo > g:
+            break
+        g = max(g, hi)
+    return g
+
+
+def verify_product_by_values(spec, translate, slalom):
+    """The product check value by value: every slalom value minus the
+    translate block, by carry-free subtraction on digit columns, is
+    looked up in the kept set.  The reference for the cylinder-interval
+    check at depths that enumeration cannot reach."""
+    plan = spec.plan
+    total = slalom.element_count()
+    passes = []
+    for n, (values, block) in enumerate(zip(slalom.sets, translate)):
+        group = plan.block_group(n)
+        shifted = _differences(_digit_columns(group.orders, values), group.index_of(block), x_first=False)
+        passes.append([contains(spec.kept[n], v) for v in shifted])
+    failing = [n for n, flags in enumerate(passes) if not all(flags)]
+    if not failing:
+        return VerifyResult(ok=True, witness=None, checked_count=total)
+    # block 0 varies slowest: the first element escapes if any first value
+    # fails; otherwise the least escaper differs from it only in the last
+    # block with a failing value, where it takes the first such value
+    choice = [0] * len(passes)
+    if all(flags[0] for flags in passes):
+        choice[failing[-1]] = passes[failing[-1]].index(False)
+    witness = tuple(values[i] for values, i in zip(slalom.sets, choice))
+    return VerifyResult(ok=False, witness=witness, checked_count=total)
+
+
 def verify_padic_by_values(spec, translate, slalom):
     """The p-adic check value by value: per block and incoming carry, a
     membership bisection and a carry flag for every slalom value, then
@@ -178,11 +231,6 @@ def verify_padic_by_values(spec, translate, slalom):
     depth = plan.depth
     total = slalom.element_count()
     offsets = [sum(d * plan.p**k for k, d in enumerate(block)) for block in translate]
-
-    def contains(kept, index):
-        i = bisect_left(kept, index)
-        return i < len(kept) and kept[i] == index
-
     # inside[n][c] and out[n][c]: per slalom value of block n with carry c
     # into the block, whether the block sum lands in the kept set and
     # whether it carries out of the block

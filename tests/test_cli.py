@@ -122,6 +122,27 @@ class TestCoverRoundTrip:
         again = run_json(runner, ["cover", run_args[0], "--in", f"@{payload}", "--cap-enum", "100000"])
         assert again == bundle
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["padic", "--p", "2", "--depth", "100"],
+            ["product", "--orders", "2", "--cycle", "--depth", "100"],
+            ["padic", "--p", "2", "--depth", "850"],
+        ],
+    )
+    def test_deep_covers_need_no_element_cap(self, runner, tmp_path, args):
+        # far more than 2^20 slalom elements: the cover and verify commands
+        # set no element cap by default, and an explicit cap still counts them
+        bundle = tmp_path / "bundle.json"
+        assert run(runner, ["cover", *args, "--out", str(bundle)]).exit_code == 0
+        certificate = json.loads(bundle.read_text())["certificate"]
+        assert certificate["verified"] is True and certificate["checked_count"] > cli.DEFAULT_VERIFY_CAP
+        result = run_json(runner, ["verify", "--in", f"@{bundle}"])
+        assert result["ok"] is True and result["checked_count"] == certificate["checked_count"]
+        capped = run(runner, ["verify", "--in", f"@{bundle}", "--cap-verify", str(cli.DEFAULT_VERIFY_CAP)])
+        assert capped.exit_code == 4
+        assert json.loads(capped.output)["error"]["type"] == "CapExceeded"
+
     def test_verify_flags_bad_translate(self, runner):
         bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "1", "--seed", "0"])
         bad = dict(bundle)
@@ -228,6 +249,13 @@ class TestCubeCheck:
             runner, ["cube-check", "--in", json.dumps({"plan": plan, "family": []})]
         )
         assert payload == {"covered": False, "witness": [0]}
+
+    def test_default_cap_is_2_20_points(self, runner):
+        # blocks of orders 8, 16, 16, 16, 16 and 32: a cube of 2^24 points
+        plan = run_json(runner, ["plan", "padic", "--p", "2", "--depth", "6"])
+        result = run(runner, ["cube-check", "--in", json.dumps({"plan": plan, "family": []})])
+        assert result.exit_code == 4
+        assert json.loads(result.output)["error"]["type"] == "CapExceeded"
 
 
 class TestErrorChannel:

@@ -40,12 +40,14 @@ from helpers import (
     abelian_groups_up_to,
     add_residues,
     bound_product_by_product,
+    cyclic_translator_by_sorting,
     first_bound_below_by_scan,
     least_translator_by_scan,
     sub_residues,
     translators_by_scan,
     verify_cover_by_enumeration,
     verify_padic_by_values,
+    verify_product_by_values,
     zero_residues,
 )
 
@@ -141,6 +143,44 @@ class TestFindTranslator:
         targets = rng.sample(range(G.order), rng.randint(1, min(n + 2, G.order)))
         expected = least_translator_by_scan(G, {G.element_at(i) for i in kept}, map(G.element_at, targets))
         assert find_translator(G, kept, targets, n) == G.index_of(expected)
+
+
+class TestCyclicSweep:
+    """The translator sweep of a cyclic block against building, sorting
+    and sweeping every (target, gap) interval, without the counting
+    preconditions of ``find_translator``, so that some target sets
+    forbid the whole group."""
+
+    @staticmethod
+    def case(rng):
+        order = rng.randint(1, 40)
+        gaps = []
+        if rng.random() < 0.5:
+            a = rng.randrange(order)
+            gaps.append((a, rng.randint(a + 1, order)))
+        else:
+            # random holes, as runs of consecutive indices
+            for i in sorted(rng.sample(range(order), rng.randint(0, order))):
+                if gaps and gaps[-1][1] == i:
+                    gaps[-1] = (gaps[-1][0], i + 1)
+                else:
+                    gaps.append((i, i + 1))
+        targets = set(rng.sample(range(order), rng.randint(0, min(order, 8))))
+        # targets at both ends of the block, where the intervals wrap
+        targets |= {end for end in (0, order - 1) if rng.random() < 0.3}
+        return order, gaps, sorted(targets)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_sorted_intervals(self, seed):
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(2500):
+            order, gaps, targets = self.case(rng)
+            g = cover_module._cyclic_translator(targets, gaps, order)
+            assert g == cyclic_translator_by_sorting(targets, gaps, order)
+            seen.add(("exhausted" if g == order else "free", len(gaps) > 1,
+                      any(t < a for t in targets for a, _ in gaps)))
+        assert len(seen) == 8
 
 
 class TestPlans:
@@ -496,6 +536,31 @@ class TestVerifyCover:
         with pytest.raises(CapExceeded):
             verify_cover(spec, tuple(zero_residues(spec.plan.block_group(n)) for n in range(2)), slalom, cap=5)
 
+    def test_no_element_cap_by_default(self):
+        padic, product = padic_spec(2, 30), product_spec(30)
+        ctx = PadicContext(2, padic.plan.boundaries[-1])
+        for spec, width, cover in ((padic, "(n+2)//2", lambda s: cover_padic_slalom(ctx, padic, s)),
+                                   (product, "n+2", lambda s: cover_product_slalom(product, s))):
+            slalom = random_slalom(spec.plan, width, seed=30)
+            translate = cover(slalom).translate
+            assert slalom.element_count() > DEFAULT_VERIFY_CAP
+            assert verify_cover(spec, translate, slalom).ok
+            with pytest.raises(CapExceeded, match="verification cap"):
+                verify_cover(spec, translate, slalom, cap=DEFAULT_VERIFY_CAP)
+
+    def test_slalom_values_bounded(self, monkeypatch):
+        # the work bound: the values the slalom holds, sum |S_n|
+        spec = product_spec(2)
+        slalom = Slalom(width="n+2", sets=((0, 1), (0, 1, 2)))
+        translate = tuple(zero_residues(spec.plan.block_group(n)) for n in range(2))
+        monkeypatch.setattr(cover_module, "DEFAULT_ENUM_CAP", 4)
+        with pytest.raises(CapExceeded, match="5 values"):
+            verify_cover(spec, translate, slalom)
+        with pytest.raises(CapExceeded, match="5 values"):
+            cover_product_slalom(spec, slalom)
+        monkeypatch.setattr(cover_module, "DEFAULT_ENUM_CAP", 5)
+        assert verify_cover(spec, translate, slalom).ok
+
     def test_carry_dichotomy_counts_cover_all_checks(self):
         spec = padic_spec(5, 4)
         slalom = random_slalom(spec.plan, "(n+2)//2", seed=3)
@@ -667,6 +732,91 @@ class TestVerifyPadicAgainstValues:
     def test_built_nullsets_have_one_gap_per_block(self):
         for plan in (plan_blocks_padic(2, 100), plan_blocks_product(itertools.cycle([2]), 30)):
             assert all(len(gaps) == 1 for gaps in build_nullset(plan).gaps)
+
+
+class TestVerifyProductAgainstValues:
+    """The cylinder-interval product check against the value-by-value
+    check of ``helpers.verify_product_by_values`` at depths 8-120:
+    radices 2-7 with up to 11 coordinates per block, prefix kept sets
+    and kept sets with several gaps (often at index 0 and at the end),
+    real covers and tampered translates.  The whole result must agree."""
+
+    @staticmethod
+    def plan(rng, depth):
+        # blocks of 1-11 coordinates, more than the minimal plan takes,
+        # while the block order stays small enough to hold the kept set
+        cuts, orders = [0], []
+        for n in range(depth):
+            if rng.random() < 0.15:
+                orders.extend([2] * 11)
+                cuts.append(len(orders))
+                continue
+            size, k = 1, 0
+            while size <= 2 * (n + 3) or (k < 11 and rng.random() < 0.6):
+                m = rng.randint(2, 7) if rng.random() < 0.5 else 2
+                if size > 2 * (n + 3) and size * m > 4096:
+                    break
+                orders.append(m)
+                size *= m
+                k += 1
+            cuts.append(len(orders))
+        return BlockPlan(mode="product", boundaries=tuple(cuts), orders=tuple(orders))
+
+    @staticmethod
+    def tampered(spec, slalom, translate, rng):
+        plan = spec.plan
+        for _ in range(4):
+            # a value of block n sent into a gap: t = v - c for c in a gap
+            n = rng.randrange(plan.depth)
+            G = plan.block_group(n)
+            a, b = spec.gaps[n][rng.randrange(len(spec.gaps[n]))]
+            v = G.element_at(rng.choice(slalom.sets[n]))
+            block = sub_residues(G, v, G.element_at(rng.randrange(a, b)))
+            yield translate[:n] + (block,) + translate[n + 1:]
+        yield tuple(plan.block_group(n).element_at(rng.randrange(size))
+                    for n, size in enumerate(plan.block_orders))
+
+    def check(self, spec, translate, slalom):
+        expected = verify_product_by_values(spec, translate, slalom)
+        assert verify_cover(spec, translate, slalom) == expected
+        return expected.ok
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_against_values(self, seed):
+        rng = random.Random(seed)
+        plan = self.plan(rng, rng.randint(8, 120) if seed % 4 else rng.randint(8, 20))
+        assert max(b - a for a, b in zip(plan.boundaries, plan.boundaries[1:])) > 1
+        sets = [tuple(sorted({0, *values[1:]})) if rng.random() < 0.3 else values
+                for values in random_slalom(plan, "n+2", seed).sets]
+        slalom = Slalom("n+2", tuple(sets))
+        prefix = NullsetSpec(plan, tuple(tuple(range(rng.randint(*kept_window(size, n))))
+                                         for n, size in enumerate(plan.block_orders)))
+        scattered = NullsetSpec(plan, tuple(TestVerifyPadicAgainstValues.kept_set(size, n, rng)
+                                            for n, size in enumerate(plan.block_orders)))
+        assert any(len(gaps) > 1 for gaps in scattered.gaps)
+        for spec in (prefix, scattered):
+            cert = cover_product_slalom(spec, slalom)
+            assert self.check(spec, cert.translate, slalom)
+            outcomes = {self.check(spec, bad, slalom) for bad in self.tampered(spec, slalom, cert.translate, rng)}
+            assert False in outcomes
+
+    def test_check_never_subtracts_values(self, monkeypatch):
+        # the per-value helpers of the product translator stay out of the check
+        rng = random.Random(7)
+        plan = self.plan(rng, 30)
+        spec = build_nullset(plan)
+        slalom = random_slalom(plan, "n+2", 7)
+        cert = cover_product_slalom(spec, slalom)
+        translates = [cert.translate, *self.tampered(spec, slalom, cert.translate, rng)]
+        expected = [verify_product_by_values(spec, t, slalom) for t in translates]
+
+        def refuse(*args):
+            raise AssertionError("the check subtracted slalom values one by one")
+
+        monkeypatch.setattr(cover_module, "_digit_columns", refuse)
+        monkeypatch.setattr(cover_module, "_differences", refuse)
+        assert [verify_cover(spec, t, slalom) for t in translates] == expected
+        assert not all(result.ok for result in expected)
 
 
 class TestRandomSlalom:

@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/ run end to end against the
 library in src/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +24,23 @@ def test_script_runs(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_deep_table_rows():
+    # shallow depths keep the run short; the defaults are 100, 400 and 850
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "deep_table.py"), "--depths", "8,12", "--repeats", "1", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)
+    assert [row["run"] for row in rows] == [
+        "p-adic, p=2, depth 8", "p-adic, p=2, depth 12",
+        "product, orders 2 cycled, depth 8", "product, orders 2 cycled, depth 12",
+    ]
+    assert all(set(row["ms"]) == {"plan", "build", "slalom", "cover", "verify_cover"} for row in rows)
+    assert all(row["bundle_mb"] > 0 for row in rows)
