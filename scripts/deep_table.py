@@ -5,7 +5,9 @@ verify the certificate again, plus the size of the bundle that
 covers over orders 2 cycled.
 
 Times are in-process, in milliseconds, the best of ``--repeats`` runs
-with the garbage collector off; the bundle size is in MB (10^6 bytes).
+with the garbage collector off; the build peak is the tracemalloc peak
+of one more, untimed build, in MiB; the bundle size is in MB (10^6
+bytes).
 
 The slalom has seed 0, as `nullcover cover` draws by default.
 
@@ -17,6 +19,7 @@ import gc
 import itertools
 import json
 import time
+import tracemalloc
 
 from nullcover.cover import (
     build_nullset,
@@ -43,6 +46,16 @@ def best_ms(run, repeats):
     return result, min(times) * 1000
 
 
+def traced_peak_mib(run):
+    """The peak of the memory that ``run`` allocates, traced, in MiB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def row(mode, depth, repeats):
     ms = {}
     if mode == "padic":
@@ -54,6 +67,7 @@ def row(mode, depth, repeats):
         plan, ms["plan"] = best_ms(lambda: plan_blocks_product(itertools.cycle([2]), depth), repeats)
         width = "n+2"
     spec, ms["build"] = best_ms(lambda: build_nullset(plan), repeats)
+    build_peak_mib = traced_peak_mib(lambda: build_nullset(plan))
     slalom, ms["slalom"] = best_ms(lambda: random_slalom(plan, width, SEED), repeats)
     if mode == "padic":
         ctx = PadicContext(2, plan.boundaries[-1])
@@ -66,7 +80,7 @@ def row(mode, depth, repeats):
     # the document `nullcover cover` writes, byte for byte
     bundle = {"spec": spec.to_json(), "slalom": slalom.to_json(), "certificate": cert.to_json()}
     size = len(json.dumps(bundle, sort_keys=True, separators=(",", ":"))) + 1
-    return {"run": label, "ms": ms, "bundle_mb": size / 1e6}
+    return {"run": label, "ms": ms, "build_peak_mib": build_peak_mib, "bundle_mb": size / 1e6}
 
 
 def main() -> None:
@@ -81,11 +95,12 @@ def main() -> None:
     if args.json:
         print(json.dumps(rows, indent=1))
         return
-    print("| run | " + " | ".join(STAGES) + " | bundle |")
-    print("| --- |" + " --- |" * (len(STAGES) + 1))
+    print("| run | " + " | ".join(STAGES) + " | build peak | bundle |")
+    print("| --- |" + " --- |" * (len(STAGES) + 2))
     for r in rows:
         cells = [f"{r['ms'][stage]:.3g}" for stage in STAGES]
-        print(f"| {r['run']} | " + " | ".join(cells) + f" | {r['bundle_mb']:.2f} MB |")
+        print(f"| {r['run']} | " + " | ".join(cells)
+              + f" | {r['build_peak_mib']:.3g} MiB | {r['bundle_mb']:.2f} MB |")
 
 
 if __name__ == "__main__":

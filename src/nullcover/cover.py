@@ -2,8 +2,10 @@
 
 The pipeline is: partition coordinates into blocks whose group order
 outgrows 2(n+3) (:func:`plan_blocks_product` / :func:`plan_blocks_padic`),
-keep a large subset of each block group (:func:`build_nullset`), and for
-any slalom of the right width compute one translate that absorbs it
+keep a large subset of each block group (:func:`build_nullset`, which
+holds each kept prefix as a ``range``, so it runs in O(depth) and only
+:meth:`NullsetSpec.to_json` writes the indices out), and for any slalom
+of the right width compute one translate that absorbs it
 (:func:`cover_product_slalom` / :func:`cover_padic_slalom`).  Both modes
 run one cover body; the per-mode part is the closure of each slalom set
 into targets (p-adic targets also take the value plus an incoming
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, floor, pi, prod
+from operator import eq, lt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -211,19 +214,27 @@ class NullsetSpec:
     The size of each kept set must land in the window
     ceil((1 - 1/(n+3)) * order) .. floor((1 - 1/(2(n+3))) * order),
     which is what makes translates exist while the measure still decays.
+
+    Each kept set is held in one canonical form: a step-1 ``range`` when
+    its indices form one contiguous run, as every set that
+    :func:`build_nullset` keeps does, else a tuple.  A range is checked
+    in O(1), since it is sorted and duplicate-free by construction; a
+    tuple costs one linear pass.  So built, parsed and hand-built specs
+    compare and hash equal, and only :meth:`to_json` writes the indices
+    out one by one.
     """
 
     plan: BlockPlan
-    kept: tuple[tuple[int, ...], ...]
+    kept: tuple[Union[range, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
         if len(self.kept) != self.plan.depth:
             raise PreconditionViolated(
                 f"{len(self.kept)} kept sets for a plan of depth {self.plan.depth}"
             )
+        kept = []
         for n, (indices, size) in enumerate(zip(self.kept, self.plan.block_orders)):
-            if list(indices) != sorted(set(indices)):
-                raise PreconditionViolated(f"kept set for block {n} must be sorted and duplicate-free")
+            indices = _canonical_kept(n, indices)
             if indices and not (0 <= indices[0] and indices[-1] < size):
                 raise PreconditionViolated(f"kept set for block {n} has indices outside [0, {size})")
             lo, hi = kept_window(size, n)
@@ -231,6 +242,8 @@ class NullsetSpec:
                 raise PreconditionViolated(
                     f"kept set for block {n} has size {len(indices)}, outside window [{lo}, {hi}]"
                 )
+            kept.append(indices)
+        object.__setattr__(self, "kept", tuple(kept))
 
     @property
     def depth(self) -> int:
@@ -256,11 +269,37 @@ class NullsetSpec:
         return cls(plan=plan, kept=kept)
 
 
+def _canonical_kept(n: int, indices: Sequence[int]) -> Union[range, tuple[int, ...]]:
+    """Kept set n in its canonical form: a step-1 range as it is, a
+    contiguous run of indices as that range, anything else as a tuple
+    that must be sorted and duplicate-free."""
+    if isinstance(indices, range) and indices.step == 1:
+        return indices
+    indices = tuple(indices)
+    if indices and isinstance(indices[0], int):
+        run = range(indices[0], indices[0] + len(indices))
+        if all(map(eq, indices, run)):
+            return run
+    if not _strictly_increasing(indices):
+        raise PreconditionViolated(f"kept set for block {n} must be sorted and duplicate-free")
+    return indices
+
+
+def _strictly_increasing(values: Sequence[int]) -> bool:
+    """Sorted and duplicate-free, in one linear pass: each value below
+    the next."""
+    return all(map(lt, values, itertools.islice(values, 1, None)))
+
+
 def _int_array(value: object, item: str, field: str) -> tuple[int, ...]:
     """A JSON array of integers read by the strict parser; any other
-    shape, a string of digits included, is a :class:`SchemaError`."""
+    shape, a string of digits included, is a :class:`SchemaError`.  An
+    array of plain ints, as JSON gives, is read by one pass over the
+    types; any other item, a bool included, goes through ``_as_int``."""
     if not isinstance(value, list):
         raise SchemaError(f"{field} must be an array of integers")
+    if set(map(type, value)) <= {int}:
+        return tuple(value)
     return tuple(_as_int(v, item) for v in value)
 
 
@@ -288,7 +327,7 @@ class Slalom:
         for n, s in enumerate(self.sets):
             if not s:
                 raise PreconditionViolated(f"slalom set {n} is empty")
-            if list(s) != sorted(set(s)):
+            if not _strictly_increasing(s):
                 raise PreconditionViolated(f"slalom set {n} must be sorted and duplicate-free")
             if len(s) > f(n):
                 raise PreconditionViolated(f"slalom set {n} has {len(s)} values, width allows {f(n)}")
@@ -598,9 +637,12 @@ def _check_plan_depth(depth: int) -> None:
 def build_nullset(plan: BlockPlan) -> NullsetSpec:
     """Keep, in every block, the first floor((1 - 1/(2(n+3))) * order)
     elements in canonical order: the largest admissible kept set, which
-    makes covering easiest while the measure bound stays exact.  Plans
-    whose blocks total more than ``DEFAULT_ENUM_CAP`` elements raise
-    :class:`CapExceeded` before anything is kept."""
+    makes covering easiest while the measure bound stays exact.  Each
+    kept set is held as ``range(hi)``, so the build costs O(depth) and
+    no index is materialised.  Plans whose blocks total more than
+    ``DEFAULT_ENUM_CAP`` elements raise :class:`CapExceeded` before
+    anything is kept, since :meth:`NullsetSpec.to_json` prints every
+    kept index."""
     sizes = plan.block_orders
     total = sum(sizes)
     if total > DEFAULT_ENUM_CAP:
@@ -610,7 +652,7 @@ def build_nullset(plan: BlockPlan) -> NullsetSpec:
         lo, hi = kept_window(size, n)
         if lo > hi:
             raise EmptyWindow(f"block {n} of order {size} admits no kept-set size at level {n}")
-        kept.append(tuple(range(hi)))
+        kept.append(range(hi))
     return NullsetSpec(plan=plan, kept=tuple(kept))
 
 

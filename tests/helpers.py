@@ -12,7 +12,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 
-from nullcover.cover import VerifyResult, _differences, _digit_columns
+from nullcover.cover import VerifyResult, _differences, _digit_columns, kept_window
 from nullcover.errors import CapExceeded, PreconditionViolated, VerificationFailed
 from nullcover.groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, is_prime
 from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits, factorial_expand
@@ -476,3 +476,12 @@ def divisible_chain_by_elements(G, p, depth, cap=DEFAULT_ENUM_CAP):
             chain.append(next(h for h in preimages.get(chain[-1], ()) if reachable(h, remaining)))
         return tuple(chain)
     return None
+
+
+def nullset_json_by_tuples(plan):
+    """The JSON document of the nullset that ``build_nullset(plan)``
+    makes, with every kept set expanded into a tuple of its indices, as
+    the builder once stored them: the reference for the bytes that
+    ``NullsetSpec.to_json`` prints."""
+    kept = [tuple(range(kept_window(size, n)[1])) for n, size in enumerate(plan.block_orders)]
+    return {"plan": plan.to_json(), "A": [list(indices) for indices in kept]}

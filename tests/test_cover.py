@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -14,6 +16,8 @@ from nullcover.cover import (
     BlockPlan,
     _differences,
     _digit_columns,
+    _int_array,
+    _strictly_increasing,
     CoverCertificate,
     NullsetSpec,
     Slalom,
@@ -43,6 +47,7 @@ from helpers import (
     cyclic_translator_by_sorting,
     first_bound_below_by_scan,
     least_translator_by_scan,
+    nullset_json_by_tuples,
     sub_residues,
     translators_by_scan,
     verify_cover_by_enumeration,
@@ -249,7 +254,7 @@ class TestPlans:
 class TestBuildNullset:
     def test_p2_first_blocks(self):
         spec = padic_spec(2, 2)
-        assert spec.kept[0] == tuple(range(6))
+        assert list(spec.kept[0]) == list(range(6))
         assert len(spec.kept[1]) == 14
 
     def test_window_nonempty_for_minimal_block_orders(self):
@@ -276,6 +281,81 @@ class TestBuildNullset:
         spec = padic_spec(2, 1)
         with pytest.raises(PreconditionViolated):
             NullsetSpec(plan=spec.plan, kept=(tuple(range(7)),))
+
+    @pytest.mark.parametrize("depth", [8, 100, 850])
+    def test_built_and_parsed_specs_are_equal(self, depth):
+        spec = padic_spec(2, depth)
+        parsed = NullsetSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert parsed == spec
+        assert hash(parsed) == hash(spec)
+        by_hand = NullsetSpec(plan=spec.plan, kept=tuple(tuple(k) for k in spec.kept))
+        assert by_hand == spec
+        assert hash(by_hand) == hash(spec)
+
+    @pytest.mark.parametrize("depth", [1, 8, 100, 850])
+    def test_json_matches_expanded_tuples(self, depth):
+        for plan in (plan_blocks_padic(2, depth), plan_blocks_product(itertools.cycle([2]), depth)):
+            assert json.dumps(build_nullset(plan).to_json()) == json.dumps(nullset_json_by_tuples(plan))
+
+    def test_build_holds_no_index(self):
+        plan = plan_blocks_padic(2, 850)
+        tracemalloc.start()
+        try:
+            spec = build_nullset(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(k, range) for k in spec.kept)
+        assert peak < 1 << 20
+
+    def test_kept_sets_take_one_canonical_form(self):
+        plan = plan_blocks_product([2, 2, 2], 1)   # one block of order 8, which keeps 6
+        run = NullsetSpec(plan=plan, kept=((1, 2, 3, 4, 5, 6),))
+        assert run.kept == (range(1, 7),)
+        assert NullsetSpec(plan=plan, kept=(range(1, 7),)) == run
+        spread = NullsetSpec(plan=plan, kept=((0, 1, 2, 4, 5, 6),))
+        assert spread.kept == ((0, 1, 2, 4, 5, 6),)
+        assert spread.gaps == (((3, 4), (7, 8)),)
+        with pytest.raises(PreconditionViolated, match="sorted"):
+            NullsetSpec(plan=plan, kept=(range(5, -1, -1),))
+        for outside in (range(3, 9), range(0, 12, 2)):
+            with pytest.raises(PreconditionViolated, match="outside"):
+                NullsetSpec(plan=plan, kept=(outside,))
+
+    @given(st.lists(st.integers(-5, 5), max_size=8))
+    def test_increasing_check_accepts_what_sorting_did(self, values):
+        accepted = list(values) == sorted(set(values))
+        assert _strictly_increasing(values) == accepted
+        assert _strictly_increasing(tuple(values)) == accepted
+        if not values:
+            return
+        if accepted:
+            assert Slalom(width=(9,), sets=(tuple(values),)).sets[0] == tuple(values)
+            kept = cover_module._canonical_kept(0, values)
+            assert tuple(kept) == tuple(values)
+            assert isinstance(kept, range) == (values[-1] - values[0] == len(values) - 1)
+        else:
+            with pytest.raises(PreconditionViolated, match="sorted"):
+                Slalom(width=(9,), sets=(tuple(values),))
+            with pytest.raises(PreconditionViolated, match="sorted"):
+                cover_module._canonical_kept(0, values)
+
+
+class TestIntArray:
+    def test_plain_ints_and_decimal_strings(self):
+        assert _int_array([3, -1, 2**80], "x", "xs") == (3, -1, 2**80)
+        assert _int_array([], "x", "xs") == ()
+        assert _int_array([1, "22", "-3"], "x", "xs") == (1, 22, -3)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "+4", " 4", "1_0", None, [1]])
+    def test_other_items_raise(self, bad):
+        with pytest.raises(SchemaError):
+            _int_array([1, bad, 2], "x", "xs")
+
+    def test_non_arrays_raise(self):
+        for bad in ((1, 2), "12", {"a": 1}, 3):
+            with pytest.raises(SchemaError):
+                _int_array(bad, "x", "xs")
 
 
 def fraction_from_fifteenth(den, num):

@@ -44,3 +44,5 @@ def test_deep_table_rows():
     ]
     assert all(set(row["ms"]) == {"plan", "build", "slalom", "cover", "verify_cover"} for row in rows)
     assert all(row["bundle_mb"] > 0 for row in rows)
+    # a built nullset holds one range per block, not its indices
+    assert all(0 < row["build_peak_mib"] < 1 for row in rows)
