@@ -17,16 +17,18 @@ one by one.  Both modes read the kept set through its gaps
 (:attr:`NullsetSpec.gaps`, built once per spec; every nullset that
 :func:`build_nullset` makes has one gap per block) and bisect the sorted
 slalom sets (which :class:`Slalom` enforces) once per interval of
-values that lands in a gap.  Product mode splits each gap into at most
-2k - 1 cylinders of a block of k coordinates, each one or two intervals
-of values, so it costs O(sum gaps_n * k_n * log |S_n|).  p-adic mode is a
-two-state carry transducer that, per block and incoming carry, bisects
-once for where carrying out starts and once per gap, O(sum gaps_n *
-log |S_n|).  The translator search works on enumeration indices too:
-in a cyclic block (one coordinate, or a p-adic digit block) each target
-and gap forbid one interval of indices, read in order by one sweep that
-stops at the first free index; a product of several coordinates
-subtracts carry-free in mixed radix, pair by pair.  Group elements
+values that lands in a gap.  Product mode splits each gap of a block
+of k coordinates into at most 2k - 1 cylinders (:func:`_gap_cylinders`,
+the one carry-free layer), each one or two intervals of values, so it
+costs O(sum gaps_n * k_n * log |S_n|).  p-adic mode is a two-state carry
+transducer that, per block and incoming carry, bisects once for where
+carrying out starts and once per gap, O(sum gaps_n * log |S_n|).  The
+translator search works on enumeration indices too, and one sweep that
+stops at the first free index reads the intervals that the targets and
+gaps forbid: in a cyclic block (one coordinate, or a p-adic digit block)
+one per target and gap, already in order; in a product of several
+coordinates one or two per target and cylinder of a gap, at most
+|targets| * gaps * (4k - 2) per block, sorted first.  Group elements
 appear only as the translate blocks of a certificate: the cover body
 encodes them and the check decodes each block once, in one pass that
 range-checks every digit.  Each plan builds its block orders and block
@@ -188,6 +190,8 @@ class BlockPlan:
             boundaries = _int_array(obj["boundaries"], "boundary", "plan boundaries")
         except KeyError as missing:
             raise SchemaError(f"plan is missing field {missing}") from None
+        if "orders" in obj and "p" in obj:
+            raise SchemaError("plans carry 'orders' (product) or 'p' (padic), not both")
         orders = None
         p = None
         if mode == "product":
@@ -436,17 +440,18 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
     forbid one cyclic interval of indices.  Sorted targets give these
     intervals already sorted by their starts, up to a rotation where they
     begin to wrap, so one sweep that stops at the first free index finds
-    g without sorting anything.  In a product of several coordinates (``group``
-    has ``orders`` of length > 1) subtraction is carry-free mixed radix:
-    the larger of the target and complement sets is split into digits
-    once, and each pair then costs one term per coordinate, as s - c is
-    the sum of ((s_i - c_i) mod m_i) * weight_i.
+    g without sorting anything.  In a product of several coordinates
+    (``group`` has ``orders`` of length > 1) subtraction is carry-free
+    mixed radix, so each gap is split into at most 2k - 1 cylinders, as
+    the product check splits it (:func:`_gap_cylinders`), and each target
+    and cylinder forbid one or two index intervals, which the same sweep
+    reads once they are sorted.
     """
     if n < 0:
         raise PreconditionViolated(f"level must be >= 0, got {n}")
     targets = sorted(set(targets))
     order = group.order
-    min_kept = _ceil_div(order * (n + 2), n + 3)
+    min_kept = kept_window(order, n)[0]
     if len(kept) < min_kept:
         raise PreconditionViolated(
             f"kept set has {len(kept)} of {order} elements, level {n} requires >= {min_kept}"
@@ -463,20 +468,7 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
     assert len(targets) * missing < order
     radices = getattr(group, "orders", ())
     if len(radices) > 1:
-        complement = [c for a, b in gaps for c in range(a, b)]
-        # split the larger side into digit columns once, walk the smaller
-        if len(targets) <= missing:
-            columns = _digit_columns(radices, complement)
-            pairs = ((s, True) for s in targets)
-        else:
-            columns = _digit_columns(radices, targets)
-            pairs = ((c, False) for c in complement)
-        forbidden = set()
-        for x, x_first in pairs:
-            forbidden.update(_differences(columns, x, x_first))
-        g = 0
-        while g in forbidden:
-            g += 1
+        g = _product_translator(targets, gaps, radices, group.weights)
     else:
         g = _cyclic_translator(targets, gaps, order)
     if g >= order:
@@ -496,6 +488,45 @@ def _cyclic_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], 
         from heapq import merge   # several gaps, which only a spec read from JSON has
 
         intervals = merge(*streams)
+    return _first_free(intervals)
+
+
+def _product_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], radices: Sequence[int],
+                        weights: Sequence[int]) -> int:
+    """Least g outside targets - gaps in a block of several coordinates,
+    or the order when they forbid every g.  Target s minus a cylinder of
+    a gap fixes the digits (s_j - d_j) mod m_j before level i and runs
+    digit i over a cyclic range: one index interval, or two where it
+    wraps.  Along each chain of cylinders the index of every target's
+    fixed digits grows by one term per level, one pass over the targets
+    each, as digit j of s is (s // w_j) mod m_j.  The intervals, sorted,
+    go through :func:`_first_free`."""
+    intervals = []
+    for a, b in gaps:
+        for digits, steps in _gap_cylinders(a, b, radices, weights):
+            fixed = [0] * len(targets)
+            j = 0
+            for i, lo, hi in steps:
+                while j < i:
+                    d, m, w = digits[j], radices[j], weights[j]
+                    fixed = [f + (s // w - d) % m * w for f, s in zip(fixed, targets)]
+                    j += 1
+                m, w = radices[i], weights[i]
+                for f, s in zip(fixed, targets):
+                    start = (s // w + 1 - hi) % m
+                    stop = start + hi - lo
+                    if stop > m:   # the digit range wraps: its part [0, stop - m) too
+                        intervals.append((f, f + (stop - m) * w))
+                        stop = m
+                    intervals.append((f + start * w, f + stop * w))
+    intervals.sort()
+    return _first_free(intervals)
+
+
+def _first_free(intervals: Iterable[tuple[int, int]]) -> int:
+    """The least g >= 0 in no interval of ``intervals``, which come in
+    increasing order of their starts: one sweep that stops at the first
+    free g."""
     g = 0
     for lo, hi in intervals:
         if lo > g:
@@ -524,30 +555,6 @@ def _forbidden(targets: Sequence[int], a: int, b: int, order: int):
     for i in range(k):
         s = targets[i]
         yield s - b + 1 + order, order if s >= a else s - a + 1 + order
-
-
-def _digit_columns(radices: Sequence[int], indices: Sequence[int]) -> list[tuple[int, int, list[int]]]:
-    """Enumeration indices of the product of cyclic groups with these
-    orders (last coordinate fastest) split into mixed-radix digits:
-    (radix, weight, digit of every index) per coordinate, last first."""
-    columns = []
-    weight = 1
-    for m in reversed(radices):
-        columns.append((m, weight, [i // weight % m for i in indices]))
-        weight *= m
-    return columns
-
-
-def _differences(columns, x: int, x_first: bool) -> list[int]:
-    """Carry-free mixed-radix subtraction on indices: for every index y
-    split into ``columns``, the index of element(x) - element(y) when
-    ``x_first``, else of element(y) - element(x), in column order."""
-    sign = 1 if x_first else -1
-    out = [0] * len(columns[0][2])
-    for m, weight, column in columns:
-        x, digit = divmod(x, m)
-        out = [o + sign * (digit - d) % m * weight for o, d in zip(out, column)]
-    return out
 
 
 def _count_text(count: int) -> str:
@@ -857,11 +864,11 @@ def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, t
     # first[n]: the least index of S_n whose value v has v - t_n in a gap
     first = []
     for n, (values, t, gaps) in enumerate(zip(slalom.sets, offsets, spec.gaps)):
-        radices = plan.block_group(n).orders
-        if len(radices) == 1:   # a cyclic block: carry-free is plain subtraction
-            first.append(_first_in_gaps(values, gaps, -t, radices[0]))
+        group = plan.block_group(n)
+        if len(group.orders) == 1:   # a cyclic block: carry-free is plain subtraction
+            first.append(_first_in_gaps(values, gaps, -t, group.order))
         else:
-            first.append(_first_in_cylinders(values, gaps, t, radices))
+            first.append(_first_in_cylinders(values, gaps, t, group.orders, group.weights))
     failing = [n for n, (j, values) in enumerate(zip(first, slalom.sets)) if j < len(values)]
     if not failing:
         return VerifyResult(ok=True, witness=None, checked_count=total)
@@ -955,67 +962,72 @@ def _first_in_gaps(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift
 
 
 def _first_in_cylinders(values: Sequence[int], gaps: Sequence[tuple[int, int]], t: int,
-                        radices: Sequence[int]) -> int:
+                        radices: Sequence[int], weights: Sequence[int]) -> int:
     """Index of the least of the sorted ``values`` v whose carry-free
     difference v - t, in the mixed radix of ``radices`` (last digit
     fastest), lands in one of the ``gaps``, or len(values).
 
-    A cylinder fixes the digits before some level i, lets digit i run
-    over a range and leaves the later digits free.  A gap [a, b) is a
-    union of at most 2k - 1 cylinders, k = len(radices).  With c = b - 1,
-    the middle one sits at the first level where a and c differ.  Below
-    it, one chain follows the digits of a: digit i above a_i, and at a's
-    last nonzero digit, from a_i on.  Another follows the digits of c:
-    digit i below c_i, and at c's last digit short of its radix, up to
-    c_i.  Adding t carry-free maps a cylinder to the cylinder with fixed
-    digits (p_j + t_j) mod m_j whose digit i runs over a cyclic range:
-    one index interval, or two where it wraps.  Each interval costs one
-    bisection, bounded by the best index found so far."""
-    k = len(radices)
-    weights = [1] * k
-    for i in range(k - 1, 0, -1):
-        weights[i - 1] = weights[i] * radices[i]
+    Adding t carry-free maps a cylinder of a gap (:func:`_gap_cylinders`)
+    to the cylinder with fixed digits (d_j + t_j) mod m_j whose digit i
+    runs over a cyclic range: one index interval, or two where it wraps.
+    The index of the fixed digits grows by one term per level along each
+    chain.  Each interval costs one bisection, bounded by the best index
+    found so far."""
     shift = [t // w % m for w, m in zip(weights, radices)]
     best = len(values)
     for a, b in gaps:
-        low = [a // w % m for w, m in zip(weights, radices)]
-        high = [(b - 1) // w % m for w, m in zip(weights, radices)]
-        top = 0
-        while top < k - 1 and low[top] == high[top]:
-            top += 1
-        left = k - 1
-        while left > top and low[left] == 0:
-            left -= 1
-        right = k - 1
-        while right > top and high[right] == radices[right] - 1:
-            right -= 1
-        # (image of the fixed digits, level, digit range): the middle
-        # cylinder, then the chains of a and of c
-        base = sum((low[j] + shift[j]) % radices[j] * weights[j] for j in range(top))
-        pieces = [(base, top, low[top] + (left > top), high[top] + (right == top))]
-        fixed = base
-        for j in range(top + 1, left + 1):
-            fixed += (low[j - 1] + shift[j - 1]) % radices[j - 1] * weights[j - 1]
-            pieces.append((fixed, j, low[j] + (j < left), radices[j]))
-        fixed = base
-        for j in range(top + 1, right + 1):
-            fixed += (high[j - 1] + shift[j - 1]) % radices[j - 1] * weights[j - 1]
-            pieces.append((fixed, j, 0, high[j] + (j == right)))
-        for fixed, i, lo, hi in pieces:
-            if lo >= hi:
-                continue
-            m, w = radices[i], weights[i]
-            start = (lo + shift[i]) % m
-            stop = start + hi - lo
-            if stop > m:   # the digit range wraps: its part [0, stop - m) first
-                j = bisect_left(values, fixed, 0, best)
-                if j < best and values[j] < fixed + (stop - m) * w:
-                    best = j
-                stop = m
-            j = bisect_left(values, fixed + start * w, 0, best)
-            if j < best and values[j] < fixed + stop * w:
-                best = j
+        for digits, steps in _gap_cylinders(a, b, radices, weights):
+            fixed = j = 0
+            for i, lo, hi in steps:
+                while j < i:
+                    fixed += (digits[j] + shift[j]) % radices[j] * weights[j]
+                    j += 1
+                m, w = radices[i], weights[i]
+                start = (lo + shift[i]) % m
+                stop = start + hi - lo
+                if stop > m:   # the digit range wraps: its part [0, stop - m) first
+                    x = bisect_left(values, fixed, 0, best)
+                    if x < best and values[x] < fixed + (stop - m) * w:
+                        best = x
+                    stop = m
+                x = bisect_left(values, fixed + start * w, 0, best)
+                if x < best and values[x] < fixed + stop * w:
+                    best = x
     return best
+
+
+def _gap_cylinders(a: int, b: int, radices: Sequence[int], weights: Sequence[int]):
+    """The gap [a, b) of a block of k = len(radices) coordinates split
+    into at most 2k - 1 disjoint cylinders: the one carry-free layer of
+    product blocks, read by the check and by the translator search.
+
+    A cylinder fixes the digits before some level i, lets digit i run
+    over a range and leaves the later digits free.  With c = b - 1, the
+    middle one sits at the first level where a and c differ.  Below it,
+    one chain follows the digits of a: digit i above a_i, and at a's
+    last nonzero digit, from a_i on.  Another follows the digits of c:
+    digit i below c_i, and at c's last digit short of its radix, up to
+    c_i.  Returns the two chains as (digits, steps): the digits of a or
+    of c, and per cylinder, by increasing level, (i, lo, hi), whose fixed
+    digits are digits[:i] and whose digit i runs over [lo, hi).  The
+    middle cylinder leads the chain of a.  A range may be empty, which
+    adds no interval to either reader."""
+    k = len(radices)
+    low = [a // w % m for w, m in zip(weights, radices)]
+    high = [(b - 1) // w % m for w, m in zip(weights, radices)]
+    top = 0
+    while top < k - 1 and low[top] == high[top]:
+        top += 1
+    left = k - 1
+    while left > top and low[left] == 0:
+        left -= 1
+    right = k - 1
+    while right > top and high[right] == radices[right] - 1:
+        right -= 1
+    middle = (top, low[top] + (left > top), high[top] + (right == top))
+    below = [(i, low[i] + (i < left), radices[i]) for i in range(top + 1, left + 1)]
+    above = [(i, 0, high[i] + (i == right)) for i in range(top + 1, right + 1)]
+    return (low, [middle, *below]), (high, above)
 
 
 def random_slalom(plan: BlockPlan, width: WidthSpec, seed: int) -> Slalom:

@@ -12,9 +12,9 @@ values, so everything here can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
-from .errors import DEFAULT_ENUM_CAP  # noqa: F401 -- still read as groups.DEFAULT_ENUM_CAP
 from .errors import CapExceeded, DimensionMismatch, PreconditionViolated
 
 # Residue vector of a finite abelian group element.
@@ -84,8 +84,14 @@ class FiniteAbelianGroup:
     def order(self) -> int:
         return prod(self.orders)
 
-    def check(self, a: GroupElement) -> None:
-        self.index_of(a)
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The index weight of each coordinate, the product of the orders
+        after it: index_of(a) is the sum of a_i * weights[i]."""
+        weights = [1] * len(self.orders)
+        for i in range(len(self.orders) - 1, 0, -1):
+            weights[i - 1] = weights[i] * self.orders[i]
+        return tuple(weights)
 
     def element_at(self, index: int) -> GroupElement:
         if not 0 <= index < self.order:
@@ -136,9 +142,6 @@ class BlockGroup:
     @property
     def order(self) -> int:
         return self.p**self.len
-
-    def check(self, x: DigitVector) -> None:
-        self.index_of(x)
 
     def element_at(self, index: int) -> DigitVector:
         if not 0 <= index < self.order:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NUMERIC_DEPTH_CAP, CapExceeded, PreconditionViolated, SchemaError, _as_int
-from .errors import rational_to_json  # noqa: F401 -- still read as nullset.rational_to_json
 
 # how the explicit digits continue beyond the truncation depth
 TAIL_ZERO = "zero"        # all further digits are 0 (expansion terminated)

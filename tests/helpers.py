@@ -12,9 +12,9 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 
-from nullcover.cover import VerifyResult, _differences, _digit_columns, kept_window
-from nullcover.errors import CapExceeded, PreconditionViolated, VerificationFailed
-from nullcover.groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup, is_prime
+from nullcover.cover import VerifyResult, kept_window
+from nullcover.errors import DEFAULT_ENUM_CAP, CapExceeded, PreconditionViolated, VerificationFailed
+from nullcover.groups import FiniteAbelianGroup, is_prime
 from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits, factorial_expand
 from nullcover.structure import (
     Cyclic,
@@ -51,13 +51,13 @@ def zero_residues(group):
 
 
 def add_residues(group, a, b):
-    group.check(a)
-    group.check(b)
+    group.index_of(a)
+    group.index_of(b)
     return tuple((x + y) % m for x, y, m in zip(a, b, group.orders))
 
 
 def neg_residues(group, a):
-    group.check(a)
+    group.index_of(a)
     return tuple((-x) % m for x, m in zip(a, group.orders))
 
 
@@ -66,7 +66,7 @@ def sub_residues(group, a, b):
 
 
 def scale_residues(group, k, a):
-    group.check(a)
+    group.index_of(a)
     return tuple(k * x % m for x, m in zip(a, group.orders))
 
 
@@ -194,6 +194,55 @@ def cyclic_translator_by_sorting(targets, gaps, order):
     return g
 
 
+def digit_columns(radices, indices):
+    """Enumeration indices of the product of cyclic groups with these
+    orders (last coordinate fastest) split into mixed-radix digits:
+    (radix, weight, digit of every index) per coordinate, last first."""
+    columns = []
+    weight = 1
+    for m in reversed(radices):
+        columns.append((m, weight, [i // weight % m for i in indices]))
+        weight *= m
+    return columns
+
+
+def differences(columns, x, x_first):
+    """Carry-free mixed-radix subtraction on indices: for every index y
+    split into ``columns``, the index of element(x) - element(y) when
+    ``x_first``, else of element(y) - element(x), in column order."""
+    sign = 1 if x_first else -1
+    out = [0] * len(columns[0][2])
+    for m, weight, column in columns:
+        x, digit = divmod(x, m)
+        out = [o + sign * (digit - d) % m * weight for o, d in zip(out, column)]
+    return out
+
+
+def product_translator_by_pairs(group, kept, targets):
+    """The least translator of a block of several coordinates, or the
+    order when every index is forbidden, from the whole forbidden set
+    targets - complement built pair by pair: the larger side is split
+    into digit columns once, and each index of the smaller side costs
+    one carry-free subtraction per coordinate.  The reference for the
+    cylinder-interval translator search."""
+    kept = set(kept)
+    complement = [c for c in range(group.order) if c not in kept]
+    targets = sorted(set(targets))
+    if len(targets) <= len(complement):
+        columns = digit_columns(group.orders, complement)
+        pairs = ((s, True) for s in targets)
+    else:
+        columns = digit_columns(group.orders, targets)
+        pairs = ((c, False) for c in complement)
+    forbidden = set()
+    for x, x_first in pairs:
+        forbidden.update(differences(columns, x, x_first))
+    g = 0
+    while g in forbidden:
+        g += 1
+    return g
+
+
 def verify_product_by_values(spec, translate, slalom):
     """The product check value by value: every slalom value minus the
     translate block, by carry-free subtraction on digit columns, is
@@ -204,7 +253,7 @@ def verify_product_by_values(spec, translate, slalom):
     passes = []
     for n, (values, block) in enumerate(zip(slalom.sets, translate)):
         group = plan.block_group(n)
-        shifted = _differences(_digit_columns(group.orders, values), group.index_of(block), x_first=False)
+        shifted = differences(digit_columns(group.orders, values), group.index_of(block), x_first=False)
         passes.append([contains(spec.kept[n], v) for v in shifted])
     failing = [n for n, flags in enumerate(passes) if not all(flags)]
     if not failing:

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -527,6 +528,18 @@ class TestDeterminismAndFormats:
             first = run(runner, args)
             second = run(runner, args)
             assert first.output == second.output and first.exit_code == second.exit_code == 0
+
+    # sha256 of stdout as recorded before the product translator search
+    # moved onto the gap cylinders of the check: not one byte may change
+    @pytest.mark.parametrize("args,digest", [
+        ("--orders 2 --cycle --depth 100 --seed 0", "7ccf237c8cdb1e6173e6d657e79dde0daa598cae325fc2b9df2811e45ee48d4f"),
+        ("--orders 2,3 --cycle --depth 60 --seed 1", "5f19ea6fcf7661492ca2c306822eb3408538cb97e03a9a6568ce77be6051cafe"),
+        ("--orders 3,4099 --cycle --depth 3 --seed 2", "fda3a3e6bf06f1958e959e8de185f98c7e02af71662571fecb6103afc786fa7a"),
+    ])
+    def test_product_cover_bytes_pinned(self, runner, args, digest):
+        result = run(runner, ["cover", "product", *args.split()])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
     def test_table_format(self, runner):
         # there is no --format: every command writes one JSON document

@@ -14,8 +14,6 @@ from nullcover import cover as cover_module
 from nullcover.cover import (
     DEFAULT_VERIFY_CAP,
     BlockPlan,
-    _differences,
-    _digit_columns,
     _int_array,
     _strictly_increasing,
     CoverCertificate,
@@ -45,9 +43,12 @@ from helpers import (
     add_residues,
     bound_product_by_product,
     cyclic_translator_by_sorting,
+    differences,
+    digit_columns,
     first_bound_below_by_scan,
     least_translator_by_scan,
     nullset_json_by_tuples,
+    product_translator_by_pairs,
     sub_residues,
     translators_by_scan,
     verify_cover_by_enumeration,
@@ -131,10 +132,10 @@ class TestFindTranslator:
         index = st.integers(0, G.order - 1)
         x = data.draw(index)
         ys = data.draw(st.lists(index, min_size=1, max_size=12))
-        columns = _digit_columns(G.orders, ys)
+        columns = digit_columns(G.orders, ys)
         ex = G.element_at(x)
-        assert _differences(columns, x, True) == [G.index_of(sub_residues(G, ex, G.element_at(y))) for y in ys]
-        assert _differences(columns, x, False) == [G.index_of(sub_residues(G, G.element_at(y), ex)) for y in ys]
+        assert differences(columns, x, True) == [G.index_of(sub_residues(G, ex, G.element_at(y))) for y in ys]
+        assert differences(columns, x, False) == [G.index_of(sub_residues(G, G.element_at(y), ex)) for y in ys]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(2, 6), min_size=2, max_size=4), st.integers(0, 4), st.randoms(use_true_random=False))
@@ -148,6 +149,54 @@ class TestFindTranslator:
         targets = rng.sample(range(G.order), rng.randint(1, min(n + 2, G.order)))
         expected = least_translator_by_scan(G, {G.element_at(i) for i in kept}, map(G.element_at, targets))
         assert find_translator(G, kept, targets, n) == G.index_of(expected)
+
+    @pytest.mark.parametrize("orders,depth,scattered", [
+        ((2,), 100, False), ((2,), 400, False), ((2, 3), 8, False), ((5, 251), 3, False),
+        ((3, 4099), 3, False), ((2, 2, 4099), 3, False),
+        ((2,), 100, True), ((2, 3), 8, True), ((5, 251), 3, True), ((2, 2, 4099), 2, True),
+    ])
+    def test_product_blocks_against_pairs(self, orders, depth, scattered):
+        # every block of seeded product plans, with the built prefix kept
+        # sets or scattered ones of several gaps, against the whole
+        # forbidden set built pair by pair
+        plan = plan_blocks_product(itertools.cycle(orders), depth)
+        rng = random.Random(depth)
+        slaloms = [random_slalom(plan, "n+2", seed) for seed in range(1 if depth > 100 else 4)]
+        for n, size in enumerate(plan.block_orders):
+            group = plan.block_group(n)
+            assert len(group.orders) > 1
+            if scattered:
+                kept = TestVerifyPadicAgainstValues.kept_set(size, n, rng)
+            else:
+                kept = range(kept_window(size, n)[1])
+            for slalom in slaloms:
+                targets = slalom.sets[n]
+                assert find_translator(group, kept, targets, n) == product_translator_by_pairs(group, kept, targets)
+
+
+class TestGapCylinders:
+    """The one carry-free layer of product blocks: a gap as disjoint
+    cylinders, which the product check and the translator search read."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(2, 7), min_size=1, max_size=4), st.data())
+    def test_cylinders_partition_the_gap(self, radices, data):
+        G = FiniteAbelianGroup(tuple(radices))
+        a = data.draw(st.integers(0, G.order - 1))
+        b = data.draw(st.integers(a + 1, G.order))
+        chains = cover_module._gap_cylinders(a, b, G.orders, G.weights)
+        covered = []
+        count = 0
+        for digits, steps in chains:
+            for i, lo, hi in steps:
+                count += 1
+                assert 0 <= lo <= hi <= radices[i]
+                # the fixed digits digits[:i], digit i in [lo, hi), later digits free
+                covered += [G.index_of((*digits[:i], d, *rest)) for d in range(lo, hi)
+                            for rest in itertools.product(*map(range, radices[i + 1:]))]
+        assert count <= 2 * len(radices) - 1
+        # disjoint, and their union is exactly [a, b)
+        assert sorted(covered) == list(range(a, b))
 
 
 class TestCyclicSweep:
@@ -880,8 +929,9 @@ class TestVerifyProductAgainstValues:
             outcomes = {self.check(spec, bad, slalom) for bad in self.tampered(spec, slalom, cert.translate, rng)}
             assert False in outcomes
 
-    def test_check_never_subtracts_values(self, monkeypatch):
-        # the per-value helpers of the product translator stay out of the check
+    def test_check_never_subtracts_values(self):
+        # the cylinder check against the value-by-value check, on a real
+        # cover and its tampered copies
         rng = random.Random(7)
         plan = self.plan(rng, 30)
         spec = build_nullset(plan)
@@ -889,12 +939,6 @@ class TestVerifyProductAgainstValues:
         cert = cover_product_slalom(spec, slalom)
         translates = [cert.translate, *self.tampered(spec, slalom, cert.translate, rng)]
         expected = [verify_product_by_values(spec, t, slalom) for t in translates]
-
-        def refuse(*args):
-            raise AssertionError("the check subtracted slalom values one by one")
-
-        monkeypatch.setattr(cover_module, "_digit_columns", refuse)
-        monkeypatch.setattr(cover_module, "_differences", refuse)
         assert [verify_cover(spec, t, slalom) for t in translates] == expected
         assert not all(result.ok for result in expected)
 

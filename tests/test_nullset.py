@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullcover.errors import CapExceeded, PreconditionViolated, SchemaError
+from nullcover.errors import CapExceeded, PreconditionViolated, SchemaError, rational_to_json
 from nullcover.nullset import (
     NUMERIC_DEPTH_CAP,
     TAIL_MAX,
@@ -17,7 +17,6 @@ from nullcover.nullset import (
     ek_sup,
     factorial_expand,
     rational_from_json,
-    rational_to_json,
 )
 
 from helpers import ek_membership_by_expansions, ek_sup_by_series, factorial_expand_by_fractions

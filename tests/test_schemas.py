@@ -114,6 +114,23 @@ def test_internal_failure_document_matches_schema(monkeypatch):
     assert "repro" in document["error"]
 
 
+# plans that carry the other mode's field as well, null included
+PLANS_WITH_BOTH_FIELDS = [
+    {"mode": "padic", "boundaries": [0, 3], "p": 2, "orders": [2, 2, 2]},
+    {"mode": "padic", "boundaries": [0, 3], "p": 2, "orders": None},
+    {"mode": "product", "boundaries": [0, 3], "orders": [2, 2, 2], "p": 2},
+    {"mode": "product", "boundaries": [0, 3], "orders": [2, 2, 2], "p": None},
+]
+
+
+@pytest.mark.parametrize("plan", PLANS_WITH_BOTH_FIELDS)
+def test_plan_with_both_mode_fields_is_refused(plan):
+    # the schema and the CLI refuse the same documents
+    assert not load_validator("blockplan.schema.json").is_valid(plan)
+    document = fail(["build-nullset", "--in", json.dumps(plan)], 2)
+    assert document["error"]["type"] == "SchemaError"
+
+
 def test_error_schema_rejects_junk():
     validator = load_validator("error.schema.json")
     assert not validator.is_valid({"error": {"type": "SchemaError"}})

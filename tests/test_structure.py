@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullcover.errors import (
+    DEFAULT_ENUM_CAP,
     CapExceeded,
     NotDiscrete,
     NotFiniteTorsion,
@@ -16,7 +17,7 @@ from nullcover.errors import (
     PreconditionViolated,
     SchemaError,
 )
-from nullcover.groups import DEFAULT_ENUM_CAP, FiniteAbelianGroup
+from nullcover.groups import FiniteAbelianGroup
 from nullcover.nullset import NUMERIC_DEPTH_CAP
 from nullcover.structure import (
     MAX_DESCRIPTOR_NESTING,
