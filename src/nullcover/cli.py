@@ -32,6 +32,7 @@ from .errors import (
     NullcoverError,
     SchemaError,
     _as_int,
+    _refuse_unknown_keys,
     rational_to_json,
 )
 
@@ -248,6 +249,8 @@ def build_nullset_cmd(payload: Optional[str]) -> dict:
 # -- covers -------------------------------------------------------------------
 
 
+# the fields of a cover bundle, which `cover --in` and `verify` read
+_BUNDLE_KEYS = ("spec", "slalom", "certificate")
 # the flags of a self-contained cover run, which a --in payload replaces
 _SELF_CONTAINED = ("orders", "cycle", "p", "depth", "seed")
 
@@ -269,6 +272,7 @@ def _cover_inputs(payload, plan_builder, width, seed):
         obj = parse_payload(payload)
         if not isinstance(obj, dict) or "spec" not in obj or "slalom" not in obj:
             raise SchemaError("cover payload must be an object with 'spec' and 'slalom'")
+        _refuse_unknown_keys(obj, _BUNDLE_KEYS, "cover payload")
         return cov.NullsetSpec.from_json(obj["spec"]), cov.Slalom.from_json(obj["slalom"])
     plan = plan_builder()
     spec = cov.build_nullset(plan)
@@ -346,6 +350,7 @@ def verify_cmd(payload: Optional[str], cap_verify: Optional[int]) -> dict:
     obj = parse_payload(payload)
     if not isinstance(obj, dict) or not {"spec", "slalom", "certificate"} <= obj.keys():
         raise SchemaError("verify payload must carry 'spec', 'slalom' and 'certificate'")
+    _refuse_unknown_keys(obj, _BUNDLE_KEYS, "verify payload")
     spec = cov.NullsetSpec.from_json(obj["spec"])
     slalom = cov.Slalom.from_json(obj["slalom"])
     cert = cov.CoverCertificate.from_json(spec.plan, obj["certificate"])

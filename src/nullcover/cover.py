@@ -31,8 +31,18 @@ coordinates one or two per target and cylinder of a gap, at most
 |targets| * gaps * (4k - 2) per block, sorted first.  Group elements
 appear only as the translate blocks of a certificate: the cover body
 encodes them and the check decodes each block once, in one pass that
-range-checks every digit.  Each plan builds its block orders and block
-groups once.
+range-checks every digit.
+
+The tables that depend on the plan or the spec alone, never on a
+translate, are built once, on first use.  Each plan holds its block
+orders and its block groups (:attr:`BlockPlan.block_groups`, one tuple
+that every reader zips with its per-block data).  Each spec holds its
+gaps and the gaps' cylinders (:attr:`NullsetSpec.gaps`,
+:attr:`NullsetSpec.cylinders`), which the check reads.  So checking one
+more translate on the same spec runs only flat per-block passes: decode
+the blocks, bisect the slalom sets, and in p-adic mode one backward and
+one forward pass over one tuple per block.  The translator search gets
+no spec, so it still computes the gaps and cylinders of its kept set.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -60,6 +70,7 @@ from .errors import (
     SchemaError,
     VerificationFailed,
     _as_int,
+    _refuse_unknown_keys,
 )
 from .groups import BlockGroup, FiniteAbelianGroup, is_prime
 
@@ -157,21 +168,13 @@ class BlockPlan:
         return tuple(self.p ** (b - a) for a, b in zip(self.boundaries, self.boundaries[1:]))
 
     @cached_property
-    def _block_groups(self) -> dict:
-        return {}
-
-    def block_group(self, n: int):
-        """The group structure on block n: a residue-vector group in
+    def block_groups(self) -> tuple:
+        """The group structure of each block: a residue-vector group in
         product mode, the digit codec of Z_{p^len} in p-adic mode."""
-        group = self._block_groups.get(n)
-        if group is None:
-            a, b = self.boundaries[n], self.boundaries[n + 1]
-            if self.mode == "product":
-                group = FiniteAbelianGroup(self.orders[a:b])
-            else:
-                group = BlockGroup(self.p, a, b)
-            self._block_groups[n] = group
-        return group
+        cuts = zip(self.boundaries, self.boundaries[1:])
+        if self.mode == "product":
+            return tuple(FiniteAbelianGroup(self.orders[a:b]) for a, b in cuts)
+        return tuple(BlockGroup(self.p, a, b) for a, b in cuts)
 
     def to_json(self) -> dict:
         obj = {"mode": self.mode, "boundaries": list(self.boundaries), "block_orders": list(self.block_orders)}
@@ -185,6 +188,7 @@ class BlockPlan:
     def from_json(cls, obj: object) -> "BlockPlan":
         if not isinstance(obj, dict):
             raise SchemaError("plan must be a JSON object")
+        _refuse_unknown_keys(obj, ("mode", "boundaries", "orders", "p", "block_orders"), "plan")
         try:
             mode = obj["mode"]
             boundaries = _int_array(obj["boundaries"], "boundary", "plan boundaries")
@@ -259,6 +263,18 @@ class NullsetSpec:
         intervals in increasing order; built once per spec, on first use."""
         return tuple(tuple(_gaps(kept, order)) for kept, order in zip(self.kept, self.plan.block_orders))
 
+    @cached_property
+    def cylinders(self) -> tuple:
+        """Per block of several coordinates, the two chains of cylinders
+        (:func:`_gap_cylinders`) of each gap; ``None`` for a cyclic block
+        (one coordinate, or a p-adic block).  Built once per spec, on
+        first use."""
+        return tuple(
+            None if len(getattr(group, "orders", ())) < 2
+            else tuple(_gap_cylinders(a, b, group.orders, group.weights) for a, b in gaps)
+            for group, gaps in zip(self.plan.block_groups, self.gaps)
+        )
+
     def to_json(self) -> dict:
         return {"plan": self.plan.to_json(), "A": [list(ind) for ind in self.kept]}
 
@@ -266,6 +282,7 @@ class NullsetSpec:
     def from_json(cls, obj: object) -> "NullsetSpec":
         if not isinstance(obj, dict) or "plan" not in obj or "A" not in obj:
             raise SchemaError("nullset spec must be an object with 'plan' and 'A'")
+        _refuse_unknown_keys(obj, ("plan", "A"), "nullset spec")
         plan = BlockPlan.from_json(obj["plan"])
         if not isinstance(obj["A"], list):
             raise SchemaError("'A' must be an array of arrays of indices")
@@ -358,6 +375,7 @@ class Slalom:
     def from_json(cls, obj: object) -> "Slalom":
         if not isinstance(obj, dict) or "width" not in obj or "sets" not in obj:
             raise SchemaError("slalom must be an object with 'width' and 'sets'")
+        _refuse_unknown_keys(obj, ("width", "sets"), "slalom")
         width = obj["width"]
         if isinstance(width, list):
             width = tuple(_as_int(w, "width entry") for w in width)
@@ -385,6 +403,7 @@ class CoverCertificate:
     def from_json(cls, plan: BlockPlan, obj: object) -> "CoverCertificate":
         if not isinstance(obj, dict) or "translate" not in obj:
             raise SchemaError("certificate must be an object with 'translate'")
+        _refuse_unknown_keys(obj, ("translate", "verified", "checked_count"), "certificate")
         flat = _int_array(obj["translate"], "translate digit", "the translate")
         if len(flat) != plan.boundaries[-1]:
             raise SchemaError(
@@ -778,17 +797,16 @@ def _cover(spec: NullsetSpec, slalom: Slalom, cap_enum: int, cap_verify: Optiona
     slalom.check_domains(plan)
     f = width_fn(tag)
     translate = []
-    for n, values in enumerate(slalom.sets):
+    blocks = zip(slalom.sets, plan.block_groups, plan.block_orders, spec.kept)
+    for n, (values, group, order, kept) in enumerate(blocks):
         if len(values) > f(n):
             raise PreconditionViolated(f"slalom set {n} is wider than {tag}")
-        group = plan.block_group(n)
-        order = plan.block_orders[n]
         targets = values
         if padic:
             # each value and its successor mod the order, which a carry into
             # the block makes; values are sorted, so only the last one wraps
             targets = [*values, *[v + 1 for v in values[:-1]], (values[-1] + 1) % order]
-        g = find_translator(group, spec.kept[n], targets, n, cap_enum)
+        g = find_translator(group, kept, targets, n, cap_enum)
         translate.append(group.element_at(-g % order if padic else g))
     translate = tuple(translate)
     result = verify_cover(spec, translate, slalom, cap_verify)
@@ -838,6 +856,11 @@ def verify_cover(
     element and block, whether the block sum is target + offset or
     target + offset + 1.
 
+    The per-spec tables, the gaps and in product mode the cylinders of
+    each gap, are built on the first check of a spec and read by every
+    later one; the block codecs are built once per plan.  Everything
+    that depends on the translate is computed afresh on every call.
+
     ``cap``, when given, bounds the number of slalom elements certified.
     There is none by default, since no element is visited.  The bound on
     the work is the slalom's own size: more than ``DEFAULT_ENUM_CAP``
@@ -854,7 +877,7 @@ def verify_cover(
     if len(translate) != plan.depth:
         raise PreconditionViolated(f"translate has {len(translate)} blocks, plan has {plan.depth}")
     # index_of rejects a translate block of the wrong length or range
-    offsets = [plan.block_group(n).index_of(block) for n, block in enumerate(translate)]
+    offsets = [group.index_of(block) for group, block in zip(plan.block_groups, translate)]
     verify = _verify_product if plan.mode == "product" else _verify_padic
     return verify(spec, offsets, slalom, total)
 
@@ -863,12 +886,12 @@ def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, t
     plan = spec.plan
     # first[n]: the least index of S_n whose value v has v - t_n in a gap
     first = []
-    for n, (values, t, gaps) in enumerate(zip(slalom.sets, offsets, spec.gaps)):
-        group = plan.block_group(n)
-        if len(group.orders) == 1:   # a cyclic block: carry-free is plain subtraction
-            first.append(_first_in_gaps(values, gaps, -t, group.order))
+    for values, t, order, gaps, group, cylinders in zip(
+            slalom.sets, offsets, plan.block_orders, spec.gaps, plan.block_groups, spec.cylinders):
+        if cylinders is None:   # a cyclic block: carry-free is plain subtraction
+            first.append(_first_in_gaps(values, gaps, -t, order))
         else:
-            first.append(_first_in_cylinders(values, gaps, t, group.orders, group.weights))
+            first.append(_first_in_cylinders(values, cylinders, t, group.orders, group.weights))
     failing = [n for n, (j, values) in enumerate(zip(first, slalom.sets)) if j < len(values)]
     if not failing:
         return VerifyResult(ok=True, witness=None, checked_count=total)
@@ -885,33 +908,29 @@ def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, t
 def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, total: int) -> VerifyResult:
     plan = spec.plan
     depth = plan.depth
-    # with carry c into block n the sorted values carry out of the block
-    # from index split[n][c] on, and first[n][c] is the least index whose
-    # block sum lands in a gap of the kept set (len(S_n) when none does)
-    split, first = [], []
-    for values, offset, order, gaps in zip(slalom.sets, offsets, plan.block_orders, spec.gaps):
-        split.append([bisect_left(values, order - offset - c) for c in (0, 1)])
-        first.append([_first_in_gaps(values, gaps, offset + c, order) for c in (0, 1)])
-    # backward pass: completions[n] = prod_{m >= n} |S_m|; escapes[n][c]
-    # and carried[n][c] cover the completions of blocks n.. entered with
-    # carry c, read from the two indices per block and carry: does some
-    # value leave the kept set, and how many values carry out 0 and 1
-    completions = [1] * (depth + 1)
-    escapes = [[False, False] for _ in range(depth + 1)]
-    carried = [[0, 0] for _ in range(depth + 1)]
-    for n in range(depth - 1, -1, -1):
-        size = len(slalom.sets[n])
-        completions[n] = size * completions[n + 1]
-        for c in (0, 1):
-            zeros = split[n][c]
-            ones = size - zeros
-            escapes[n][c] = (first[n][c] < size or (zeros > 0 and escapes[n + 1][0])
-                             or (ones > 0 and escapes[n + 1][1]))
-            carried[n][c] = c * completions[n] + zeros * carried[n + 1][0] + ones * carried[n + 1][1]
-    if not escapes[0][0]:
-        plain = total * depth - carried[0][0]
-        return VerifyResult(ok=True, witness=None, checked_count=total,
-                            carry_cases=(plain, carried[0][0]))
+    # backward pass, from the last block.  With carry c into block n the
+    # sorted values carry out of it from index split[c] on, and first[c]
+    # is the least index whose block sum lands in a gap of the kept set
+    # (|S_n| when none does).  For the completions of blocks n+1.., of
+    # which there are count = prod_{m > n} |S_m|, entered with carry 0
+    # and 1: e0 and e1 say whether some value leaves the kept set, and k0
+    # and k1 count the (element, block) pairs that carry.  Each block
+    # keeps what the forward pass reads.
+    rows = []
+    count, e0, e1, k0, k1 = 1, False, False, 0, 0
+    for values, offset, order, gaps in reversed(list(zip(slalom.sets, offsets, plan.block_orders, spec.gaps))):
+        size = len(values)
+        z0 = bisect_left(values, order - offset)
+        z1 = bisect_left(values, order - offset - 1)
+        f0 = _first_in_gaps(values, gaps, offset, order)
+        f1 = _first_in_gaps(values, gaps, offset + 1, order)
+        rows.append((values, (z0, z1), (f0, f1), count, e0, e1, k0, k1))
+        e0, e1 = (f0 < size or (z0 > 0 and e0) or (z0 < size and e1),
+                  f1 < size or (z1 > 0 and e0) or (z1 < size and e1))
+        k0, k1 = z0 * k0 + (size - z0) * k1, size * count + z1 * k0 + (size - z1) * k1
+        count *= size
+    if not e0:
+        return VerifyResult(ok=True, witness=None, checked_count=total, carry_cases=(total * depth - k0, k0))
     # forward pass: the least escaping element, its rank, and the carried
     # pairs of every element ranked up to it
     rank = 0
@@ -920,21 +939,21 @@ def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, tot
     c = 0
     escaped = False
     witness = []
-    for n in range(depth):
-        zeros, j = split[n][c], 0
+    for values, split, first, count, e0, e1, k0, k1 in reversed(rows):
+        zeros, j = split[c], 0
         if not escaped:
             # the first value in a gap, unless a completion escapes sooner
-            j = first[n][c]
-            if escapes[n + 1][1] and zeros < j:
+            j = first[c]
+            if e1 and zeros < j:
                 j = zeros
-            if escapes[n + 1][0] and zeros > 0:
+            if e0 and zeros > 0:
                 j = 0
-            rank += j * completions[n + 1]
-            carry_total += j * completions[n + 1] * (path_carries + c)
+            rank += j * count
+            carry_total += j * count * (path_carries + c)
             ones = max(j - zeros, 0)
-            carry_total += (j - ones) * carried[n + 1][0] + ones * carried[n + 1][1]
-            escaped = j == first[n][c]
-        witness.append(slalom.sets[n][j])
+            carry_total += (j - ones) * k0 + ones * k1
+            escaped = j == first[c]
+        witness.append(values[j])
         path_carries += c
         c = int(j >= zeros)
     checked = rank + 1
@@ -961,22 +980,24 @@ def _first_in_gaps(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift
     return best
 
 
-def _first_in_cylinders(values: Sequence[int], gaps: Sequence[tuple[int, int]], t: int,
+def _first_in_cylinders(values: Sequence[int], cylinders: Sequence, t: int,
                         radices: Sequence[int], weights: Sequence[int]) -> int:
     """Index of the least of the sorted ``values`` v whose carry-free
     difference v - t, in the mixed radix of ``radices`` (last digit
-    fastest), lands in one of the ``gaps``, or len(values).
+    fastest), lands in a gap, or len(values); ``cylinders`` holds the
+    two chains of :func:`_gap_cylinders` of each gap, as
+    :attr:`NullsetSpec.cylinders` does.
 
-    Adding t carry-free maps a cylinder of a gap (:func:`_gap_cylinders`)
-    to the cylinder with fixed digits (d_j + t_j) mod m_j whose digit i
-    runs over a cyclic range: one index interval, or two where it wraps.
-    The index of the fixed digits grows by one term per level along each
-    chain.  Each interval costs one bisection, bounded by the best index
-    found so far."""
+    Adding t carry-free maps a cylinder of a gap to the cylinder with
+    fixed digits (d_j + t_j) mod m_j whose digit i runs over a cyclic
+    range: one index interval, or two where it wraps.  The index of the
+    fixed digits grows by one term per level along each chain.  Each
+    interval costs one bisection, bounded by the best index found so
+    far."""
     shift = [t // w % m for w, m in zip(weights, radices)]
     best = len(values)
-    for a, b in gaps:
-        for digits, steps in _gap_cylinders(a, b, radices, weights):
+    for chains in cylinders:
+        for digits, steps in chains:
             fixed = j = 0
             for i, lo, hi in steps:
                 while j < i:

@@ -120,6 +120,15 @@ def _as_int(value: object, what: str) -> int:
     raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")
 
 
+def _refuse_unknown_keys(obj: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse a JSON object key outside ``allowed``, its schema's
+    ``properties`` (every published schema sets ``additionalProperties:
+    false``), with a :class:`SchemaError` that names the key."""
+    for key in obj:
+        if key not in allowed:
+            raise SchemaError(f"{what} has unknown field {key!r}")
+
+
 def rational_to_json(q) -> dict:
     """An exact rational (a ``Fraction``) as decimal strings, so that
     numerators and denominators of any size survive JSON."""

@@ -25,6 +25,7 @@ from .errors import (
     PreconditionViolated,
     SchemaError,
     _as_int,
+    _refuse_unknown_keys,
 )
 from .groups import FiniteAbelianGroup, GroupElement, is_prime
 
@@ -206,24 +207,31 @@ def _descriptor_from_json(obj: object, nesting: int) -> Descriptor:
             if nesting == MAX_DESCRIPTOR_NESTING:
                 raise SchemaError(f"descriptor nests more than {MAX_DESCRIPTOR_NESTING} compounds")
             parts = tuple([_descriptor_from_json(p, nesting + 1) for p in obj["parts"]])
-            return {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}[kind](parts)
-        if kind == "Cyclic":
-            return Cyclic(_as_int(obj["m"], "Cyclic m"))
-        if kind == "Quasicyclic":
-            return Quasicyclic(_as_int(obj["p"], "Quasicyclic p"))
-        if kind == "Padic":
-            return Padic(_as_int(obj["p"], "Padic p"))
-        if kind == "Int":
-            return Int()
-        if kind == "Reals":
-            return Reals()
-        if kind == "Torus":
-            return Torus()
+            node = {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}[kind](parts)
+            fields = ("type", "parts")
+        elif kind == "Cyclic":
+            node, fields = Cyclic(_as_int(obj["m"], "Cyclic m")), ("type", "m")
+        elif kind == "Quasicyclic":
+            node, fields = Quasicyclic(_as_int(obj["p"], "Quasicyclic p")), ("type", "p")
+        elif kind == "Padic":
+            node, fields = Padic(_as_int(obj["p"], "Padic p")), ("type", "p")
+        elif kind == "Int":
+            node, fields = Int(), ("type",)
+        elif kind == "Reals":
+            node, fields = Reals(), ("type",)
+        elif kind == "Torus":
+            node, fields = Torus(), ("type",)
+        else:
+            raise SchemaError(f"unknown descriptor type {kind!r}")
     except KeyError as missing:
         raise SchemaError(f"descriptor {kind} is missing field {missing}") from None
     except (TypeError, ValueError):
         raise SchemaError(f"descriptor {kind} has a malformed field") from None
-    raise SchemaError(f"unknown descriptor type {kind!r}")
+    # the node read every field its schema lists, so only a larger count
+    # can hide a key outside the schema; the keys are read only then
+    if len(obj) != len(fields):
+        _refuse_unknown_keys(obj, fields, f"descriptor {kind}")
+    return node
 
 
 # ---------------------------------------------------------------------------

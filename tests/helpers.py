@@ -125,7 +125,7 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
     if plan.mode == "product":
         ok_flags = []
         for n, values in enumerate(slalom.sets):
-            group = plan.block_group(n)
+            group = plan.block_groups[n]
             shifted = {add_residues(group, translate[n], group.element_at(i)) for i in spec.kept[n]}
             ok_flags.append([group.element_at(v) in shifted for v in values])
         for combo in itertools.product(*(zip(s, flags) for s, flags in zip(slalom.sets, ok_flags))):
@@ -139,7 +139,7 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
     modulus = p ** cuts[-1]
     block_sizes = plan.block_orders
     kept_sets = [frozenset(ind) for ind in spec.kept]
-    offset_vals = [plan.block_group(n).index_of(block) for n, block in enumerate(translate)]
+    offset_vals = [G.index_of(block) for G, block in zip(plan.block_groups, translate)]
     offset_total = sum(v * p ** cuts[n] for n, v in enumerate(offset_vals))
     no_carry = carried = 0
     checked = 0
@@ -252,7 +252,7 @@ def verify_product_by_values(spec, translate, slalom):
     total = slalom.element_count()
     passes = []
     for n, (values, block) in enumerate(zip(slalom.sets, translate)):
-        group = plan.block_group(n)
+        group = plan.block_groups[n]
         shifted = differences(digit_columns(group.orders, values), group.index_of(block), x_first=False)
         passes.append([contains(spec.kept[n], v) for v in shifted])
     failing = [n for n, flags in enumerate(passes) if not all(flags)]

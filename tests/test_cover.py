@@ -162,8 +162,7 @@ class TestFindTranslator:
         plan = plan_blocks_product(itertools.cycle(orders), depth)
         rng = random.Random(depth)
         slaloms = [random_slalom(plan, "n+2", seed) for seed in range(1 if depth > 100 else 4)]
-        for n, size in enumerate(plan.block_orders):
-            group = plan.block_group(n)
+        for n, (size, group) in enumerate(zip(plan.block_orders, plan.block_groups)):
             assert len(group.orders) > 1
             if scattered:
                 kept = TestVerifyPadicAgainstValues.kept_set(size, n, rng)
@@ -262,9 +261,9 @@ class TestPlans:
 
     def test_block_groups_built_once_per_plan(self):
         for plan in (plan_blocks_padic(3, 4), plan_blocks_product(itertools.cycle([2, 3]), 4)):
-            groups = [plan.block_group(n) for n in range(plan.depth)]
-            assert [plan.block_group(n) for n in range(plan.depth)] == groups
-            assert all(plan.block_group(n) is g for n, g in enumerate(groups))
+            groups = plan.block_groups
+            assert isinstance(groups, tuple) and len(groups) == plan.depth
+            assert plan.block_groups is groups
             assert [g.order for g in groups] == list(plan.block_orders)
             assert plan.block_orders is plan.block_orders
             assert BlockPlan.from_json(plan.to_json()) == plan
@@ -516,7 +515,7 @@ class TestProductCover:
         spec = product_spec(2)
         slalom = Slalom(width="n+2", sets=((0, 1), (2, 3, 4)))
         cert = cover_product_slalom(spec, slalom)
-        assert cert.translate == tuple(zero_residues(spec.plan.block_group(n)) for n in range(2))
+        assert cert.translate == tuple(map(zero_residues, spec.plan.block_groups))
         assert cert.verified
 
     def test_depth_two_example(self):
@@ -525,8 +524,7 @@ class TestProductCover:
         cert = cover_product_slalom(spec, slalom)
         assert cert.verified and cert.checked_count == 2
         # oracle: least translator per block by scanning the whole block group
-        for n in range(2):
-            G = spec.plan.block_group(n)
+        for n, G in enumerate(spec.plan.block_groups):
             kept = [G.element_at(i) for i in spec.kept[n]]
             targets = [G.element_at(v) for v in slalom.sets[n]]
             assert cert.translate[n] == least_translator_by_scan(G, kept, targets)
@@ -626,7 +624,7 @@ class TestVerifyCover:
         # set {0..5}), while 1 and 2 still cover
         spec = padic_spec(2, 1)
         slalom = Slalom(width="(n+2)//2", sets=((3,),))
-        block = spec.plan.block_group(0)
+        block = spec.plan.block_groups[0]
         outcomes = {}
         for value in range(8):
             result = verify_cover(spec, (block.element_at(value),), slalom)
@@ -640,7 +638,7 @@ class TestVerifyCover:
     def test_product_witness_is_lexicographically_least(self):
         spec = product_spec(2)
         slalom = Slalom(width="n+2", sets=((0, 6), (0, 15)))
-        G0, G1 = spec.plan.block_group(0), spec.plan.block_group(1)
+        G0, G1 = spec.plan.block_groups
         bad = (G0.element_at(1), G1.element_at(1))
         result = verify_cover(spec, bad, slalom)
         # oracle: scan the four slalom elements in order
@@ -663,7 +661,7 @@ class TestVerifyCover:
         spec = product_spec(2)
         slalom = Slalom(width="n+2", sets=((0, 1), (0, 1, 2)))
         with pytest.raises(CapExceeded):
-            verify_cover(spec, tuple(zero_residues(spec.plan.block_group(n)) for n in range(2)), slalom, cap=5)
+            verify_cover(spec, tuple(map(zero_residues, spec.plan.block_groups)), slalom, cap=5)
 
     def test_no_element_cap_by_default(self):
         padic, product = padic_spec(2, 30), product_spec(30)
@@ -681,7 +679,7 @@ class TestVerifyCover:
         # the work bound: the values the slalom holds, sum |S_n|
         spec = product_spec(2)
         slalom = Slalom(width="n+2", sets=((0, 1), (0, 1, 2)))
-        translate = tuple(zero_residues(spec.plan.block_group(n)) for n in range(2))
+        translate = tuple(map(zero_residues, spec.plan.block_groups))
         monkeypatch.setattr(cover_module, "DEFAULT_ENUM_CAP", 4)
         with pytest.raises(CapExceeded, match="5 values"):
             verify_cover(spec, translate, slalom)
@@ -716,10 +714,9 @@ class TestVerifyAgainstEnumeration:
         yield accepted
         for _ in range(3):
             n = rng.randrange(plan.depth)
-            block = plan.block_group(n).element_at(rng.randrange(plan.block_orders[n]))
+            block = plan.block_groups[n].element_at(rng.randrange(plan.block_orders[n]))
             yield accepted[:n] + (block,) + accepted[n + 1:]
-        yield tuple(plan.block_group(n).element_at(rng.randrange(size))
-                    for n, size in enumerate(plan.block_orders))
+        yield tuple(G.element_at(rng.randrange(size)) for G, size in zip(plan.block_groups, plan.block_orders))
 
     def check(self, spec, slalom, accepted, rng):
         seen = set()
@@ -824,7 +821,7 @@ class TestVerifyPadicAgainstValues:
         yield [rng.randrange(size) for size in plan.block_orders]
 
     def check(self, spec, slalom, offsets):
-        translate = tuple(spec.plan.block_group(n).element_at(t) for n, t in enumerate(offsets))
+        translate = tuple(G.element_at(t) for G, t in zip(spec.plan.block_groups, offsets))
         expected = verify_padic_by_values(spec, translate, slalom)
         assert verify_cover(spec, translate, slalom, cap=slalom.element_count()) == expected
         return expected.ok
@@ -837,7 +834,7 @@ class TestVerifyPadicAgainstValues:
         if slalom.width == "(n+2)//2":
             cert = cover_padic_slalom(PadicContext(p, random_kept.plan.boundaries[-1]), random_kept, slalom,
                                       cap_verify=slalom.element_count())
-            accepted = [random_kept.plan.block_group(n).index_of(b) for n, b in enumerate(cert.translate)]
+            accepted = [G.index_of(b) for G, b in zip(random_kept.plan.block_groups, cert.translate)]
             assert self.check(random_kept, slalom, accepted)
         for spec in (covering, random_kept):
             outcomes = {self.check(spec, slalom, bad) for bad in self.tampered(spec, slalom, offsets, rng)}
@@ -861,6 +858,40 @@ class TestVerifyPadicAgainstValues:
     def test_built_nullsets_have_one_gap_per_block(self):
         for plan in (plan_blocks_padic(2, 100), plan_blocks_product(itertools.cycle([2]), 30)):
             assert all(len(gaps) == 1 for gaps in build_nullset(plan).gaps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 12), st.booleans(), st.data())
+    def test_flat_passes_against_values(self, p, depth, covering, data):
+        # the edges of the two passes: offsets that make either carry's
+        # split 0 or |S_n|, single-value sets, kept sets with a gap at
+        # index 0, at the end or scattered into several gaps, and kept
+        # sets that avoid every value plus offset plus carry, so that
+        # accepted checks occur too
+        plan = plan_blocks_padic(p, depth)
+        sets, offsets, kept = [], [], []
+        for n, order in enumerate(plan.block_orders):
+            values = sorted(data.draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=max(1, (n + 2) // 2))))
+            edges = [(order - v - c) % order for v in (values[0], values[-1]) for c in (0, 1)]
+            offset = data.draw(st.one_of(st.sampled_from([0, *edges]), st.integers(0, order - 1)))
+            lo, hi = kept_window(order, n)
+            missing = data.draw(st.integers(order - hi, order - lo))
+            where = "avoid" if covering else data.draw(st.sampled_from(["zero", "end", "scattered"]))
+            if where == "zero":
+                gaps = range(missing)
+            elif where == "end":
+                gaps = range(order - missing, order)
+            else:
+                images = {(v + offset + c) % order for v in values for c in (0, 1)} if covering else set()
+                gaps = data.draw(st.permutations([i for i in range(order) if i not in images]))[:missing]
+            sets.append(tuple(values))
+            offsets.append(offset)
+            kept.append(tuple(sorted(set(range(order)) - set(gaps))))
+        spec = NullsetSpec(plan, tuple(kept))
+        slalom = Slalom(tuple(map(len, sets)), tuple(sets))
+        translate = tuple(G.element_at(t) for G, t in zip(plan.block_groups, offsets))
+        expected = verify_padic_by_values(spec, translate, slalom)
+        assert cover_module._verify_padic(spec, offsets, slalom, slalom.element_count()) == expected
+        assert expected.ok or not covering
 
 
 class TestVerifyProductAgainstValues:
@@ -897,13 +928,12 @@ class TestVerifyProductAgainstValues:
         for _ in range(4):
             # a value of block n sent into a gap: t = v - c for c in a gap
             n = rng.randrange(plan.depth)
-            G = plan.block_group(n)
+            G = plan.block_groups[n]
             a, b = spec.gaps[n][rng.randrange(len(spec.gaps[n]))]
             v = G.element_at(rng.choice(slalom.sets[n]))
             block = sub_residues(G, v, G.element_at(rng.randrange(a, b)))
             yield translate[:n] + (block,) + translate[n + 1:]
-        yield tuple(plan.block_group(n).element_at(rng.randrange(size))
-                    for n, size in enumerate(plan.block_orders))
+        yield tuple(G.element_at(rng.randrange(size)) for G, size in zip(plan.block_groups, plan.block_orders))
 
     def check(self, spec, translate, slalom):
         expected = verify_product_by_values(spec, translate, slalom)
@@ -941,6 +971,70 @@ class TestVerifyProductAgainstValues:
         expected = [verify_product_by_values(spec, t, slalom) for t in translates]
         assert [verify_cover(spec, t, slalom) for t in translates] == expected
         assert not all(result.ok for result in expected)
+
+    def test_cylinders_built_once_per_spec(self, monkeypatch):
+        calls = []
+        real = cover_module._gap_cylinders
+        monkeypatch.setattr(cover_module, "_gap_cylinders", lambda *args: calls.append(args) or real(*args))
+        rng = random.Random(11)
+        plan = self.plan(rng, 30)
+        spec = NullsetSpec(plan, tuple(TestVerifyPadicAgainstValues.kept_set(size, n, rng)
+                                       for n, size in enumerate(plan.block_orders)))
+        slalom = random_slalom(plan, "n+2", 11)
+        first, second = (tuple(G.element_at(rng.randrange(G.order)) for G in plan.block_groups) for _ in range(2))
+        verify_cover(spec, first, slalom)
+        wide = [gaps for G, gaps in zip(plan.block_groups, spec.gaps) if len(G.orders) > 1]
+        assert len(calls) == sum(map(len, wide)) > len(wide) > 0
+        calls.clear()
+        verify_cover(spec, second, slalom)
+        assert calls == []
+        assert spec.cylinders is spec.cylinders
+        for G, gaps, cylinders in zip(plan.block_groups, spec.gaps, spec.cylinders):
+            if len(G.orders) == 1:
+                assert cylinders is None
+            else:
+                assert cylinders == tuple(real(a, b, G.orders, G.weights) for a, b in gaps)
+        assert set(build_nullset(plan_blocks_padic(2, 20)).cylinders) == {None}
+        assert set(build_nullset(plan_blocks_product([64, 128, 256], 3)).cylinders) == {None}
+
+
+class TestTablesIndependentOfTranslate:
+    """What a spec and its plan build once (gaps, cylinders, block
+    groups) holds for every translate: one spec checked against many
+    translates in random order gives what fresh specs and the
+    value-by-value checks give."""
+
+    @pytest.mark.parametrize("mode", ["padic", "product"])
+    def test_one_spec_many_translates(self, mode):
+        rng = random.Random(mode)
+        if mode == "padic":
+            plan = plan_blocks_padic(3, 40)
+            slalom = random_slalom(plan, "(n+2)//2", 5)
+            oracle = verify_padic_by_values
+        else:
+            plan = TestVerifyProductAgainstValues.plan(rng, 40)
+            slalom = random_slalom(plan, "n+2", 5)
+            oracle = verify_product_by_values
+        kept = tuple(TestVerifyPadicAgainstValues.kept_set(size, n, rng) for n, size in enumerate(plan.block_orders))
+        spec = NullsetSpec(plan, kept)
+        if mode == "padic":
+            cert = cover_padic_slalom(PadicContext(3, plan.boundaries[-1]), spec, slalom)
+        else:
+            cert = cover_product_slalom(spec, slalom)
+        translates = [cert.translate]
+        for _ in range(12):   # one block changed, early or late
+            n = rng.randrange(plan.depth)
+            G = plan.block_groups[n]
+            translates.append(cert.translate[:n] + (G.element_at(rng.randrange(G.order)),) + cert.translate[n + 1:])
+        translates += [tuple(G.element_at(rng.randrange(G.order)) for G in plan.block_groups) for _ in range(4)]
+        rng.shuffle(translates)
+        results = []
+        for translate in translates:
+            fresh = NullsetSpec(BlockPlan.from_json(plan.to_json()), kept)
+            result = verify_cover(spec, translate, slalom)
+            assert result == verify_cover(fresh, translate, slalom) == oracle(fresh, translate, slalom)
+            results.append(result.ok)
+        assert True in results and False in results
 
 
 class TestRandomSlalom:

@@ -136,3 +136,63 @@ def test_error_schema_rejects_junk():
     assert not validator.is_valid({"error": {"type": "SchemaError"}})
     assert not validator.is_valid({"error": {"type": "KeyError", "message": "x"}})
     assert not validator.is_valid({"error": {"type": "SchemaError", "message": "x"}, "ok": True})
+
+
+# where a bundle gets a key its schema does not list, the schema of the
+# object there, and the key with a value
+UNKNOWN_KEYS = [
+    ((), "cover-bundle.schema.json", "note", "x"),
+    (("spec",), "nullsetspec.schema.json", "B", []),
+    (("spec", "plan"), "blockplan.schema.json", "bloc_orders", [9]),
+    (("slalom",), "slalom.schema.json", "widths", "n+2"),
+    (("certificate",), "certificate.schema.json", "verifed", True),
+]
+
+
+@pytest.mark.parametrize("path,schema,key,value", UNKNOWN_KEYS)
+def test_unknown_keys_are_refused(path, schema, key, value):
+    # the schemas and the CLI refuse the same documents, and the error
+    # names the key
+    bundle = emit(["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"])
+    part = bundle
+    for name in path:
+        part = part[name]
+    part[key] = value
+    assert not load_validator(schema).is_valid(part)
+    assert not load_validator("cover-bundle.schema.json").is_valid(bundle)
+    commands = [["verify", "--in", json.dumps(bundle)]]
+    if path[:1] != ("certificate",):   # a cover reads no certificate
+        commands.append(["cover", "padic", "--in", json.dumps(bundle)])
+    if path == ("spec",):
+        commands.append(["measure", "--in", json.dumps(part), "--blocks", "1"])
+    if path == ("spec", "plan"):
+        commands += [["build-nullset", "--in", json.dumps(part)],
+                     ["slalom-gen", "--in", json.dumps(part), "--width", "n+2"]]
+    for args in commands:
+        document = fail(args, 2)
+        assert document["error"]["type"] == "SchemaError"
+        assert repr(key) in document["error"]["message"]
+
+
+def test_misspelt_verified_no_longer_skips_the_count_check():
+    bundle = emit(["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"])
+    bundle["certificate"] = {"translate": bundle["certificate"]["translate"], "verifed": True, "checked_count": 5}
+    assert "'verifed'" in fail(["verify", "--in", json.dumps(bundle)], 2)["error"]["message"]
+    bundle["certificate"]["verified"] = bundle["certificate"].pop("verifed")
+    assert "claims 5 checked elements" in fail(["verify", "--in", json.dumps(bundle)], 2)["error"]["message"]
+
+
+@pytest.mark.parametrize("descriptor,key", [
+    ({"type": "Int", "m": 2}, "m"),
+    ({"type": "Torus", "parts": []}, "parts"),
+    ({"type": "Cyclic", "m": 2, "p": 3}, "p"),
+    ({"type": "Padic", "p": 3, "m": 9}, "m"),
+    ({"type": "SumOmega", "parts": [{"type": "Cyclic", "m": 2}], "p": 2}, "p"),
+    ({"type": "FiniteSum", "parts": [{"type": "Int"}, {"type": "Reals", "m": 2}]}, "m"),
+])
+def test_descriptor_with_unknown_key_is_refused(descriptor, key):
+    assert not load_validator("descriptor.schema.json").is_valid(descriptor)
+    for command in ("dual", "classify", "pipeline"):
+        document = fail([command, "--in", json.dumps(descriptor)], 2)
+        assert document["error"]["type"] == "SchemaError"
+        assert repr(key) in document["error"]["message"]

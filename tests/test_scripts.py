@@ -46,3 +46,28 @@ def test_deep_table_rows():
     assert all(row["bundle_mb"] > 0 for row in rows)
     # a built nullset holds one range per block, not its indices
     assert all(0 < row["build_peak_mib"] < 1 for row in rows)
+
+
+def test_ab_ops_smoke():
+    # the tree against itself: the checks agree and both trees are timed
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT), str(ROOT),
+         "--workload", "cover-deep", "--rounds", "1", "--passes", "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "check texts equal" in result.stdout
+    assert "change won" in result.stdout
+
+
+def test_ab_ops_refuses_cli_cold():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT), str(ROOT), "--workload", "cli-cold"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert "cli-cold" in result.stderr
