@@ -62,9 +62,6 @@ INTEGER = _Integer()
 CAP = _Integer(positive=True)
 
 seed_option = click.option("--seed", type=INTEGER, default=0, show_default=True, help="Deterministic seed.")
-cap_enum_option = click.option(
-    "--cap-enum", type=CAP, default=DEFAULT_ENUM_CAP, help="Enumeration cap (default 2^20)."
-)
 
 
 def _cap_verify_option(default: Optional[int], help: str):
@@ -302,10 +299,9 @@ def cover_group() -> None:
 @click.option("--cycle", is_flag=True)
 @click.option("--depth", type=INTEGER, default=None)
 @seed_option
-@cap_enum_option
 @cap_verify_option
 @command
-def cover_product_cmd(payload, orders, cycle, depth, seed, cap_enum, cap_verify) -> dict:
+def cover_product_cmd(payload, orders, cycle, depth, seed, cap_verify) -> dict:
     from . import cover as cov
 
     def build():
@@ -314,7 +310,7 @@ def cover_product_cmd(payload, orders, cycle, depth, seed, cap_enum, cap_verify)
         return cov.plan_blocks_product(_order_supply(_parse_orders(orders), cycle), depth)
 
     spec, slalom = _cover_inputs(payload, build, "n+2", seed)
-    return _cover_bundle(spec, slalom, lambda: cov.cover_product_slalom(spec, slalom, cap_enum, cap_verify))
+    return _cover_bundle(spec, slalom, lambda: cov.cover_product_slalom(spec, slalom, cap_verify))
 
 
 @cover_group.command("padic")
@@ -322,10 +318,9 @@ def cover_product_cmd(payload, orders, cycle, depth, seed, cap_enum, cap_verify)
 @click.option("--p", type=INTEGER, default=None, help="Self-contained mode: the prime.")
 @click.option("--depth", type=INTEGER, default=None)
 @seed_option
-@cap_enum_option
 @cap_verify_option
 @command
-def cover_padic_cmd(payload, p, depth, seed, cap_enum, cap_verify) -> dict:
+def cover_padic_cmd(payload, p, depth, seed, cap_verify) -> dict:
     from . import cover as cov
     from .groups import PadicContext
 
@@ -337,7 +332,7 @@ def cover_padic_cmd(payload, p, depth, seed, cap_enum, cap_verify) -> dict:
     spec, slalom = _cover_inputs(payload, build, "(n+2)//2", seed)
     # a product-mode spec has no prime; the cover refuses its mode
     ctx = PadicContext(spec.plan.p, spec.plan.boundaries[-1]) if spec.plan.mode == "padic" else None
-    return _cover_bundle(spec, slalom, lambda: cov.cover_padic_slalom(ctx, spec, slalom, cap_enum, cap_verify))
+    return _cover_bundle(spec, slalom, lambda: cov.cover_padic_slalom(ctx, spec, slalom, cap_verify))
 
 
 @main.command("verify")
@@ -523,6 +518,7 @@ def cube_check_cmd(payload, cap_verify: int) -> dict:
     obj = parse_payload(payload)
     if not isinstance(obj, dict) or "plan" not in obj or "family" not in obj:
         raise SchemaError("cube-check payload must carry 'plan' and 'family'")
+    _refuse_unknown_keys(obj, ("plan", "family"), "cube-check payload")
     plan = cov.BlockPlan.from_json(obj["plan"])
     if not isinstance(obj["family"], list):
         raise SchemaError("'family' must be an array of slaloms")

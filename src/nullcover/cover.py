@@ -28,7 +28,8 @@ stops at the first free index reads the intervals that the targets and
 gaps forbid: in a cyclic block (one coordinate, or a p-adic digit block)
 one per target and gap, already in order; in a product of several
 coordinates one or two per target and cylinder of a gap, at most
-|targets| * gaps * (4k - 2) per block, sorted first.  Group elements
+|targets| * gaps * (4k - 2) per block, sorted first.  Neither count
+grows with the block order, so no cap bounds it.  Group elements
 appear only as the translate blocks of a certificate: the cover body
 encodes them and the check decodes each block once, in one pass that
 range-checks every digit.
@@ -401,9 +402,13 @@ class CoverCertificate:
 
     @classmethod
     def from_json(cls, plan: BlockPlan, obj: object) -> "CoverCertificate":
-        if not isinstance(obj, dict) or "translate" not in obj:
-            raise SchemaError("certificate must be an object with 'translate'")
-        _refuse_unknown_keys(obj, ("translate", "verified", "checked_count"), "certificate")
+        fields = ("translate", "verified", "checked_count")
+        if not isinstance(obj, dict):
+            raise SchemaError("certificate must be an object")
+        _refuse_unknown_keys(obj, fields, "certificate")
+        for key in fields:
+            if key not in obj:
+                raise SchemaError(f"certificate is missing field {key!r}")
         flat = _int_array(obj["translate"], "translate digit", "the translate")
         if len(flat) != plan.boundaries[-1]:
             raise SchemaError(
@@ -412,14 +417,10 @@ class CoverCertificate:
         blocks = tuple(
             tuple(flat[a:b]) for a, b in zip(plan.boundaries, plan.boundaries[1:])
         )
-        verified = obj.get("verified", False)
+        verified = obj["verified"]
         if not isinstance(verified, bool):
             raise SchemaError("'verified' must be a boolean")
-        return cls(
-            translate=blocks,
-            verified=verified,
-            checked_count=_as_int(obj.get("checked_count", 0), "checked_count"),
-        )
+        return cls(translate=blocks, verified=verified, checked_count=_as_int(obj["checked_count"], "checked_count"))
 
 
 @dataclass(frozen=True)
@@ -442,7 +443,7 @@ class VerifyResult:
         return obj
 
 
-def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) -> int:
     """Least index g with every target in g + kept, all in enumeration
     indices of ``group``; ``kept`` is sorted and duplicate-free, as in
     :attr:`NullsetSpec.kept`.
@@ -464,7 +465,9 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
     mixed radix, so each gap is split into at most 2k - 1 cylinders, as
     the product check splits it (:func:`_gap_cylinders`), and each target
     and cylinder forbid one or two index intervals, which the same sweep
-    reads once they are sorted.
+    reads once they are sorted.  The work is at most |targets| * gaps *
+    (4k - 2) intervals and never grows with the order of ``group``, so no
+    cap bounds the block order.
     """
     if n < 0:
         raise PreconditionViolated(f"level must be >= 0, got {n}")
@@ -477,8 +480,6 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int, 
         )
     if len(targets) > n + 2:
         raise PreconditionViolated(f"{len(targets)} targets exceed the level-{n} limit {n + 2}")
-    if order > cap:
-        raise CapExceeded(f"group order {_count_text(order)} exceeds enumeration cap {cap}")
     if kept[0] < 0 or kept[-1] >= order or (targets and (targets[0] < 0 or targets[-1] >= order)):
         raise PreconditionViolated(f"kept or target indices outside [0, {order})")
     gaps = _gaps(kept, order)
@@ -747,25 +748,25 @@ def first_bound_below(threshold: Fraction) -> int:
 def cover_product_slalom(
     spec: NullsetSpec,
     slalom: Slalom,
-    cap_enum: int = DEFAULT_ENUM_CAP,
     cap_verify: Optional[int] = None,
 ) -> CoverCertificate:
     """Cover a width-(n+2) slalom by one translate of the product nullset.
 
     No carries exist in product mode, so the blocks are independent: the
     targets are the slalom values and the translate's n-th component is
-    the translator found on the block group.
+    the translator found on the block group.  ``cap_verify`` bounds the
+    slalom elements the re-check certifies, as ``cap`` in
+    :func:`verify_cover`; nothing bounds the block orders.
     """
     if spec.plan.mode != "product":
         raise PreconditionViolated("cover_product_slalom needs a product-mode spec")
-    return _cover(spec, slalom, cap_enum, cap_verify)
+    return _cover(spec, slalom, cap_verify)
 
 
 def cover_padic_slalom(
     ctx,
     spec: NullsetSpec,
     slalom: Slalom,
-    cap_enum: int = DEFAULT_ENUM_CAP,
     cap_verify: Optional[int] = None,
 ) -> CoverCertificate:
     """Cover a width-((n+2)//2) slalom by one additive offset in the
@@ -774,7 +775,8 @@ def cover_padic_slalom(
     Carries couple the blocks, so each slalom set is closed under an
     incoming carry: targets_n = S_n united with S_n + 1 mod p^len, at
     most 2 * ((n+2)//2) <= n+2 values.  The offset's n-th block is minus
-    the found translator.
+    the found translator.  ``cap_verify`` is as in
+    :func:`cover_product_slalom`.
     """
     plan = spec.plan
     if plan.mode != "padic":
@@ -783,10 +785,10 @@ def cover_padic_slalom(
         raise PreconditionViolated(
             f"context ({ctx.p}, {ctx.length}) does not match plan ({plan.p}, {plan.boundaries[-1]})"
         )
-    return _cover(spec, slalom, cap_enum, cap_verify)
+    return _cover(spec, slalom, cap_verify)
 
 
-def _cover(spec: NullsetSpec, slalom: Slalom, cap_enum: int, cap_verify: Optional[int]) -> CoverCertificate:
+def _cover(spec: NullsetSpec, slalom: Slalom, cap_verify: Optional[int]) -> CoverCertificate:
     """Both modes: per block, close the slalom values into targets, find
     the least translator with :func:`find_translator` and write its
     translate block; then re-check the assembled translate with
@@ -806,7 +808,7 @@ def _cover(spec: NullsetSpec, slalom: Slalom, cap_enum: int, cap_verify: Optiona
             # each value and its successor mod the order, which a carry into
             # the block makes; values are sorted, so only the last one wraps
             targets = [*values, *[v + 1 for v in values[:-1]], (values[-1] + 1) % order]
-        g = find_translator(group, kept, targets, n, cap_enum)
+        g = find_translator(group, kept, targets, n)
         translate.append(group.element_at(-g % order if padic else g))
     translate = tuple(translate)
     result = verify_cover(spec, translate, slalom, cap_verify)

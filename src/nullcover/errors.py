@@ -13,10 +13,9 @@ shares: the strict integer parser and the JSON form of a rational.
 
 import re
 
-# Default cap on what a run enumerates: the order of a block the
-# translator searches, the elements of a nullset's blocks in all, the
-# values of a random slalom or of a checked one, the entries of a
-# divisible chain.
+# Default cap on what a run builds: the elements of a nullset's blocks
+# in all, the values of a random slalom or of a checked one, the entries
+# of a divisible chain.
 DEFAULT_ENUM_CAP = 1 << 20
 # Largest cube a default cube check scans point by point.  A cover check
 # has no element cap by default, since it never visits the elements one

@@ -119,8 +119,8 @@ class TestCoverRoundTrip:
         assert result.stdout.count("\n") == 1
         error = json.loads(result.stdout)["error"]
         assert error["type"] == "SchemaError" and named in error["message"]
-        # the caps apply to both input modes
-        again = run_json(runner, ["cover", run_args[0], "--in", f"@{payload}", "--cap-enum", "100000"])
+        # the cap applies to both input modes
+        again = run_json(runner, ["cover", run_args[0], "--in", f"@{payload}", "--cap-verify", "100000"])
         assert again == bundle
 
     @pytest.mark.parametrize(
@@ -364,6 +364,8 @@ class TestErrorChannel:
             ["ek", "sup", "--depth", "3", "--seed", "5"],
             ["dual", "--in", '{"type":"Int"}', "--cap-enum", "4"],
             ["plan", "padic", "--p", "2", "--depth", "1", "--cap-verify", "4"],
+            # a cover searches any block order, so it has no --cap-enum
+            ["cover", "product", "--orders", "2", "--cycle", "--depth", "3", "--cap-enum", "5"],
             # a cap must be positive
             ["chain", "--orders", "8", "--p", "2", "--depth", "2", "--cap-enum", "0"],
             COVER + ["--cap-verify", "-1"],
@@ -507,7 +509,7 @@ class TestErrorChannel:
             assert empty.output == unset.output
 
     def test_internal_failure_exits_10_with_repro(self, runner, monkeypatch):
-        def broken(ctx, spec, slalom, cap_enum, cap_verify):
+        def broken(ctx, spec, slalom, cap_verify):
             raise VerificationFailed("synthetic")
 
         monkeypatch.setattr(cov, "cover_padic_slalom", broken)

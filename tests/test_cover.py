@@ -674,6 +674,23 @@ class TestVerifyCover:
             assert verify_cover(spec, translate, slalom).ok
             with pytest.raises(CapExceeded, match="verification cap"):
                 verify_cover(spec, translate, slalom, cap=DEFAULT_VERIFY_CAP)
+        # nor a cap on the block order: one block of order 2^21, above the
+        # default enumeration cap, in each mode
+        order = 1 << 21
+        hi = kept_window(order, 0)[1]
+        targets = (5, order - 3)
+        padic = NullsetSpec(BlockPlan("padic", (0, 21), p=2), (range(hi),))
+        product = NullsetSpec(BlockPlan("product", (0, 21), orders=(2,) * 21), (range(hi),))
+        for spec, slalom, cover in (
+            (padic, Slalom("(n+2)//2", ((order - 1,),)),
+             lambda s: cover_padic_slalom(PadicContext(2, 21), padic, s)),
+            (product, Slalom("n+2", (targets,)), lambda s: cover_product_slalom(product, s)),
+        ):
+            cert = cover(slalom)
+            assert cert.verified and cert.checked_count == slalom.element_count()
+            assert verify_cover(spec, cert.translate, slalom).ok
+        assert find_translator(FiniteAbelianGroup((order,)), range(hi), targets, 0) == \
+            cyclic_translator_by_sorting(targets, ((hi, order),), order)
 
     def test_slalom_values_bounded(self, monkeypatch):
         # the work bound: the values the slalom holds, sum |S_n|

@@ -17,6 +17,7 @@ import copy
 import json
 import time
 
+import click
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -60,9 +61,8 @@ COMMANDS = {
     ("plan", "product"): (["--orders", "--cycle", "--depth"], None),
     ("plan", "padic"): (["--p", "--depth"], None),
     ("build-nullset",): (["--in"], "plan"),
-    ("cover", "product"): (["--in", "--orders", "--cycle", "--depth", "--seed", "--cap-enum", "--cap-verify"],
-                           "bundle"),
-    ("cover", "padic"): (["--in", "--p", "--depth", "--seed", "--cap-enum", "--cap-verify"], "bundle"),
+    ("cover", "product"): (["--in", "--orders", "--cycle", "--depth", "--seed", "--cap-verify"], "bundle"),
+    ("cover", "padic"): (["--in", "--p", "--depth", "--seed", "--cap-verify"], "bundle"),
     ("verify",): (["--in", "--cap-verify"], "bundle"),
     ("measure",): (["--in", "--blocks", "--first-below"], "spec"),
     ("ek", "member"): (["--num", "--den", "--depth", "--digits"], None),
@@ -160,6 +160,25 @@ def argvs(draw):
     if draw(st.integers(0, 19)) == 7:
         args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(["--bogus", "bogus", "--in"])))
     return args
+
+
+def _leaf_commands(group, path=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, path + (name,))
+        else:
+            yield path + (name,), command
+
+
+def test_command_table_matches_the_cli():
+    # every leaf command with exactly the options it declares, so an option
+    # that is added or dropped shows here; --out is left out on purpose
+    declared = {
+        path: sorted(opt for param in command.params if isinstance(param, click.Option)
+                     for opt in param.opts if opt != "--out")
+        for path, command in _leaf_commands(cli.main)
+    }
+    assert declared == {command: sorted(options) for command, (options, _) in COMMANDS.items()}
 
 
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])

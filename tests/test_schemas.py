@@ -105,7 +105,7 @@ def test_error_documents_match_schema(args, code):
 
 
 def test_internal_failure_document_matches_schema(monkeypatch):
-    def broken(ctx, spec, slalom, cap_enum, cap_verify):
+    def broken(ctx, spec, slalom, cap_verify):
         raise VerificationFailed("synthetic")
 
     monkeypatch.setattr(cov, "cover_padic_slalom", broken)
@@ -180,6 +180,36 @@ def test_misspelt_verified_no_longer_skips_the_count_check():
     assert "'verifed'" in fail(["verify", "--in", json.dumps(bundle)], 2)["error"]["message"]
     bundle["certificate"]["verified"] = bundle["certificate"].pop("verifed")
     assert "claims 5 checked elements" in fail(["verify", "--in", json.dumps(bundle)], 2)["error"]["message"]
+
+
+@pytest.mark.parametrize("kept", [("verified", "checked_count"), ("translate", "checked_count"),
+                                  ("translate", "verified"), ("translate",)],
+                         ids=["no-translate", "no-verified", "no-checked_count", "translate-only"])
+def test_certificate_must_carry_its_claims(kept):
+    # a certificate that drops a claim no longer defaults it to false or 0,
+    # which skipped the count check
+    bundle = emit(["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"])
+    certificate = {key: bundle["certificate"][key] for key in kept}
+    missing = next(key for key in ("translate", "verified", "checked_count") if key not in kept)
+    bundle["certificate"] = certificate
+    assert not load_validator("certificate.schema.json").is_valid(certificate)
+    assert not load_validator("cover-bundle.schema.json").is_valid(bundle)
+    document = fail(["verify", "--in", json.dumps(bundle)], 2)
+    assert document["error"]["type"] == "SchemaError"
+    assert repr(missing) in document["error"]["message"]
+
+
+def test_cube_check_payload_refuses_unknown_keys():
+    from test_fuzz import DOCUMENTS
+
+    for payload in DOCUMENTS["cube"]:
+        load_validator("cube-check.schema.json").validate(payload)
+        assert emit(["cube-check", "--in", json.dumps(payload)]) == {"covered": False, "witness": [0, 0]}
+        misspelt = dict(payload, famly=[])
+        assert not load_validator("cube-check.schema.json").is_valid(misspelt)
+        document = fail(["cube-check", "--in", json.dumps(misspelt)], 2)
+        assert document["error"]["type"] == "SchemaError"
+        assert "'famly'" in document["error"]["message"]
 
 
 @pytest.mark.parametrize("descriptor,key", [
