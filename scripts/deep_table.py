@@ -1,13 +1,16 @@
 """Deep covers, stage by stage: the time to plan, build the nullset,
-sample the slalom, cover it (the cover includes its re-check) and
-verify the certificate again, plus the size of the bundle that
-``nullcover cover`` prints, for p-adic covers at p = 2 and product
-covers over orders 2 cycled.
+sample the slalom, find the translator of every block alone, cover it
+(the cover includes its translator search and its re-check) and verify
+the certificate again, plus the size of the bundle that ``nullcover
+cover`` prints, for p-adic covers at p = 2 and product covers over
+orders 2 cycled.
 
 Times are in-process, in milliseconds, the best of ``--repeats`` runs
 with the garbage collector off; the build peak is the tracemalloc peak
 of one more, untimed build, in MiB; the bundle size is in MB (10^6
-bytes).
+bytes).  The ``find_translator`` stage times the per-block calls
+alone, on targets built beforehand as the cover builds them: the slalom
+values, and in p-adic mode their successors mod the block order too.
 
 The slalom has seed 0, as `nullcover cover` draws by default.
 
@@ -25,6 +28,7 @@ from nullcover.cover import (
     build_nullset,
     cover_padic_slalom,
     cover_product_slalom,
+    find_translator,
     plan_blocks_padic,
     plan_blocks_product,
     random_slalom,
@@ -32,7 +36,7 @@ from nullcover.cover import (
 )
 from nullcover.groups import PadicContext
 
-STAGES = ("plan", "build", "slalom", "cover", "verify_cover")
+STAGES = ("plan", "build", "slalom", "find_translator", "cover", "verify_cover")
 SEED = 0
 
 
@@ -69,6 +73,14 @@ def row(mode, depth, repeats):
     spec, ms["build"] = best_ms(lambda: build_nullset(plan), repeats)
     build_peak_mib = traced_peak_mib(lambda: build_nullset(plan))
     slalom, ms["slalom"] = best_ms(lambda: random_slalom(plan, width, SEED), repeats)
+    blocks = []
+    for values, group, order, kept in zip(slalom.sets, plan.block_groups, plan.block_orders, spec.kept):
+        # the targets of the cover: a carry into a p-adic block adds one
+        targets = values if mode == "product" else [*values, *(v + 1 for v in values[:-1]), (values[-1] + 1) % order]
+        blocks.append((group, kept, targets))
+    _, ms["find_translator"] = best_ms(
+        lambda: [find_translator(group, kept, targets, n) for n, (group, kept, targets) in enumerate(blocks)],
+        repeats)
     if mode == "padic":
         ctx = PadicContext(2, plan.boundaries[-1])
         cert, ms["cover"] = best_ms(lambda: cover_padic_slalom(ctx, spec, slalom), repeats)

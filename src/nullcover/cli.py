@@ -31,6 +31,7 @@ from .errors import (
     CapExceeded,
     NullcoverError,
     SchemaError,
+    VerificationFailed,
     _as_int,
     _refuse_unknown_keys,
     rational_to_json,
@@ -278,11 +279,13 @@ def _cover_inputs(payload, plan_builder, width, seed):
 
 
 def _cover_bundle(spec, slalom, run) -> dict:
-    """Run one cover and bundle it with its inputs; a library error
-    carries the inputs as its reproduction payload."""
+    """Run one cover and bundle it with its inputs.  A failed re-check,
+    an internal fault (exit 10), carries the inputs as its reproduction
+    payload; any other error is said by its message alone, since the
+    inputs can be megabytes."""
     try:
         cert = run()
-    except NullcoverError as exc:
+    except VerificationFailed as exc:
         exc.repro = {"spec": spec.to_json(), "slalom": slalom.to_json()}
         raise
     return {"spec": spec.to_json(), "slalom": slalom.to_json(), "certificate": cert.to_json()}

@@ -21,18 +21,20 @@ values that lands in a gap.  Product mode splits each gap of a block
 of k coordinates into at most 2k - 1 cylinders (:func:`_gap_cylinders`,
 the one carry-free layer), each one or two intervals of values, so it
 costs O(sum gaps_n * k_n * log |S_n|).  p-adic mode is a two-state carry
-transducer that, per block and incoming carry, bisects once for where
-carrying out starts and once per gap, O(sum gaps_n * log |S_n|).  The
-translator search works on enumeration indices too, and one sweep that
-stops at the first free index reads the intervals that the targets and
-gaps forbid: in a cyclic block (one coordinate, or a p-adic digit block)
-one per target and gap, already in order; in a product of several
-coordinates one or two per target and cylinder of a gap, at most
-|targets| * gaps * (4k - 2) per block, sorted first.  Neither count
-grows with the block order, so no cap bounds it.  Group elements
-appear only as the translate blocks of a certificate: the cover body
-encodes them and the check decodes each block once, in one pass that
-range-checks every digit.
+transducer; per block, one bisection finds where carrying out starts and
+one per gap finds the first value in a gap, each for both incoming
+carries at once, O(sum gaps_n * log |S_n|).  The translator search works
+on enumeration indices too.  In a cyclic block (one coordinate, or a
+p-adic digit block) a probe jumps up from 0, past the highest target in
+each gap's window, one bisection per gap and jump, so it skips only
+forbidden indices.  In a product of several coordinates a probe tries
+g = 0, 1, ... against every missing index, within a budget of
+|targets| * gaps * (4k - 2) lookups; past it, one sweep reads the one
+or two forbidden intervals of each target and cylinder of a gap, at
+most that many, sorted.  Neither bound grows with the block order, so
+no cap bounds it.  Group elements appear only as the translate blocks
+of a certificate: the cover body encodes them and the check decodes each
+block once, in one pass that range-checks every digit.
 
 The tables that depend on the plan or the spec alone, never on a
 translate, are built once, on first use.  Each plan holds its block
@@ -43,7 +45,8 @@ gaps and the gaps' cylinders (:attr:`NullsetSpec.gaps`,
 more translate on the same spec runs only flat per-block passes: decode
 the blocks, bisect the slalom sets, and in p-adic mode one backward and
 one forward pass over one tuple per block.  The translator search gets
-no spec, so it still computes the gaps and cylinders of its kept set.
+no spec, so it computes the gaps of its kept set, and the cylinders of
+those gaps only when a product probe runs out of budget.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -359,7 +362,7 @@ class Slalom:
         return len(self.sets)
 
     def element_count(self) -> int:
-        return prod(len(s) for s in self.sets)
+        return prod(map(len, self.sets))
 
     def check_domains(self, plan: BlockPlan) -> None:
         if self.depth != plan.depth:
@@ -456,18 +459,24 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     index outside it exists and is returned.  The complement is read off
     the gaps of ``kept``, and no group element is ever built.  In a
     cyclic block (one coordinate, or a p-adic digit block) index
-    subtraction is subtraction mod the order, so each target and gap
-    forbid one cyclic interval of indices.  Sorted targets give these
-    intervals already sorted by their starts, up to a rotation where they
-    begin to wrap, so one sweep that stops at the first free index finds
-    g without sorting anything.  In a product of several coordinates
-    (``group`` has ``orders`` of length > 1) subtraction is carry-free
-    mixed radix, so each gap is split into at most 2k - 1 cylinders, as
-    the product check splits it (:func:`_gap_cylinders`), and each target
-    and cylinder forbid one or two index intervals, which the same sweep
-    reads once they are sorted.  The work is at most |targets| * gaps *
-    (4k - 2) intervals and never grows with the order of ``group``, so no
-    cap bounds the block order.
+    subtraction is subtraction mod the order, and g is forbidden iff a
+    gap [a, b) has a target in the window g + [a, b).  A probe starts at
+    0 and jumps past the highest such target, to where its window starts
+    one beyond it, until every gap's window is empty: one bisection of
+    the sorted targets per gap and jump, and every index it skips is
+    forbidden.  In a product of several coordinates (``group`` has
+    ``orders`` of length k > 1) subtraction is carry-free mixed radix.
+    There a probe tries g = 0, 1, ... against every missing index c,
+    g + c a target or not, within a budget of |targets| * gaps * (4k - 2)
+    lookups.  A block whose missing set is large spends it at once and
+    takes a sweep: each gap is split into at most 2k - 1 cylinders, as
+    the product check splits it (:func:`_gap_cylinders`), each target and
+    cylinder forbid one or two index intervals, and one pass over them,
+    sorted, stops at the first free index.  No search's work grows with
+    the order of ``group``: the cyclic probe jumps at most twice per
+    target and gap (a target, or its copy one order up, ends each jump),
+    and the product search makes at most |targets| * gaps * (4k - 2)
+    lookups and as many intervals.  So no cap bounds the block order.
     """
     if n < 0:
         raise PreconditionViolated(f"level must be >= 0, got {n}")
@@ -488,7 +497,9 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     assert len(targets) * missing < order
     radices = getattr(group, "orders", ())
     if len(radices) > 1:
-        g = _product_translator(targets, gaps, radices, group.weights)
+        # the probe may spend what the interval search would read
+        budget = len(targets) * len(gaps) * (4 * len(radices) - 2)
+        g = _probed_translator(targets, gaps, radices, group.weights, budget)
     else:
         g = _cyclic_translator(targets, gaps, order)
     if g >= order:
@@ -498,17 +509,70 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
 
 def _cyclic_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], order: int) -> int:
     """Least g in [0, order) outside targets - gaps in a cyclic block, or
-    the order when they forbid every g: one sweep over the forbidden
-    intervals in increasing order of their starts, which stops at the
-    first free g.  Several gaps merge their streams into the one sweep."""
-    streams = [_forbidden(targets, a, b, order) for a, b in gaps]
-    if len(streams) == 1:
-        intervals = streams[0]
-    else:
-        from heapq import merge   # several gaps, which only a spec read from JSON has
+    the order when they forbid every g: a probe that jumps up from 0.
 
-        intervals = merge(*streams)
-    return _first_free(intervals)
+    g is forbidden iff some gap [a, b) has a target in the window
+    g + [a, b) mod order, read in [0, 2 * order) against the targets and
+    their copies one order up.  The highest such target s forbids every
+    g' from g to s - a, so the probe jumps to s - a + 1 and never skips
+    a free index; it stops when every gap in turn finds its window
+    empty, or once g reaches the order.  One bisection per gap and jump,
+    and several gaps go through the same loop."""
+    g = 0
+    still = 0   # gaps in a row whose window at g holds no target
+    for a, b in itertools.cycle(gaps):
+        end = g + b
+        if end > order:
+            # the window wraps: a target below end - order counts one order
+            # up, above every target in the window's part below the order
+            i = bisect_left(targets, end - order)
+            s = targets[i - 1] + order if i else (targets[-1] if targets else -1)
+        else:
+            i = bisect_left(targets, end)
+            s = targets[i - 1] if i else -1
+        if s >= g + a:
+            g = s - a + 1
+            if g >= order:
+                return order
+            still = 0
+        else:
+            still += 1
+            if still == len(gaps):
+                break
+    return g
+
+
+def _probed_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], radices: Sequence[int],
+                       weights: Sequence[int], budget: int) -> int:
+    """Least g outside targets - gaps in a block of several coordinates,
+    or the order when they forbid every g.  Probes g = 0, 1, ... and
+    tests whether g + c (carry-free, digit by digit mod the radices) is
+    a target for any c in the missing set M, at most ``budget`` lookups
+    in all, |M| per probe; when that runs out, or M alone exceeds it,
+    :func:`_product_translator` reads the forbidden intervals instead.
+    The counting bound leaves a free g, which a small M finds in a few
+    probes, while a large M goes to the search whose work does not grow
+    with |M|."""
+    order = radices[0] * weights[0]
+    size = sum(b - a for a, b in gaps)
+    probes = min(order, budget // size) if size else order
+    if probes:
+        missing = [c for a, b in gaps for c in range(a, b)]
+        hits = set(targets)
+        if hits.isdisjoint(missing):   # g = 0 adds nothing
+            return 0
+        # per coordinate: radix, weight and the digit of every missing index
+        columns = [(m, w, [c // w % m for c in missing]) for m, w in zip(radices, weights)]
+        for g in range(1, probes):
+            sums = [0] * size
+            for m, w, digits in columns:
+                d = g // w % m
+                sums = [t + (d + c) % m * w for t, c in zip(sums, digits)]
+            if hits.isdisjoint(sums):
+                return g
+        if probes == order:
+            return order
+    return _product_translator(targets, gaps, radices, weights)
 
 
 def _product_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], radices: Sequence[int],
@@ -519,8 +583,8 @@ def _product_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]],
     digit i over a cyclic range: one index interval, or two where it
     wraps.  Along each chain of cylinders the index of every target's
     fixed digits grows by one term per level, one pass over the targets
-    each, as digit j of s is (s // w_j) mod m_j.  The intervals, sorted,
-    go through :func:`_first_free`."""
+    each, as digit j of s is (s // w_j) mod m_j.  One sweep over the
+    intervals, sorted, stops at the first free g."""
     intervals = []
     for a, b in gaps:
         for digits, steps in _gap_cylinders(a, b, radices, weights):
@@ -540,13 +604,6 @@ def _product_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]],
                         stop = m
                     intervals.append((f + start * w, f + stop * w))
     intervals.sort()
-    return _first_free(intervals)
-
-
-def _first_free(intervals: Iterable[tuple[int, int]]) -> int:
-    """The least g >= 0 in no interval of ``intervals``, which come in
-    increasing order of their starts: one sweep that stops at the first
-    free g."""
     g = 0
     for lo, hi in intervals:
         if lo > g:
@@ -554,27 +611,6 @@ def _first_free(intervals: Iterable[tuple[int, int]]) -> int:
         if hi > g:
             g = hi
     return g
-
-
-def _forbidden(targets: Sequence[int], a: int, b: int, order: int):
-    """The translators that the gap [a, b) and the sorted ``targets``
-    forbid in a cyclic block, as half-open intervals in increasing order
-    of their starts.  Target s forbids the cyclic interval
-    [s - b + 1, s - a + 1).  From s = b - 1 on it lies inside [0, order),
-    so those intervals come first, in target order.  Below b - 1 it wraps:
-    its upper part [s - b + 1 + order, ...) comes last, and reaches the
-    order only when s >= a; the lower parts [0, s - a + 1), empty when
-    s < a, nest in that of the largest wrapped target, which leads the
-    stream."""
-    k = bisect_left(targets, b - 1)
-    if k:
-        yield 0, targets[k - 1] - a + 1
-    for i in range(k, len(targets)):
-        s = targets[i]
-        yield s - b + 1, s - a + 1
-    for i in range(k):
-        s = targets[i]
-        yield s - b + 1 + order, order if s >= a else s - a + 1 + order
 
 
 def _count_text(count: int) -> str:
@@ -845,10 +881,11 @@ def verify_cover(
     transducer over the blocks (carry 0 or 1 into each block).  Slalom
     sets are sorted, so per block and incoming carry c two indices of
     S_n decide everything: the first value that carries out of the block
-    (one bisection at order - offset - c), and the first value whose
-    block sum lands in a gap of the kept set (one bisection per gap, whose
-    preimage is one cyclic interval).  The check costs
-    O(sum gaps_n * log |S_n|).  A backward pass finds, per block and
+    (at order - offset - c), and the first value whose block sum lands
+    in a gap of the kept set (the preimage of a gap is one cyclic
+    interval).  Both carries share the searches: one bisection for where
+    carrying starts, and one per gap (:func:`_verify_padic`).  The check
+    costs O(sum gaps_n * log |S_n|).  A backward pass finds, per block and
     incoming carry, whether some completion escapes and how many carried
     (element, block) pairs all completions hold; a greedy forward pass
     then picks the least escaping element, its mixed-radix rank
@@ -870,7 +907,7 @@ def verify_cover(
     """
     plan = spec.plan
     slalom.check_domains(plan)
-    values = sum(len(s) for s in slalom.sets)
+    values = sum(map(len, slalom.sets))
     if values > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"a slalom of {_count_text(values)} values exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     total = slalom.element_count()
@@ -908,6 +945,15 @@ def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, t
 
 
 def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, total: int) -> VerifyResult:
+    """The p-adic check of :func:`verify_cover` on the decoded offsets.
+
+    Per block, both incoming carries come from shared searches of the
+    sorted values: one bisection at order - offset - 1 gives where the
+    sum carries out with carry 1, and that index or the next where it
+    does with carry 0.  The preimages of a gap under offset and
+    offset + 1 are one cyclic interval and the same shifted down by one,
+    so one bisection at the start of their union gives the first value in
+    the gap under both (:func:`_first_in_gap_pairs`)."""
     plan = spec.plan
     depth = plan.depth
     # backward pass, from the last block.  With carry c into block n the
@@ -922,11 +968,11 @@ def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, tot
     count, e0, e1, k0, k1 = 1, False, False, 0, 0
     for values, offset, order, gaps in reversed(list(zip(slalom.sets, offsets, plan.block_orders, spec.gaps))):
         size = len(values)
-        z0 = bisect_left(values, order - offset)
         z1 = bisect_left(values, order - offset - 1)
-        f0 = _first_in_gaps(values, gaps, offset, order)
-        f1 = _first_in_gaps(values, gaps, offset + 1, order)
-        rows.append((values, (z0, z1), (f0, f1), count, e0, e1, k0, k1))
+        z0 = z1 + (z1 < size and values[z1] == order - offset - 1)
+        first = _first_in_gap_pairs(values, gaps, offset, order)
+        f0, f1 = first
+        rows.append((values, (z0, z1), first, count, e0, e1, k0, k1))
         e0, e1 = (f0 < size or (z0 > 0 and e0) or (z0 < size and e1),
                   f1 < size or (z1 > 0 and e0) or (z1 < size and e1))
         k0, k1 = z0 * k0 + (size - z0) * k1, size * count + z1 * k0 + (size - z1) * k1
@@ -980,6 +1026,34 @@ def _first_in_gaps(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift
         if j < best and values[j] < hi:
             best = j
     return best
+
+
+def _first_in_gap_pairs(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift: int,
+                        order: int) -> tuple[int, int]:
+    """:func:`_first_in_gaps` under ``shift`` and under ``shift + 1`` at
+    once.  Under shift + 1 the preimage of a gap [a, b) is [lo, hi) with
+    lo = (a - shift - 1) mod order, and under shift it is one later,
+    [lo + 1, hi + 1), read in [0, 2 * order) as the other is: the part
+    of either past the order wraps to [0, ...).  One bisection at lo, the
+    start of their union, gives the first value of both; the values are
+    distinct, so the first of [lo + 1, ...) is that one or the next."""
+    size = len(values)
+    f0 = f1 = size
+    for a, b in gaps:
+        lo = (a - shift - 1) % order
+        hi = lo + b - a
+        if values[0] < hi + 1 - order:   # the wrapped parts [0, hi + 1 - order), [0, hi - order)
+            f0 = 0
+            if values[0] < hi - order:
+                f1 = 0
+        j = bisect_left(values, lo, 0, max(f0, f1))
+        if j < f1 and values[j] < hi:
+            f1 = j
+        if j < size and values[j] == lo:
+            j += 1
+        if j < f0 and values[j] <= hi:
+            f0 = j
+    return f0, f1
 
 
 def _first_in_cylinders(values: Sequence[int], cylinders: Sequence, t: int,

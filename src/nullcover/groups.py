@@ -80,7 +80,7 @@ class FiniteAbelianGroup:
         if any(not isinstance(m, int) or m < 2 for m in self.orders):
             raise PreconditionViolated(f"cyclic orders must be ints >= 2: {self.orders}")
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(self.orders)
 
@@ -135,11 +135,11 @@ class BlockGroup:
         if not 0 <= self.start < self.stop:
             raise PreconditionViolated(f"bad digit interval [{self.start}, {self.stop})")
 
-    @property
+    @cached_property
     def len(self) -> int:
         return self.stop - self.start
 
-    @property
+    @cached_property
     def order(self) -> int:
         return self.p**self.len
 

@@ -176,7 +176,7 @@ def cyclic_translator_by_sorting(targets, gaps, order):
     """Least g in [0, order) outside targets - gaps mod order, or the
     order when none is: every (target, gap) pair's forbidden interval
     [s - b + 1, s - a] is built, cut at the order, sorted, and swept.  The
-    reference for the library's sweep, which sorts nothing."""
+    reference for the library's jump probe, which builds no interval."""
     intervals = []
     for s in targets:
         for a, b in gaps:
@@ -224,7 +224,7 @@ def product_translator_by_pairs(group, kept, targets):
     targets - complement built pair by pair: the larger side is split
     into digit columns once, and each index of the smaller side costs
     one carry-free subtraction per coordinate.  The reference for the
-    cylinder-interval translator search."""
+    product probe and the cylinder-interval search it falls back to."""
     kept = set(kept)
     complement = [c for c in range(group.order) if c not in kept]
     targets = sorted(set(targets))

@@ -519,6 +519,22 @@ class TestErrorChannel:
         assert error["type"] == "VerificationFailed"
         assert "spec" in error["repro"] and "slalom" in error["repro"]
 
+    def test_other_cover_errors_carry_no_repro(self, runner, tmp_path):
+        # one product block of order 2^21: the payload is 12.9 MB, and a
+        # cap error on it is said by its message alone
+        order = 1 << 21
+        hi = cov.kept_window(order, 0)[1]
+        spec = cov.NullsetSpec(cov.BlockPlan("product", (0, 21), orders=(2,) * 21), (range(hi),))
+        payload = {"spec": spec.to_json(), "slalom": {"width": "n+2", "sets": [[5, order - 3]]}}
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload))
+        assert path.stat().st_size > 10**7
+        result = run(runner, ["cover", "product", "--in", f"@{path}", "--cap-verify", "1"])
+        assert result.exit_code == 4
+        assert len(result.stdout.encode()) < 1000
+        error = json.loads(result.stdout)["error"]
+        assert error == {"type": "CapExceeded", "message": "2 slalom elements exceed the verification cap 1"}
+
 
 class TestDeterminismAndFormats:
     def test_repeat_runs_identical(self, runner):

@@ -3,6 +3,7 @@ import json
 import random
 import time
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 from math import prod
 
@@ -199,7 +200,7 @@ class TestGapCylinders:
 
 
 class TestCyclicSweep:
-    """The translator sweep of a cyclic block against building, sorting
+    """The translator probe of a cyclic block against building, sorting
     and sweeping every (target, gap) interval, without the counting
     preconditions of ``find_translator``, so that some target sets
     forbid the whole group."""
@@ -234,6 +235,101 @@ class TestCyclicSweep:
             seen.add(("exhausted" if g == order else "free", len(gaps) > 1,
                       any(t < a for t in targets for a, _ in gaps)))
         assert len(seen) == 8
+
+
+class TestProductProbe:
+    """The budgeted probe of a block of several coordinates and its
+    fallback, against the whole forbidden set built pair by pair, without
+    the counting preconditions of ``find_translator``."""
+
+    @staticmethod
+    def search(group, kept, targets, budget):
+        """The probe's answer and whether it fell back to the interval
+        search."""
+        real = cover_module._product_translator
+        with mock.patch.object(cover_module, "_product_translator", wraps=real) as fallback:
+            g = cover_module._probed_translator(sorted(set(targets)), cover_module._gaps(kept, group.order),
+                                                group.orders, group.weights, budget)
+        return g, fallback.called
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 5), min_size=2, max_size=4), st.sampled_from([0, 1, None]), st.data())
+    def test_against_pairs(self, orders, budget, data):
+        G = FiniteAbelianGroup(tuple(orders))
+        index = st.integers(0, G.order - 1)
+        kept = sorted(data.draw(st.sets(index, min_size=1)))
+        targets = data.draw(st.sets(index, max_size=6))
+        missing = G.order - len(kept)
+        unbounded = G.order * max(missing, 1)
+        g, fell_back = self.search(G, kept, targets, unbounded if budget is None else budget)
+        assert g == product_translator_by_pairs(G, kept, targets)
+        # budget 0 probes nothing; a budget for every probe never falls back
+        if budget is None:
+            assert not fell_back
+        elif budget == 0 and missing:
+            assert fell_back
+
+    def test_large_missing_set_takes_the_fallback(self):
+        # one block of order 2^21 whose kept set misses about 350,000
+        # indices: the probe's budget, 2 targets * 1 gap * 6, is spent
+        # before one probe, so the interval search answers
+        G = FiniteAbelianGroup((2, 1 << 20))
+        hi = kept_window(G.order, 0)[1]
+        assert G.order - hi > 349_000
+        targets = (5, G.order - 3)
+        real = cover_module._product_translator
+        with mock.patch.object(cover_module, "_product_translator", wraps=real) as fallback:
+            g = find_translator(G, range(hi), targets, 0)
+        assert fallback.call_count == 1
+        assert g == product_translator_by_pairs(G, range(hi), targets)
+
+    def test_deep_product_blocks_are_probed(self):
+        # blocks of orders 2 miss one or two indices, so the probe answers
+        # in every block and the interval search never runs
+        spec = product_spec(60)
+        slalom = random_slalom(spec.plan, "n+2", 60)
+        with mock.patch.object(cover_module, "_product_translator") as fallback:
+            cert = cover_product_slalom(spec, slalom)
+        assert not fallback.called
+        assert cert.translate == tuple(
+            G.element_at(product_translator_by_pairs(G, kept, values))
+            for G, kept, values in zip(spec.plan.block_groups, spec.kept, slalom.sets)
+        )
+
+
+class TestGapPairs:
+    """The p-adic check's paired gap search: both carry states of a block
+    from shared bisections, against one search per shift."""
+
+    @staticmethod
+    def both(values, gaps, t, order):
+        return (cover_module._first_in_gaps(values, gaps, t, order),
+                cover_module._first_in_gaps(values, gaps, t + 1, order))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_against_two_searches(self, order, data):
+        index = st.integers(0, order - 1)
+        values = sorted(data.draw(st.sets(index, min_size=1, max_size=6)))
+        # pairs of distinct cuts, so gaps may start at 0 or end at the order
+        ends = st.sampled_from([0, order]) | st.integers(0, order)
+        cuts = sorted(data.draw(st.sets(ends, max_size=8)))
+        gaps = list(zip(cuts[::2], cuts[1::2]))
+        t = data.draw(st.just(order - 1) | index)
+        assert cover_module._first_in_gap_pairs(values, gaps, t, order) == self.both(values, gaps, t, order)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_exhaustive_small_orders(self, order):
+        # every value set, every set of disjoint gaps and every shift
+        indices = range(order)
+        value_sets = [c for r in range(1, order + 1) for c in itertools.combinations(indices, r)]
+        cut_sets = [c for r in range(0, order + 2, 2) for c in itertools.combinations(range(order + 1), r)]
+        for values in value_sets:
+            for cuts in cut_sets:
+                gaps = list(zip(cuts[::2], cuts[1::2]))
+                for t in indices:
+                    assert cover_module._first_in_gap_pairs(values, gaps, t, order) == \
+                        self.both(values, gaps, t, order)
 
 
 class TestPlans:

@@ -190,4 +190,6 @@ def test_every_input_gets_one_json_document(args):
     assert result.stdout.count("\n") == 1 and result.stdout.endswith("\n"), (args, result.stdout)
     document = json.loads(result.stdout)
     assert (result.exit_code == 0) != ("error" in document and len(document) == 1), (args, document)
+    # only an internal fault (exit 10) echoes its inputs as a reproduction payload
+    assert result.exit_code == 0 or "repro" not in document["error"], (args, document)
     assert time.perf_counter() - start < 5, args

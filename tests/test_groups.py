@@ -1,5 +1,6 @@
 import itertools
 import time
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -223,6 +224,32 @@ class TestBlockGroup:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             BlockGroup(2, 3, 7).index_of((1, 0, 1))
+
+
+class TestCachedOrders:
+    """Orders are computed once per group; equality and hashing still
+    read the fields alone."""
+
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=5))
+    def test_product_order(self, orders):
+        G = FiniteAbelianGroup(tuple(orders))
+        fresh = FiniteAbelianGroup(tuple(orders))
+        assert G.order == prod(orders)
+        assert "order" in vars(G) and "order" not in vars(fresh)
+        assert G == fresh and hash(G) == hash(fresh) and len({G, fresh}) == 1
+        assert G != FiniteAbelianGroup((*orders, 2))
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 6), st.integers(1, 30))
+    def test_block_order(self, p, start, length):
+        B = BlockGroup(p, start, start + length)
+        fresh = BlockGroup(p, start, start + length)
+        assert (B.order, B.len) == (p**length, length)
+        assert {"order", "len"} <= set(vars(B)) and "order" not in vars(fresh)
+        assert B == fresh and hash(B) == hash(fresh) and len({B, fresh}) == 1
+        assert B != BlockGroup(p, start, start + length + 1)
+        ctx = PadicContext(p, length)
+        assert (ctx.order, ctx.len, ctx.length) == (p**length, length, length)
+        assert ctx == PadicContext(p, length) and hash(ctx) == hash(PadicContext(p, length))
 
 
 class TestPrimality:
