@@ -65,17 +65,6 @@ CAP = _Integer(positive=True)
 seed_option = click.option("--seed", type=INTEGER, default=0, show_default=True, help="Deterministic seed.")
 
 
-def _cap_verify_option(default: Optional[int], help: str):
-    return click.option(
-        "--cap-verify", type=CAP, default=default, envvar=ENV_CAP_VERIFY, show_envvar=True, help=help
-    )
-
-
-# a cover check never visits slalom elements one by one, so by default it
-# certifies any number of them
-cap_verify_option = _cap_verify_option(None, "Most slalom elements a check may certify (default: no cap).")
-
-
 def parse_payload(raw: Optional[str]) -> object:
     """Inline JSON, or @path to read a JSON file."""
     if raw is None:
@@ -302,9 +291,8 @@ def cover_group() -> None:
 @click.option("--cycle", is_flag=True)
 @click.option("--depth", type=INTEGER, default=None)
 @seed_option
-@cap_verify_option
 @command
-def cover_product_cmd(payload, orders, cycle, depth, seed, cap_verify) -> dict:
+def cover_product_cmd(payload, orders, cycle, depth, seed) -> dict:
     from . import cover as cov
 
     def build():
@@ -313,7 +301,7 @@ def cover_product_cmd(payload, orders, cycle, depth, seed, cap_verify) -> dict:
         return cov.plan_blocks_product(_order_supply(_parse_orders(orders), cycle), depth)
 
     spec, slalom = _cover_inputs(payload, build, "n+2", seed)
-    return _cover_bundle(spec, slalom, lambda: cov.cover_product_slalom(spec, slalom, cap_verify))
+    return _cover_bundle(spec, slalom, lambda: cov.cover_product_slalom(spec, slalom))
 
 
 @cover_group.command("padic")
@@ -321,9 +309,8 @@ def cover_product_cmd(payload, orders, cycle, depth, seed, cap_verify) -> dict:
 @click.option("--p", type=INTEGER, default=None, help="Self-contained mode: the prime.")
 @click.option("--depth", type=INTEGER, default=None)
 @seed_option
-@cap_verify_option
 @command
-def cover_padic_cmd(payload, p, depth, seed, cap_verify) -> dict:
+def cover_padic_cmd(payload, p, depth, seed) -> dict:
     from . import cover as cov
     from .groups import PadicContext
 
@@ -335,14 +322,13 @@ def cover_padic_cmd(payload, p, depth, seed, cap_verify) -> dict:
     spec, slalom = _cover_inputs(payload, build, "(n+2)//2", seed)
     # a product-mode spec has no prime; the cover refuses its mode
     ctx = PadicContext(spec.plan.p, spec.plan.boundaries[-1]) if spec.plan.mode == "padic" else None
-    return _cover_bundle(spec, slalom, lambda: cov.cover_padic_slalom(ctx, spec, slalom, cap_verify))
+    return _cover_bundle(spec, slalom, lambda: cov.cover_padic_slalom(ctx, spec, slalom))
 
 
 @main.command("verify")
 @click.option("--in", "payload", default=None, help="{'spec':…,'slalom':…,'certificate':…}.")
-@cap_verify_option
 @command
-def verify_cmd(payload: Optional[str], cap_verify: Optional[int]) -> dict:
+def verify_cmd(payload: Optional[str]) -> dict:
     from . import cover as cov
 
     obj = parse_payload(payload)
@@ -356,7 +342,7 @@ def verify_cmd(payload: Optional[str], cap_verify: Optional[int]) -> dict:
         raise SchemaError(
             f"certificate claims {cert.checked_count} checked elements, slalom has {slalom.element_count()}"
         )
-    return cov.verify_cover(spec, cert.translate, slalom, cap_verify).to_json()
+    return cov.verify_cover(spec, cert.translate, slalom).to_json()
 
 
 # -- measure ------------------------------------------------------------------
@@ -513,7 +499,10 @@ def slalom_gen_cmd(payload, width: str, seed: int) -> dict:
 
 @main.command("cube-check")
 @click.option("--in", "payload", default=None, help="{'plan':…,'family':[slaloms]}.")
-@_cap_verify_option(DEFAULT_VERIFY_CAP, "Most cube points the check scans (default 2^20).")
+@click.option(
+    "--cap-verify", type=CAP, default=DEFAULT_VERIFY_CAP, envvar=ENV_CAP_VERIFY, show_envvar=True,
+    help="Most cube points the check scans (default 2^20).",
+)
 @command
 def cube_check_cmd(payload, cap_verify: int) -> dict:
     from . import cover as cov

@@ -23,18 +23,23 @@ the one carry-free layer), each one or two intervals of values, so it
 costs O(sum gaps_n * k_n * log |S_n|).  p-adic mode is a two-state carry
 transducer; per block, one bisection finds where carrying out starts and
 one per gap finds the first value in a gap, each for both incoming
-carries at once, O(sum gaps_n * log |S_n|).  The translator search works
-on enumeration indices too.  In a cyclic block (one coordinate, or a
-p-adic digit block) a probe jumps up from 0, past the highest target in
-each gap's window, one bisection per gap and jump, so it skips only
+carries at once, O(sum gaps_n * log |S_n|).  The check decides all
+prod |S_n| elements at that cost, so no cap bounds the element count;
+the slalom's values, sum |S_n|, are bounded.  The translator search
+works on enumeration indices too.  A kept set of several gaps takes one
+sweep, which reads the one or two forbidden intervals of each target and
+cylinder of a gap, at most |targets| * gaps * (4k - 2), sorted; a
+cyclic block (one coordinate, or a p-adic digit block) is its case
+k = 1.  A kept set of one gap is probed.  In a cyclic block a probe
+jumps up from 0 past the highest target in the gap's window, one
+bisection per jump and at most 2 |targets| jumps, so it skips only
 forbidden indices.  In a product of several coordinates a probe tries
 g = 0, 1, ... against every missing index, within a budget of
-|targets| * gaps * (4k - 2) lookups; past it, one sweep reads the one
-or two forbidden intervals of each target and cylinder of a gap, at
-most that many, sorted.  Neither bound grows with the block order, so
-no cap bounds it.  Group elements appear only as the translate blocks
-of a certificate: the cover body encodes them and the check decodes each
-block once, in one pass that range-checks every digit.
+|targets| * (4k - 2) lookups, and past it takes the sweep.  No bound
+grows with the block order, so no cap bounds it.  Group elements appear
+only as the translate blocks of a certificate: the cover body encodes
+them and the check decodes each block once, in one pass that
+range-checks every digit.
 
 The tables that depend on the plan or the spec alone, never on a
 translate, are built once, on first use.  Each plan holds its block
@@ -46,7 +51,7 @@ more translate on the same spec runs only flat per-block passes: decode
 the blocks, bisect the slalom sets, and in p-adic mode one backward and
 one forward pass over one tuple per block.  The translator search gets
 no spec, so it computes the gaps of its kept set, and the cylinders of
-those gaps only when a product probe runs out of budget.
+those gaps only when it sweeps.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -457,26 +462,26 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     |targets| * |complement| < |G| members under the preconditions
     |kept| >= ceil((1 - 1/(n+3)) |G|) and |targets| <= n+2, so the first
     index outside it exists and is returned.  The complement is read off
-    the gaps of ``kept``, and no group element is ever built.  In a
-    cyclic block (one coordinate, or a p-adic digit block) index
-    subtraction is subtraction mod the order, and g is forbidden iff a
-    gap [a, b) has a target in the window g + [a, b).  A probe starts at
-    0 and jumps past the highest such target, to where its window starts
-    one beyond it, until every gap's window is empty: one bisection of
-    the sorted targets per gap and jump, and every index it skips is
-    forbidden.  In a product of several coordinates (``group`` has
-    ``orders`` of length k > 1) subtraction is carry-free mixed radix.
-    There a probe tries g = 0, 1, ... against every missing index c,
-    g + c a target or not, within a budget of |targets| * gaps * (4k - 2)
-    lookups.  A block whose missing set is large spends it at once and
-    takes a sweep: each gap is split into at most 2k - 1 cylinders, as
-    the product check splits it (:func:`_gap_cylinders`), each target and
-    cylinder forbid one or two index intervals, and one pass over them,
-    sorted, stops at the first free index.  No search's work grows with
-    the order of ``group``: the cyclic probe jumps at most twice per
-    target and gap (a target, or its copy one order up, ends each jump),
-    and the product search makes at most |targets| * gaps * (4k - 2)
-    lookups and as many intervals.  So no cap bounds the block order.
+    the gaps of ``kept``, and no group element is ever built.  Index
+    subtraction is carry-free in the mixed radix of the block's k
+    coordinates (``group.orders``, last fastest); a cyclic block (one
+    coordinate, or a p-adic digit block) is the case k = 1, where it is
+    subtraction mod the order.
+
+    A kept set of several gaps takes one sweep: each gap is split into
+    at most 2k - 1 cylinders, as the product check splits it
+    (:func:`_gap_cylinders`), each target and cylinder forbid one or two
+    index intervals, and one pass over these |targets| * gaps * (4k - 2)
+    intervals at most, sorted, stops at the first free index.  A kept
+    set of one gap [a, b) is probed.  In a cyclic block g is forbidden
+    iff a target lies in the window g + [a, b), and a probe jumps up
+    from 0 past the highest such target, one bisection per jump and at
+    most 2 |targets| jumps (a target, or its copy one order up, ends
+    each).  In a block of k > 1 coordinates a probe tries g = 0, 1, ...
+    against every missing index within a budget of |targets| * (4k - 2)
+    lookups; a large missing set spends it at once and takes the sweep.
+    No search's work grows with the order of ``group``, so no cap bounds
+    the block order.
     """
     if n < 0:
         raise PreconditionViolated(f"level must be >= 0, got {n}")
@@ -495,32 +500,36 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     missing = order - len(kept)
     # counting bound behind the whole construction
     assert len(targets) * missing < order
-    radices = getattr(group, "orders", ())
-    if len(radices) > 1:
-        # the probe may spend what the interval search would read
-        budget = len(targets) * len(gaps) * (4 * len(radices) - 2)
-        g = _probed_translator(targets, gaps, radices, group.weights, budget)
+    # a p-adic digit block is cyclic: one coordinate of radix its order
+    radices = getattr(group, "orders", (order,))
+    if len(gaps) > 1:
+        g = _product_translator(targets, gaps, radices, getattr(group, "weights", (1,)))
+    elif len(radices) > 1:
+        # the probe may spend what the sweep would read
+        budget = len(targets) * (4 * len(radices) - 2)
+        g = _probed_translator(targets, gaps[0], radices, group.weights, budget)
     else:
-        g = _cyclic_translator(targets, gaps, order)
+        g = _cyclic_translator(targets, gaps[0], order)
     if g >= order:
         raise NoTranslator(f"forbidden set exhausted a group of order {order}")
     return g
 
 
-def _cyclic_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], order: int) -> int:
-    """Least g in [0, order) outside targets - gaps in a cyclic block, or
-    the order when they forbid every g: a probe that jumps up from 0.
+def _cyclic_translator(targets: Sequence[int], gap: tuple[int, int], order: int) -> int:
+    """Least g in [0, order) outside targets - [a, b) mod order for the
+    one gap [a, b) of a cyclic block, or the order when they forbid
+    every g: a probe that jumps up from 0.
 
-    g is forbidden iff some gap [a, b) has a target in the window
-    g + [a, b) mod order, read in [0, 2 * order) against the targets and
-    their copies one order up.  The highest such target s forbids every
-    g' from g to s - a, so the probe jumps to s - a + 1 and never skips
-    a free index; it stops when every gap in turn finds its window
-    empty, or once g reaches the order.  One bisection per gap and jump,
-    and several gaps go through the same loop."""
+    g is forbidden iff a target lies in the window g + [a, b) mod order,
+    read in [0, 2 * order) against the targets and their copies one
+    order up.  The highest such target s forbids every g' from g to
+    s - a, so the probe jumps to s - a + 1 and never skips a free index;
+    it stops at the first g whose window is empty, or once g reaches the
+    order.  Each jump ends past a target or its copy, so it makes at
+    most 2 |targets| jumps, one bisection each."""
+    a, b = gap
     g = 0
-    still = 0   # gaps in a row whose window at g holds no target
-    for a, b in itertools.cycle(gaps):
+    while True:
         end = g + b
         if end > order:
             # the window wraps: a target below end - order counts one order
@@ -530,41 +539,36 @@ def _cyclic_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], 
         else:
             i = bisect_left(targets, end)
             s = targets[i - 1] if i else -1
-        if s >= g + a:
-            g = s - a + 1
-            if g >= order:
-                return order
-            still = 0
-        else:
-            still += 1
-            if still == len(gaps):
-                break
-    return g
+        if s < g + a:
+            return g
+        g = s - a + 1
+        if g >= order:
+            return order
 
 
-def _probed_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], radices: Sequence[int],
+def _probed_translator(targets: Sequence[int], gap: tuple[int, int], radices: Sequence[int],
                        weights: Sequence[int], budget: int) -> int:
-    """Least g outside targets - gaps in a block of several coordinates,
-    or the order when they forbid every g.  Probes g = 0, 1, ... and
-    tests whether g + c (carry-free, digit by digit mod the radices) is
-    a target for any c in the missing set M, at most ``budget`` lookups
-    in all, |M| per probe; when that runs out, or M alone exceeds it,
-    :func:`_product_translator` reads the forbidden intervals instead.
-    The counting bound leaves a free g, which a small M finds in a few
-    probes, while a large M goes to the search whose work does not grow
-    with |M|."""
+    """Least g outside targets - [a, b) for the one gap [a, b) of a block
+    of several coordinates, or the order when they forbid every g.
+    Probes g = 0, 1, ... and tests whether g + c (carry-free, digit by
+    digit mod the radices) is a target for any c in the gap, at most
+    ``budget`` lookups in all, b - a per probe; when that runs out, or
+    the gap alone exceeds it, :func:`_product_translator` reads the
+    forbidden intervals instead.  The counting bound leaves a free g,
+    which a short gap finds in a few probes, while a long one goes to
+    the search whose work does not grow with its length."""
+    a, b = gap
     order = radices[0] * weights[0]
-    size = sum(b - a for a, b in gaps)
-    probes = min(order, budget // size) if size else order
+    probes = min(order, budget // (b - a))
     if probes:
-        missing = [c for a, b in gaps for c in range(a, b)]
+        missing = range(a, b)
         hits = set(targets)
         if hits.isdisjoint(missing):   # g = 0 adds nothing
             return 0
         # per coordinate: radix, weight and the digit of every missing index
         columns = [(m, w, [c // w % m for c in missing]) for m, w in zip(radices, weights)]
         for g in range(1, probes):
-            sums = [0] * size
+            sums = [0] * (b - a)
             for m, w, digits in columns:
                 d = g // w % m
                 sums = [t + (d + c) % m * w for t, c in zip(sums, digits)]
@@ -572,12 +576,13 @@ def _probed_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], 
                 return g
         if probes == order:
             return order
-    return _product_translator(targets, gaps, radices, weights)
+    return _product_translator(targets, (gap,), radices, weights)
 
 
 def _product_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], radices: Sequence[int],
                         weights: Sequence[int]) -> int:
-    """Least g outside targets - gaps in a block of several coordinates,
+    """Least g outside targets - gaps in a block of the mixed radix
+    ``radices`` (a cyclic block is ``(order,)`` with weights ``(1,)``),
     or the order when they forbid every g.  Target s minus a cylinder of
     a gap fixes the digits (s_j - d_j) mod m_j before level i and runs
     digit i over a cyclic range: one index interval, or two where it
@@ -781,37 +786,29 @@ def first_bound_below(threshold: Fraction) -> int:
     return n
 
 
-def cover_product_slalom(
-    spec: NullsetSpec,
-    slalom: Slalom,
-    cap_verify: Optional[int] = None,
-) -> CoverCertificate:
+def cover_product_slalom(spec: NullsetSpec, slalom: Slalom) -> CoverCertificate:
     """Cover a width-(n+2) slalom by one translate of the product nullset.
 
     No carries exist in product mode, so the blocks are independent: the
     targets are the slalom values and the translate's n-th component is
-    the translator found on the block group.  ``cap_verify`` bounds the
-    slalom elements the re-check certifies, as ``cap`` in
-    :func:`verify_cover`; nothing bounds the block orders.
+    the translator found on the block group.  The re-check certifies
+    every slalom element, however many; only the slalom's values are
+    bounded, as in :func:`verify_cover`, and nothing bounds the block
+    orders.
     """
     if spec.plan.mode != "product":
         raise PreconditionViolated("cover_product_slalom needs a product-mode spec")
-    return _cover(spec, slalom, cap_verify)
+    return _cover(spec, slalom)
 
 
-def cover_padic_slalom(
-    ctx,
-    spec: NullsetSpec,
-    slalom: Slalom,
-    cap_verify: Optional[int] = None,
-) -> CoverCertificate:
+def cover_padic_slalom(ctx, spec: NullsetSpec, slalom: Slalom) -> CoverCertificate:
     """Cover a width-((n+2)//2) slalom by one additive offset in the
     truncated p-adic integers ``ctx``, which must be the plan's.
 
     Carries couple the blocks, so each slalom set is closed under an
     incoming carry: targets_n = S_n united with S_n + 1 mod p^len, at
     most 2 * ((n+2)//2) <= n+2 values.  The offset's n-th block is minus
-    the found translator.  ``cap_verify`` is as in
+    the found translator.  The bounds are as in
     :func:`cover_product_slalom`.
     """
     plan = spec.plan
@@ -821,10 +818,10 @@ def cover_padic_slalom(
         raise PreconditionViolated(
             f"context ({ctx.p}, {ctx.length}) does not match plan ({plan.p}, {plan.boundaries[-1]})"
         )
-    return _cover(spec, slalom, cap_verify)
+    return _cover(spec, slalom)
 
 
-def _cover(spec: NullsetSpec, slalom: Slalom, cap_verify: Optional[int]) -> CoverCertificate:
+def _cover(spec: NullsetSpec, slalom: Slalom) -> CoverCertificate:
     """Both modes: per block, close the slalom values into targets, find
     the least translator with :func:`find_translator` and write its
     translate block; then re-check the assembled translate with
@@ -847,18 +844,13 @@ def _cover(spec: NullsetSpec, slalom: Slalom, cap_verify: Optional[int]) -> Cove
         g = find_translator(group, kept, targets, n)
         translate.append(group.element_at(-g % order if padic else g))
     translate = tuple(translate)
-    result = verify_cover(spec, translate, slalom, cap_verify)
+    result = verify_cover(spec, translate, slalom)
     if not result.ok:
         raise VerificationFailed(f"{plan.mode} cover failed its re-check at element {result.witness}")
     return CoverCertificate(translate=translate, verified=True, checked_count=result.checked_count)
 
 
-def verify_cover(
-    spec: NullsetSpec,
-    translate: tuple[tuple[int, ...], ...],
-    slalom: Slalom,
-    cap: Optional[int] = None,
-) -> VerifyResult:
+def verify_cover(spec: NullsetSpec, translate: tuple[tuple[int, ...], ...], slalom: Slalom) -> VerifyResult:
     """Decide exactly whether every slalom element lands in the
     translated nullset; on failure report the lexicographically least
     escaping element (as per-block enumeration indices).
@@ -900,10 +892,9 @@ def verify_cover(
     later one; the block codecs are built once per plan.  Everything
     that depends on the translate is computed afresh on every call.
 
-    ``cap``, when given, bounds the number of slalom elements certified.
-    There is none by default, since no element is visited.  The bound on
-    the work is the slalom's own size: more than ``DEFAULT_ENUM_CAP``
-    values in all raise :class:`CapExceeded`.
+    No cap bounds the number of slalom elements, since none is visited.
+    The bound on the work is the slalom's own size: more than
+    ``DEFAULT_ENUM_CAP`` values in all raise :class:`CapExceeded`.
     """
     plan = spec.plan
     slalom.check_domains(plan)
@@ -911,8 +902,6 @@ def verify_cover(
     if values > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"a slalom of {_count_text(values)} values exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     total = slalom.element_count()
-    if cap is not None and total > cap:
-        raise CapExceeded(f"{_count_text(total)} slalom elements exceed the verification cap {cap}")
     if len(translate) != plan.depth:
         raise PreconditionViolated(f"translate has {len(translate)} blocks, plan has {plan.depth}")
     # index_of rejects a translate block of the wrong length or range

@@ -18,8 +18,8 @@ import re
 # of a divisible chain.
 DEFAULT_ENUM_CAP = 1 << 20
 # Largest cube a default cube check scans point by point.  A cover check
-# has no element cap by default, since it never visits the elements one
-# by one; the slalom's values count against DEFAULT_ENUM_CAP.
+# has no element cap, since it decides every slalom element without
+# visiting one; the slalom's values count against DEFAULT_ENUM_CAP.
 DEFAULT_VERIFY_CAP = 1 << 20
 # Largest depth the exact numeric queries evaluate: the digit depth of
 # ek_sup, whose denominator is N!, and of factorial_expand, and the block

@@ -176,7 +176,9 @@ def cyclic_translator_by_sorting(targets, gaps, order):
     """Least g in [0, order) outside targets - gaps mod order, or the
     order when none is: every (target, gap) pair's forbidden interval
     [s - b + 1, s - a] is built, cut at the order, sorted, and swept.  The
-    reference for the library's jump probe, which builds no interval."""
+    reference for the library's jump probe on one gap, which builds no
+    interval, and for the sweep's one-coordinate case on several gaps,
+    which builds them from the gaps' cylinders."""
     intervals = []
     for s in targets:
         for a, b in gaps:

@@ -52,7 +52,7 @@ INTEGER_OPTIONS = [
     ["slalom-gen", "--in", '{"mode":"padic","p":2,"boundaries":[0,3]}', "--seed"],
     ["measure", "--in", SPEC, "--blocks"],
     ["chain", "--orders", "8", "--p", "2", "--depth", "2", "--cap-enum"],
-    COVER + ["--cap-verify"],
+    ["cube-check", "--in", CUBE, "--cap-verify"],
 ]
 
 
@@ -119,8 +119,8 @@ class TestCoverRoundTrip:
         assert result.stdout.count("\n") == 1
         error = json.loads(result.stdout)["error"]
         assert error["type"] == "SchemaError" and named in error["message"]
-        # the cap applies to both input modes
-        again = run_json(runner, ["cover", run_args[0], "--in", f"@{payload}", "--cap-verify", "100000"])
+        # the payload alone answers as the self-contained run did
+        again = run_json(runner, ["cover", run_args[0], "--in", f"@{payload}"])
         assert again == bundle
 
     @pytest.mark.parametrize(
@@ -133,16 +133,13 @@ class TestCoverRoundTrip:
     )
     def test_deep_covers_need_no_element_cap(self, runner, tmp_path, args):
         # far more than 2^20 slalom elements: the cover and verify commands
-        # set no element cap by default, and an explicit cap still counts them
+        # have no element cap
         bundle = tmp_path / "bundle.json"
         assert run(runner, ["cover", *args, "--out", str(bundle)]).exit_code == 0
         certificate = json.loads(bundle.read_text())["certificate"]
         assert certificate["verified"] is True and certificate["checked_count"] > cli.DEFAULT_VERIFY_CAP
         result = run_json(runner, ["verify", "--in", f"@{bundle}"])
         assert result["ok"] is True and result["checked_count"] == certificate["checked_count"]
-        capped = run(runner, ["verify", "--in", f"@{bundle}", "--cap-verify", str(cli.DEFAULT_VERIFY_CAP)])
-        assert capped.exit_code == 4
-        assert json.loads(capped.output)["error"]["type"] == "CapExceeded"
 
     def test_verify_flags_bad_translate(self, runner):
         bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "1", "--seed", "0"])
@@ -295,10 +292,13 @@ class TestErrorChannel:
         assert json.loads(result.output)["error"]["type"] == "PreconditionViolated"
 
     def test_cap_exceeded_exits_4(self, runner):
-        bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"])
-        result = run(runner, ["verify", "--in", json.dumps(bundle), "--cap-verify", "1"])
-        assert result.exit_code == 4
-        assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+        # a cube of 8 points past a cap of 1, and at depth 851 blocks of
+        # 1,049,928 elements in all past the enumeration cap
+        capped = ["cube-check", "--in", CUBE, "--cap-verify", "1"]
+        for args in (capped, ["cover", "padic", "--p", "2", "--depth", "851"]):
+            result = run(runner, args)
+            assert result.exit_code == 4
+            assert json.loads(result.output)["error"]["type"] == "CapExceeded"
 
     @pytest.mark.parametrize(
         "args",
@@ -368,7 +368,12 @@ class TestErrorChannel:
             ["cover", "product", "--orders", "2", "--cycle", "--depth", "3", "--cap-enum", "5"],
             # a cap must be positive
             ["chain", "--orders", "8", "--p", "2", "--depth", "2", "--cap-enum", "0"],
-            COVER + ["--cap-verify", "-1"],
+            ["cube-check", "--in", CUBE, "--cap-verify", "-1"],
+            # a cover check decides every slalom element, so no command but
+            # cube-check has --cap-verify
+            COVER + ["--cap-verify", "4"],
+            ["cover", "product", "--orders", "2", "--cycle", "--depth", "3", "--cap-verify", "4"],
+            ["verify", "--in", "{}", "--cap-verify", "4"],
         ],
     )
     def test_usage_error_exits_2_with_one_document(self, runner, args):
@@ -480,25 +485,29 @@ class TestErrorChannel:
         assert json.loads(result.output)["error"]["type"] == "SchemaError"
 
     def test_env_var_overrides_verify_cap(self, runner):
-        bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"])
-        result = run(
-            runner,
-            ["verify", "--in", json.dumps(bundle)],
-            env={cli.ENV_CAP_VERIFY: "1"},
-        )
-        assert result.exit_code == 4
+        # cube-check reads the variable; cover and verify have no cap to set
+        env = {cli.ENV_CAP_VERIFY: "1"}
+        assert run(runner, ["cube-check", "--in", CUBE], env=env).exit_code == 4
+        run_args = ["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"]
+        for args in (["verify", "--in", json.dumps(run_json(runner, run_args))], run_args):
+            unset = run(runner, args)
+            result = run(runner, args, env=env)
+            assert result.exit_code == unset.exit_code == 0
+            assert result.output == unset.output
 
     @pytest.mark.parametrize("value", [" 1_0", "abc", "0"])
     def test_cap_verify_variable_is_strict(self, runner, value):
         bundle = run(runner, COVER).output
         env = {cli.ENV_CAP_VERIFY: value}
-        for args in (["verify", "--in", bundle], COVER, ["cube-check", "--in", CUBE]):
+        result = run(runner, ["cube-check", "--in", CUBE], env=env)
+        assert result.exit_code == 2
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
+        # read only by cube-check, the one command with --cap-verify
+        for args in (["verify", "--in", bundle], COVER, ["ek", "sup", "--depth", "4"]):
             result = run(runner, args, env=env)
-            assert result.exit_code == 2
-            assert result.stdout.count("\n") == 1
-            assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
-        # read only by the commands that have --cap-verify
-        assert run(runner, ["ek", "sup", "--depth", "4"], env=env).exit_code == 0
+            assert result.exit_code == 0
+            assert result.output == run(runner, args).output
 
     def test_empty_cap_verify_variable_is_unset(self, runner):
         bundle = run(runner, COVER).output
@@ -509,7 +518,7 @@ class TestErrorChannel:
             assert empty.output == unset.output
 
     def test_internal_failure_exits_10_with_repro(self, runner, monkeypatch):
-        def broken(ctx, spec, slalom, cap_verify):
+        def broken(ctx, spec, slalom):
             raise VerificationFailed("synthetic")
 
         monkeypatch.setattr(cov, "cover_padic_slalom", broken)
@@ -520,8 +529,8 @@ class TestErrorChannel:
         assert "spec" in error["repro"] and "slalom" in error["repro"]
 
     def test_other_cover_errors_carry_no_repro(self, runner, tmp_path):
-        # one product block of order 2^21: the payload is 12.9 MB, and a
-        # cap error on it is said by its message alone
+        # one product block of order 2^21: the payload is 12.9 MB, and the
+        # p-adic cover's refusal of its mode is said by its message alone
         order = 1 << 21
         hi = cov.kept_window(order, 0)[1]
         spec = cov.NullsetSpec(cov.BlockPlan("product", (0, 21), orders=(2,) * 21), (range(hi),))
@@ -529,11 +538,11 @@ class TestErrorChannel:
         path = tmp_path / "payload.json"
         path.write_text(json.dumps(payload))
         assert path.stat().st_size > 10**7
-        result = run(runner, ["cover", "product", "--in", f"@{path}", "--cap-verify", "1"])
-        assert result.exit_code == 4
+        result = run(runner, ["cover", "padic", "--in", f"@{path}"])
+        assert result.exit_code == 3
         assert len(result.stdout.encode()) < 1000
         error = json.loads(result.stdout)["error"]
-        assert error == {"type": "CapExceeded", "message": "2 slalom elements exceed the verification cap 1"}
+        assert error == {"type": "PreconditionViolated", "message": "cover_padic_slalom needs a padic-mode spec"}
 
 
 class TestDeterminismAndFormats:

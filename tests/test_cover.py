@@ -200,25 +200,26 @@ class TestGapCylinders:
 
 
 class TestCyclicSweep:
-    """The translator probe of a cyclic block against building, sorting
-    and sweeping every (target, gap) interval, without the counting
+    """The translators of a cyclic block against building, sorting and
+    sweeping every (target, gap) interval, without the counting
     preconditions of ``find_translator``, so that some target sets
-    forbid the whole group."""
+    forbid the whole group: the jump probe on a kept set of one gap, and
+    the sweep's one-coordinate case on several gaps."""
 
     @staticmethod
     def case(rng):
         order = rng.randint(1, 40)
-        gaps = []
-        if rng.random() < 0.5:
-            a = rng.randrange(order)
-            gaps.append((a, rng.randint(a + 1, order)))
-        else:
-            # random holes, as runs of consecutive indices
-            for i in sorted(rng.sample(range(order), rng.randint(0, order))):
+        if order > 2 and rng.random() < 0.5:
+            # several random holes, as runs of consecutive indices
+            gaps = []
+            for i in sorted(rng.sample(range(order), rng.randint(2, order - 1))):
                 if gaps and gaps[-1][1] == i:
                     gaps[-1] = (gaps[-1][0], i + 1)
                 else:
                     gaps.append((i, i + 1))
+        else:
+            a = rng.randrange(order)
+            gaps = [(a, rng.randint(a + 1, order))]
         targets = set(rng.sample(range(order), rng.randint(0, min(order, 8))))
         # targets at both ends of the block, where the intervals wrap
         targets |= {end for end in (0, order - 1) if rng.random() < 0.3}
@@ -230,26 +231,47 @@ class TestCyclicSweep:
         seen = set()
         for _ in range(2500):
             order, gaps, targets = self.case(rng)
-            g = cover_module._cyclic_translator(targets, gaps, order)
+            if len(gaps) > 1:
+                g = cover_module._product_translator(targets, gaps, (order,), (1,))
+            else:
+                g = cover_module._cyclic_translator(targets, gaps[0], order)
             assert g == cyclic_translator_by_sorting(targets, gaps, order)
             seen.add(("exhausted" if g == order else "free", len(gaps) > 1,
                       any(t < a for t in targets for a, _ in gaps)))
         assert len(seen) == 8
 
+    def test_interleaved_gaps_take_one_sweep(self):
+        # one block of order 2^16 whose third missing indices are single
+        # gaps, interleaved so that targets 0 and 2^15 forbid every g below
+        # their count: each of the 21,845 gaps holds one index
+        order = 1 << 16
+        count = order - kept_window(order, 0)[0]
+        half = order // 2
+        missing = {-g % order if g % 2 == 0 else half - g for g in range(count)}
+        kept = tuple(i for i in range(order) if i not in missing)
+        targets = (0, half)
+        gaps = cover_module._gaps(kept, order)
+        assert len(gaps) == count
+        real = cover_module._product_translator
+        with mock.patch.object(cover_module, "_product_translator", wraps=real) as sweep:
+            g = find_translator(FiniteAbelianGroup((order,)), kept, targets, 0)
+        assert sweep.call_count == 1
+        assert g == count == cyclic_translator_by_sorting(targets, gaps, order)
+
 
 class TestProductProbe:
-    """The budgeted probe of a block of several coordinates and its
-    fallback, against the whole forbidden set built pair by pair, without
-    the counting preconditions of ``find_translator``."""
+    """The budgeted probe of a block of several coordinates, whose kept
+    set has one gap, and its fallback, against the whole forbidden set
+    built pair by pair, without the counting preconditions of
+    ``find_translator``."""
 
     @staticmethod
-    def search(group, kept, targets, budget):
+    def search(group, gap, targets, budget):
         """The probe's answer and whether it fell back to the interval
         search."""
         real = cover_module._product_translator
         with mock.patch.object(cover_module, "_product_translator", wraps=real) as fallback:
-            g = cover_module._probed_translator(sorted(set(targets)), cover_module._gaps(kept, group.order),
-                                                group.orders, group.weights, budget)
+            g = cover_module._probed_translator(sorted(set(targets)), gap, group.orders, group.weights, budget)
         return g, fallback.called
 
     @settings(max_examples=300, deadline=None)
@@ -257,16 +279,17 @@ class TestProductProbe:
     def test_against_pairs(self, orders, budget, data):
         G = FiniteAbelianGroup(tuple(orders))
         index = st.integers(0, G.order - 1)
-        kept = sorted(data.draw(st.sets(index, min_size=1)))
+        a = data.draw(index)
+        b = data.draw(st.integers(a + 1, G.order))
+        kept = [i for i in range(G.order) if not a <= i < b]
         targets = data.draw(st.sets(index, max_size=6))
-        missing = G.order - len(kept)
-        unbounded = G.order * max(missing, 1)
-        g, fell_back = self.search(G, kept, targets, unbounded if budget is None else budget)
+        unbounded = G.order * (b - a)
+        g, fell_back = self.search(G, (a, b), targets, unbounded if budget is None else budget)
         assert g == product_translator_by_pairs(G, kept, targets)
         # budget 0 probes nothing; a budget for every probe never falls back
         if budget is None:
             assert not fell_back
-        elif budget == 0 and missing:
+        elif budget == 0:
             assert fell_back
 
     def test_large_missing_set_takes_the_fallback(self):
@@ -754,10 +777,17 @@ class TestVerifyCover:
         assert verify_cover(spec, cert.translate, slalom).ok
 
     def test_cap(self):
+        # no element cap is left to set: the check and both covers take none
         spec = product_spec(2)
         slalom = Slalom(width="n+2", sets=((0, 1), (0, 1, 2)))
-        with pytest.raises(CapExceeded):
-            verify_cover(spec, tuple(map(zero_residues, spec.plan.block_groups)), slalom, cap=5)
+        translate = tuple(map(zero_residues, spec.plan.block_groups))
+        with pytest.raises(TypeError):
+            verify_cover(spec, translate, slalom, cap=5)
+        with pytest.raises(TypeError):
+            cover_product_slalom(spec, slalom, cap_verify=5)
+        padic = padic_spec(2, 1)
+        with pytest.raises(TypeError):
+            cover_padic_slalom(PadicContext(2, 3), padic, Slalom("(n+2)//2", ((0,),)), cap_verify=5)
 
     def test_no_element_cap_by_default(self):
         padic, product = padic_spec(2, 30), product_spec(30)
@@ -768,8 +798,6 @@ class TestVerifyCover:
             translate = cover(slalom).translate
             assert slalom.element_count() > DEFAULT_VERIFY_CAP
             assert verify_cover(spec, translate, slalom).ok
-            with pytest.raises(CapExceeded, match="verification cap"):
-                verify_cover(spec, translate, slalom, cap=DEFAULT_VERIFY_CAP)
         # nor a cap on the block order: one block of order 2^21, above the
         # default enumeration cap, in each mode
         order = 1 << 21
@@ -864,8 +892,8 @@ class TestVerifyAgainstEnumeration:
         slalom = random_slalom(spec.plan, "(n+2)//2", seed=100)
         total = slalom.element_count()
         ctx = PadicContext(2, spec.plan.boundaries[-1])
-        cert = cover_padic_slalom(ctx, spec, slalom, cap_verify=total)
-        result = verify_cover(spec, cert.translate, slalom, cap=total)
+        cert = cover_padic_slalom(ctx, spec, slalom)
+        result = verify_cover(spec, cert.translate, slalom)
         elapsed = time.perf_counter() - start
         assert cert.verified and cert.checked_count == total
         assert result.ok and result.checked_count == total
@@ -878,8 +906,8 @@ class TestVerifyAgainstEnumeration:
         spec = product_spec(100)
         slalom = random_slalom(spec.plan, "n+2", seed=100)
         total = slalom.element_count()
-        cert = cover_product_slalom(spec, slalom, cap_verify=total)
-        result = verify_cover(spec, cert.translate, slalom, cap=total)
+        cert = cover_product_slalom(spec, slalom)
+        result = verify_cover(spec, cert.translate, slalom)
         elapsed = time.perf_counter() - start
         assert cert.verified and cert.checked_count == total
         assert result.ok and result.checked_count == total
@@ -936,7 +964,7 @@ class TestVerifyPadicAgainstValues:
     def check(self, spec, slalom, offsets):
         translate = tuple(G.element_at(t) for G, t in zip(spec.plan.block_groups, offsets))
         expected = verify_padic_by_values(spec, translate, slalom)
-        assert verify_cover(spec, translate, slalom, cap=slalom.element_count()) == expected
+        assert verify_cover(spec, translate, slalom) == expected
         return expected.ok
 
     @pytest.mark.parametrize("seed", range(12))
@@ -945,8 +973,7 @@ class TestVerifyPadicAgainstValues:
         rng, covering, random_kept, slalom, offsets = self.case(p, seed)
         assert self.check(covering, slalom, offsets)
         if slalom.width == "(n+2)//2":
-            cert = cover_padic_slalom(PadicContext(p, random_kept.plan.boundaries[-1]), random_kept, slalom,
-                                      cap_verify=slalom.element_count())
+            cert = cover_padic_slalom(PadicContext(p, random_kept.plan.boundaries[-1]), random_kept, slalom)
             accepted = [G.index_of(b) for G, b in zip(random_kept.plan.block_groups, cert.translate)]
             assert self.check(random_kept, slalom, accepted)
         for spec in (covering, random_kept):

@@ -27,22 +27,37 @@ from nullcover import cover as cov
 from nullcover.groups import PadicContext
 
 
+def _kept_without(order, missing):
+    return tuple(i for i in range(order) if i not in missing)
+
+
+def _bundle(spec, slalom, cert):
+    return {"spec": spec.to_json(), "slalom": slalom.to_json(), "certificate": cert.to_json()}
+
+
 def _documents():
     plan = cov.plan_blocks_padic(2, 2)
+    ctx = PadicContext(plan.p, plan.boundaries[-1])
     spec = cov.build_nullset(plan)
     slalom = cov.random_slalom(plan, "(n+2)//2", 1)
-    cert = cov.cover_padic_slalom(PadicContext(plan.p, plan.boundaries[-1]), spec, slalom)
+    cert = cov.cover_padic_slalom(ctx, spec, slalom)
     product = cov.plan_blocks_product([2, 3, 2, 3, 2, 3], 2)
     product_spec = cov.build_nullset(product)
     product_slalom = cov.random_slalom(product, "n+2", 1)
     product_cert = cov.cover_product_slalom(product_spec, product_slalom)
+    # hand-built kept sets of several gaps (blocks of orders 8 and 16, and
+    # 12 and 18), so that the translator's sweep and both checks' loops
+    # over the gaps run
+    gapped = cov.NullsetSpec(plan, (_kept_without(8, {2, 6}), _kept_without(16, {1, 6, 11})))
+    product_gapped = cov.NullsetSpec(product, (_kept_without(12, {2, 9}), _kept_without(18, {0, 8, 17})))
     return {
         "plan": [plan.to_json(), product.to_json()],
         "spec": [spec.to_json(), product_spec.to_json()],
         "bundle": [
-            {"spec": spec.to_json(), "slalom": slalom.to_json(), "certificate": cert.to_json()},
-            {"spec": product_spec.to_json(), "slalom": product_slalom.to_json(),
-             "certificate": product_cert.to_json()},
+            _bundle(spec, slalom, cert),
+            _bundle(product_spec, product_slalom, product_cert),
+            _bundle(gapped, slalom, cov.cover_padic_slalom(ctx, gapped, slalom)),
+            _bundle(product_gapped, product_slalom, cov.cover_product_slalom(product_gapped, product_slalom)),
         ],
         "cube": [{"plan": plan.to_json(), "family": [slalom.to_json(), slalom.to_json()]}],
         "descriptor": [
@@ -61,9 +76,9 @@ COMMANDS = {
     ("plan", "product"): (["--orders", "--cycle", "--depth"], None),
     ("plan", "padic"): (["--p", "--depth"], None),
     ("build-nullset",): (["--in"], "plan"),
-    ("cover", "product"): (["--in", "--orders", "--cycle", "--depth", "--seed", "--cap-verify"], "bundle"),
-    ("cover", "padic"): (["--in", "--p", "--depth", "--seed", "--cap-verify"], "bundle"),
-    ("verify",): (["--in", "--cap-verify"], "bundle"),
+    ("cover", "product"): (["--in", "--orders", "--cycle", "--depth", "--seed"], "bundle"),
+    ("cover", "padic"): (["--in", "--p", "--depth", "--seed"], "bundle"),
+    ("verify",): (["--in"], "bundle"),
     ("measure",): (["--in", "--blocks", "--first-below"], "spec"),
     ("ek", "member"): (["--num", "--den", "--depth", "--digits"], None),
     ("ek", "measure"): (["--depth"], None),

@@ -105,7 +105,7 @@ def test_error_documents_match_schema(args, code):
 
 
 def test_internal_failure_document_matches_schema(monkeypatch):
-    def broken(ctx, spec, slalom, cap_verify):
+    def broken(ctx, spec, slalom):
         raise VerificationFailed("synthetic")
 
     monkeypatch.setattr(cov, "cover_padic_slalom", broken)
