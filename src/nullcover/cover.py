@@ -41,17 +41,22 @@ only as the translate blocks of a certificate: the cover body encodes
 them and the check decodes each block once, in one pass that
 range-checks every digit.
 
-The tables that depend on the plan or the spec alone, never on a
-translate, are built once, on first use.  Each plan holds its block
+The tables that depend on the plan, the spec or the slalom alone, never
+on a translate, are built once, on first use.  Each plan holds its block
 orders and its block groups (:attr:`BlockPlan.block_groups`, one tuple
 that every reader zips with its per-block data).  Each spec holds its
 gaps and the gaps' cylinders (:attr:`NullsetSpec.gaps`,
-:attr:`NullsetSpec.cylinders`), which the check reads.  So checking one
-more translate on the same spec runs only flat per-block passes: decode
-the blocks, bisect the slalom sets, and in p-adic mode one backward and
-one forward pass over one tuple per block.  The translator search gets
-no spec, so it computes the gaps of its kept set, and the cylinders of
-those gaps only when it sweeps.
+:attr:`NullsetSpec.cylinders`), which the check reads.  Each slalom
+holds its least value, the last value of each set and its value and
+element counts, so its domain check against a plan is one comparison
+per block.  So checking one more translate on the same spec and slalom
+runs only flat per-block passes: decode the blocks, bisect the slalom
+sets, and in p-adic mode one backward and one forward pass over one
+tuple per block.  The translator search gets no spec: a range kept set,
+as :func:`build_nullset` makes, gives its gaps from its ends, any other
+is bisected into gaps, and their cylinders are built only when it
+sweeps.  Targets that arrive as a sorted, duplicate-free tuple, as a
+product cover's slalom sets do, are searched as given.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -347,7 +352,13 @@ def kept_window(size: int, n: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class Slalom:
     """Per-block finite sets of enumeration indices, with |sets[n]| bounded
-    by the width function."""
+    by the width function.
+
+    Each set is nonempty, sorted and duplicate-free.  The facts that
+    depend on the sets alone are computed once, on first use: the least
+    value, the last value of each set, and the value and element counts.
+    They hold no plan, so one slalom may be checked against any plan.
+    """
 
     width: WidthSpec
     sets: tuple[tuple[int, ...], ...]
@@ -366,12 +377,34 @@ class Slalom:
     def depth(self) -> int:
         return len(self.sets)
 
-    def element_count(self) -> int:
+    @cached_property
+    def least_value(self) -> int:
+        """The least value of any set; 0 for a slalom of depth 0."""
+        return min((s[0] for s in self.sets), default=0)
+
+    @cached_property
+    def last_values(self) -> tuple[int, ...]:
+        """The greatest value of each set."""
+        return tuple(s[-1] for s in self.sets)
+
+    @cached_property
+    def value_count(self) -> int:
+        """sum |S_n|: the values that bound a check's work."""
+        return sum(map(len, self.sets))
+
+    @cached_property
+    def _element_count(self) -> int:
         return prod(map(len, self.sets))
+
+    def element_count(self) -> int:
+        """prod |S_n|: the slalom elements that a check decides."""
+        return self._element_count
 
     def check_domains(self, plan: BlockPlan) -> None:
         if self.depth != plan.depth:
             raise PreconditionViolated(f"slalom depth {self.depth} != plan depth {plan.depth}")
+        if self.least_value >= 0 and all(map(lt, self.last_values, plan.block_orders)):
+            return
         for n, (s, size) in enumerate(zip(self.sets, plan.block_orders)):
             if s[0] < 0 or s[-1] >= size:
                 raise PreconditionViolated(f"slalom set {n} leaves the block domain [0, {size})")
@@ -454,7 +487,10 @@ class VerifyResult:
 def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) -> int:
     """Least index g with every target in g + kept, all in enumeration
     indices of ``group``; ``kept`` is sorted and duplicate-free, as in
-    :attr:`NullsetSpec.kept`.
+    :attr:`NullsetSpec.kept`.  ``targets`` may be any iterable: a tuple
+    that already strictly increases, as a :class:`Slalom` set does, is
+    searched as given, and any other is sorted and its repeats dropped
+    first.  Only the lower end of :func:`kept_window` bounds ``kept``.
 
     Rather than trying every g, compute the set of g that fail: g fails
     iff some target equals g + c with c outside the kept set, i.e. iff
@@ -473,7 +509,8 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     (:func:`_gap_cylinders`), each target and cylinder forbid one or two
     index intervals, and one pass over these |targets| * gaps * (4k - 2)
     intervals at most, sorted, stops at the first free index.  A kept
-    set of one gap [a, b) is probed.  In a cyclic block g is forbidden
+    set of one gap [a, b) is probed; a step-1 range kept set gives its
+    gaps from its two ends.  In a cyclic block g is forbidden
     iff a target lies in the window g + [a, b), and a probe jumps up
     from 0 past the highest such target, one bisection per jump and at
     most 2 |targets| jumps (a target, or its copy one order up, ends
@@ -485,9 +522,14 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     """
     if n < 0:
         raise PreconditionViolated(f"level must be >= 0, got {n}")
-    targets = sorted(set(targets))
+    # only a tuple is tested, on a slice, which costs less than the islice
+    # of _strictly_increasing on a level's few targets: a slalom set is a
+    # sorted tuple, while the p-adic closure is a list that the test would
+    # scan halfway before failing
+    if not (isinstance(targets, tuple) and all(map(lt, targets, targets[1:]))):
+        targets = sorted(set(targets))
     order = group.order
-    min_kept = kept_window(order, n)[0]
+    min_kept = _ceil_div(order * (n + 2), n + 3)   # kept_window(order, n)[0]
     if len(kept) < min_kept:
         raise PreconditionViolated(
             f"kept set has {len(kept)} of {order} elements, level {n} requires >= {min_kept}"
@@ -626,9 +668,15 @@ def _count_text(count: int) -> str:
 
 def _gaps(kept: Sequence[int], order: int) -> list[tuple[int, int]]:
     """The complement of a sorted, duplicate-free index sequence in
-    [0, order), as half-open intervals in increasing order.  A run of
-    ``kept`` whose span equals its length has no gap inside, so bisecting
-    the sequence costs O(gaps * log |kept|)."""
+    [0, order), as half-open intervals in increasing order.  A step-1
+    range, as :func:`build_nullset` keeps, is read off its ends.  In any
+    other sequence a run whose span equals its length has no gap inside,
+    so bisecting the sequence costs O(gaps * log |kept|)."""
+    if isinstance(kept, range) and kept.step == 1:
+        out = [(0, kept.start)] if kept.start > 0 else []
+        if kept.stop < order:
+            out.append((kept.stop, order))
+        return out
     out = [(0, kept[0])] if kept[0] > 0 else []
     pending = [(0, len(kept) - 1)]
     while pending:
@@ -898,7 +946,7 @@ def verify_cover(spec: NullsetSpec, translate: tuple[tuple[int, ...], ...], slal
     """
     plan = spec.plan
     slalom.check_domains(plan)
-    values = sum(map(len, slalom.sets))
+    values = slalom.value_count
     if values > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"a slalom of {_count_text(values)} values exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     total = slalom.element_count()

@@ -166,6 +166,33 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
     return VerifyResult(ok=True, witness=None, checked_count=checked, carry_cases=(no_carry, carried))
 
 
+def check_domains_by_blocks(slalom, plan):
+    """The domain check of a slalom against a plan, block by block: the
+    depths must agree, then the first set with a value outside its block
+    is named.  The reference for :meth:`Slalom.check_domains`, which
+    accepts from facts of the slalom it computes once."""
+    if slalom.depth != plan.depth:
+        raise PreconditionViolated(f"slalom depth {slalom.depth} != plan depth {plan.depth}")
+    for n, (values, size) in enumerate(zip(slalom.sets, plan.block_orders)):
+        if not all(0 <= v < size for v in values):
+            raise PreconditionViolated(f"slalom set {n} leaves the block domain [0, {size})")
+
+
+def gaps_by_membership(kept, order):
+    """The complement of ``kept`` in [0, order) as maximal half-open runs,
+    found by testing every index: the reference for the library's gaps."""
+    kept = set(kept)
+    gaps = []
+    for i in range(order):
+        if i in kept:
+            continue
+        if gaps and gaps[-1][1] == i:
+            gaps[-1] = (gaps[-1][0], i + 1)
+        else:
+            gaps.append((i, i + 1))
+    return gaps
+
+
 def contains(kept, index):
     """Membership in a sorted index sequence, by one bisection."""
     i = bisect_left(kept, index)

@@ -6,6 +6,7 @@ import tracemalloc
 from unittest import mock
 from fractions import Fraction
 from math import prod
+from operator import lt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +36,7 @@ from nullcover.cover import (
     verify_cover,
     width_fn,
 )
-from nullcover.errors import CapExceeded, PreconditionViolated, SchemaError
+from nullcover.errors import CapExceeded, NoTranslator, PreconditionViolated, SchemaError
 from nullcover.groups import BlockGroup, FiniteAbelianGroup, PadicContext
 from nullcover.nullset import NUMERIC_DEPTH_CAP
 
@@ -43,10 +44,12 @@ from helpers import (
     abelian_groups_up_to,
     add_residues,
     bound_product_by_product,
+    check_domains_by_blocks,
     cyclic_translator_by_sorting,
     differences,
     digit_columns,
     first_bound_below_by_scan,
+    gaps_by_membership,
     least_translator_by_scan,
     nullset_json_by_tuples,
     product_translator_by_pairs,
@@ -172,6 +175,205 @@ class TestFindTranslator:
             for slalom in slaloms:
                 targets = slalom.sets[n]
                 assert find_translator(group, kept, targets, n) == product_translator_by_pairs(group, kept, targets)
+
+
+# cyclic and product residue-vector blocks, and p-adic digit blocks
+TRANSLATOR_BLOCKS = [
+    FiniteAbelianGroup((7,)), FiniteAbelianGroup((16,)), FiniteAbelianGroup((2, 3)),
+    FiniteAbelianGroup((3, 4)), FiniteAbelianGroup((2, 2, 3)),
+    BlockGroup(2, 0, 4), BlockGroup(3, 1, 3), BlockGroup(5, 0, 1),
+]
+
+
+def outcome(call):
+    """What a call returns, or the type and message of the library error
+    it raises."""
+    try:
+        return call()
+    except (PreconditionViolated, NoTranslator) as error:
+        return type(error), str(error)
+
+
+def target_forms(targets):
+    """The same target set as a sorted tuple, a sorted list, an unsorted
+    list and tuple with repeats and a generator, each made afresh by a
+    call."""
+    ordered = sorted(set(targets))
+    repeated = ordered[::-1] + ordered[: len(ordered) // 2 + 1]
+    return [lambda: tuple(ordered), lambda: list(ordered), lambda: list(repeated), lambda: tuple(repeated),
+            lambda: (t for t in ordered)]
+
+
+class TestTranslatorInputForms:
+    """``find_translator`` takes a sorted, duplicate-free tuple of targets
+    as given and any other iterable through a sort, and reads a step-1
+    range kept set off its ends: every input form gets the oracle's
+    translator, and each precondition failure the same error."""
+
+    @staticmethod
+    def oracle(group, kept, targets):
+        if isinstance(group, BlockGroup):   # a digit block is cyclic of its order
+            return cyclic_translator_by_sorting(sorted(set(targets)), gaps_by_membership(kept, group.order),
+                                                group.order)
+        elements = [group.element_at(i) for i in range(group.order)]
+        found = least_translator_by_scan(group, [elements[i] for i in kept], [elements[t] for t in targets])
+        return group.index_of(found)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(TRANSLATOR_BLOCKS), st.integers(0, 3),
+           st.sampled_from(["prefix", "shifted", "step 2", "scattered"]), st.data())
+    def test_every_form_against_the_oracle(self, group, n, kind, data):
+        order = group.order
+        least = kept_window(order, n)[0]
+        assume(least < order)
+        index = st.integers(0, order - 1)
+        if kind == "prefix":
+            kept = range(data.draw(st.integers(least, order - 1)))
+        elif kind == "shifted":
+            size = data.draw(st.integers(least, order - 1))
+            start = data.draw(st.integers(1, order - size))
+            kept = range(start, start + size)
+        elif kind == "step 2":   # half the block, below every level's least kept size
+            kept = range(data.draw(index), order, 2)
+        else:
+            kept = tuple(sorted(data.draw(st.sets(index, min_size=least, max_size=order - 1))))
+        targets = data.draw(st.lists(index, min_size=1, max_size=n + 2))
+        expected = outcome(lambda: find_translator(group, tuple(kept), sorted(set(targets)), n))
+        for form in target_forms(targets):
+            assert outcome(lambda: find_translator(group, kept, form(), n)) == expected
+        if kind == "step 2":
+            assert expected[0] is PreconditionViolated and "requires >=" in expected[1]
+        else:
+            assert expected == self.oracle(group, kept, targets)
+
+    @pytest.mark.parametrize("group", TRANSLATOR_BLOCKS)
+    def test_precondition_errors_agree(self, group):
+        order = group.order
+        n = 1
+        least = kept_window(order, n)[0]
+        hi = order - 1
+        cases = [
+            ("level must be >= 0", range(hi), [0], -1),
+            ("requires >=", range(least - 1), [0], n),
+            ("requires >=", range(0, order, 2), [0], n),
+            ("exceed the level-1 limit", range(hi), range(n + 3), n),
+            ("outside", range(hi), [0, order], n),
+            ("outside", range(hi), [-1, 0], n),
+            ("outside", range(order - hi + 1, order + 1), [0], n),
+        ]
+        for text, kept, targets, level in cases:
+            with pytest.raises(PreconditionViolated, match=text) as raised:
+                find_translator(group, tuple(kept), sorted(set(targets)), level)
+            expected = PreconditionViolated, str(raised.value)
+            for kept_form in (kept, tuple(kept)):
+                for form in target_forms(targets):
+                    assert outcome(lambda: find_translator(group, kept_form, form(), level)) == expected
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_range_gaps_read_off_the_ends(self, order):
+        for start in range(order):
+            for stop in range(start + 1, order + 1):
+                for step in (1, 2, 3):
+                    kept = range(start, stop, step)
+                    gaps = cover_module._gaps(kept, order)
+                    assert gaps == cover_module._gaps(tuple(kept), order) == gaps_by_membership(kept, order)
+
+
+class TestSlalomFacts:
+    """A slalom computes its bounds and counts once, from its sets alone:
+    the domain check accepts from them and names the first offending
+    block as a block-by-block check does, against any plan."""
+
+    @staticmethod
+    def checked(slalom, plan):
+        return outcome(lambda: slalom.check_domains(plan)), outcome(lambda: check_domains_by_blocks(slalom, plan))
+
+    def test_offending_blocks_named_as_block_by_block(self):
+        plan = plan_blocks_product(itertools.cycle([2]), 4)
+        orders = plan.block_orders
+        inside = [(0, size - 1) for size in orders]
+        cases = {
+            "last value at the order": {0: (1, orders[0])},
+            "negative first value": {1: (-1, 2)},
+            "only a later block": {3: (0, orders[3] + 5)},
+            "two blocks": {2: (-3, 0), 3: (0, orders[3])},
+        }
+        for name, changed in cases.items():
+            sets = tuple(changed.get(n, values) for n, values in enumerate(inside))
+            mine, reference = self.checked(Slalom(width="n+2", sets=sets), plan)
+            assert mine == reference, name
+            block = min(changed)
+            assert mine == (PreconditionViolated, f"slalom set {block} leaves the block domain [0, {orders[block]})")
+        assert self.checked(Slalom(width="n+2", sets=tuple(inside)), plan) == (None, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_against_block_by_block(self, coordinate, data):
+        plan = plan_blocks_product(itertools.cycle([coordinate]), 4)
+        sets = tuple(
+            tuple(sorted(data.draw(st.sets(st.integers(-2, size + 1), min_size=1, max_size=n + 2))))
+            for n, size in enumerate(plan.block_orders)
+        )
+        slalom = Slalom(width="n+2", sets=sets)
+        mine, reference = self.checked(slalom, plan)
+        assert mine == reference
+        assert slalom.value_count == sum(map(len, sets))
+        assert slalom.element_count() == prod(map(len, sets))
+
+    def test_one_slalom_against_two_plans(self):
+        small = plan_blocks_product(itertools.cycle([2]), 3)
+        large = plan_blocks_product(itertools.cycle([5]), 3)
+        assert small.depth == large.depth and all(map(lt, small.block_orders, large.block_orders))
+        sets = tuple((0, size) for size in small.block_orders)   # inside the large blocks only
+        for first, second in ((small, large), (large, small)):
+            slalom = Slalom(width="n+2", sets=sets)
+            for plan in (first, second, first):
+                assert self.checked(slalom, plan)[0] == (None if plan is large else (
+                    PreconditionViolated, f"slalom set 0 leaves the block domain [0, {small.block_orders[0]})"))
+            assert not any(isinstance(value, BlockPlan) for value in vars(slalom).values())
+
+    def test_depth_mismatch_first(self):
+        spec = padic_spec(3, 4)
+        plan = spec.plan
+        translate = tuple(G.element_at(0) for G in plan.block_groups)
+        for sets in ((), ((-1,), (10**6,))):
+            slalom = Slalom(width="n+2", sets=sets)
+            message = f"slalom depth {len(sets)} != plan depth 4"
+            with pytest.raises(PreconditionViolated, match=message):
+                slalom.check_domains(plan)
+            with pytest.raises(PreconditionViolated, match=message):
+                verify_cover(spec, translate, slalom)
+        empty = Slalom(width="n+2", sets=())
+        assert (empty.least_value, empty.last_values, empty.value_count, empty.element_count()) == (0, (), 0, 1)
+
+
+class TestTracingContract:
+    """The benchmark's tracer counts ``cover.find_translator`` and
+    ``cover.verify_cover`` through the module's globals and reads their
+    positional arguments, so a cover calls each there, once per block
+    and once per cover."""
+
+    @pytest.mark.parametrize("mode", ["product", "padic"])
+    def test_calls_through_module_globals(self, mode):
+        padic = mode == "padic"
+        spec = padic_spec(3, 10) if padic else product_spec(10)
+        plan = spec.plan
+        slalom = random_slalom(plan, "(n+2)//2" if padic else "n+2", 4)
+        with mock.patch.object(cover_module, "find_translator", wraps=cover_module.find_translator) as translate, \
+                mock.patch.object(cover_module, "verify_cover", wraps=cover_module.verify_cover) as verify:
+            if padic:
+                cert = cover_padic_slalom(PadicContext(3, plan.boundaries[-1]), spec, slalom)
+            else:
+                cert = cover_product_slalom(spec, slalom)
+        assert translate.call_count == plan.depth
+        for n, call in enumerate(translate.call_args_list):
+            assert call.kwargs == {}
+            group, kept, targets, level = call.args
+            assert group is plan.block_groups[n] and kept is spec.kept[n] and level == n
+            values = set(slalom.sets[n])
+            order = plan.block_orders[n]
+            assert set(targets) == (values | {(v + 1) % order for v in values} if padic else values)
+        verify.assert_called_once_with(spec, cert.translate, slalom)
 
 
 class TestGapCylinders:

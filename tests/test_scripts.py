@@ -73,3 +73,24 @@ def test_ab_ops_refuses_cli_cold():
     )
     assert result.returncode == 2
     assert "cli-cold" in result.stderr
+
+
+def test_bench_pairs_smoke(tmp_path):
+    # the tree against itself, one short pair: both runs correct, and the
+    # summary carries every end-to-end metric the runs report
+    out = tmp_path / "pairs.json"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
+         "--workload", "cover-wide", "--pairs", "1", "--seconds", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "change won" in result.stdout
+    record = json.loads(out.read_text())
+    assert [(run["pair"], run["tree"]) for run in record["runs"]] == [(0, "parent"), (0, "change")]
+    summary = record["summary"]["cover-wide"]
+    assert {"ops_per_s", "op_p50_ms", "ok_ratio", "peak_rss_mb"} <= set(summary)
+    assert summary["ok_ratio"]["parent_runs"] == summary["ok_ratio"]["change_runs"] == [1.0]
+    assert all(stats["pairs"] == 1 for stats in summary.values())
