@@ -9,8 +9,8 @@ Times are in-process, in milliseconds, the best of ``--repeats`` runs
 with the garbage collector off; the build peak is the tracemalloc peak
 of one more, untimed build, in MiB; the bundle size is in MB (10^6
 bytes).  The ``find_translator`` stage times the per-block calls
-alone, on targets built beforehand as the cover builds them: the slalom
-values, and in p-adic mode their successors mod the block order too.
+alone: one cover runs with its calls recorded, and the stage replays
+their arguments, so it always measures what the cover passes.
 
 The slalom has seed 0, as `nullcover cover` draws by default.
 
@@ -18,12 +18,15 @@ Usage: python3 scripts/deep_table.py [--depths 100,400,850] [--repeats 5] [--jso
 """
 
 import argparse
+import functools
 import gc
 import itertools
 import json
 import time
 import tracemalloc
+from unittest import mock
 
+from nullcover import cover as cover_module
 from nullcover.cover import (
     build_nullset,
     cover_padic_slalom,
@@ -73,19 +76,16 @@ def row(mode, depth, repeats):
     spec, ms["build"] = best_ms(lambda: build_nullset(plan), repeats)
     build_peak_mib = traced_peak_mib(lambda: build_nullset(plan))
     slalom, ms["slalom"] = best_ms(lambda: random_slalom(plan, width, SEED), repeats)
-    blocks = []
-    for values, group, order, kept in zip(slalom.sets, plan.block_groups, plan.block_orders, spec.kept):
-        # the targets of the cover: a carry into a p-adic block adds one
-        targets = values if mode == "product" else [*values, *(v + 1 for v in values[:-1]), (values[-1] + 1) % order]
-        blocks.append((group, kept, targets))
-    _, ms["find_translator"] = best_ms(
-        lambda: [find_translator(group, kept, targets, n) for n, (group, kept, targets) in enumerate(blocks)],
-        repeats)
     if mode == "padic":
-        ctx = PadicContext(2, plan.boundaries[-1])
-        cert, ms["cover"] = best_ms(lambda: cover_padic_slalom(ctx, spec, slalom), repeats)
+        run_cover = functools.partial(cover_padic_slalom, PadicContext(2, plan.boundaries[-1]), spec, slalom)
     else:
-        cert, ms["cover"] = best_ms(lambda: cover_product_slalom(spec, slalom), repeats)
+        run_cover = functools.partial(cover_product_slalom, spec, slalom)
+    # record the (group, kept, targets, n) of every block as the cover passes them
+    with mock.patch.object(cover_module, "find_translator", wraps=find_translator) as recorded:
+        run_cover()
+    calls = [call.args for call in recorded.call_args_list]
+    _, ms["find_translator"] = best_ms(lambda: [find_translator(*args) for args in calls], repeats)
+    cert, ms["cover"] = best_ms(run_cover, repeats)
     result, ms["verify_cover"] = best_ms(lambda: verify_cover(spec, cert.translate, slalom), repeats)
     if not result.ok:
         raise SystemExit(f"{label}: the certificate failed its check")

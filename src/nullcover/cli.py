@@ -338,9 +338,9 @@ def verify_cmd(payload: Optional[str]) -> dict:
     spec = cov.NullsetSpec.from_json(obj["spec"])
     slalom = cov.Slalom.from_json(obj["slalom"])
     cert = cov.CoverCertificate.from_json(spec.plan, obj["certificate"])
-    if cert.verified and cert.checked_count != slalom.element_count():
+    if cert.verified and cert.checked_count != slalom.element_count:
         raise SchemaError(
-            f"certificate claims {cert.checked_count} checked elements, slalom has {slalom.element_count()}"
+            f"certificate claims {cert.checked_count} checked elements, slalom has {slalom.element_count}"
         )
     return cov.verify_cover(spec, cert.translate, slalom).to_json()
 

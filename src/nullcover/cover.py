@@ -29,11 +29,10 @@ the slalom's values, sum |S_n|, are bounded.  The translator search
 works on enumeration indices too.  A kept set of several gaps takes one
 sweep, which reads the one or two forbidden intervals of each target and
 cylinder of a gap, at most |targets| * gaps * (4k - 2), sorted; a
-cyclic block (one coordinate, or a p-adic digit block) is its case
-k = 1.  A kept set of one gap is probed.  In a cyclic block a probe
-jumps up from 0 past the highest target in the gap's window, one
-bisection per jump and at most 2 |targets| jumps, so it skips only
-forbidden indices.  In a product of several coordinates a probe tries
+block of one coordinate is its case k = 1.  A kept set of one gap is
+probed.  In a block of one coordinate a probe jumps up from 0 past the
+highest target in the gap's window, one bisection per jump and at most
+2 |targets| jumps, so it skips only forbidden indices.  In a product of several coordinates a probe tries
 g = 0, 1, ... against every missing index, within a budget of
 |targets| * (4k - 2) lookups, and past it takes the sweep.  No bound
 grows with the block order, so no cap bounds it.  Group elements appear
@@ -188,7 +187,7 @@ class BlockPlan:
         cuts = zip(self.boundaries, self.boundaries[1:])
         if self.mode == "product":
             return tuple(FiniteAbelianGroup(self.orders[a:b]) for a, b in cuts)
-        return tuple(BlockGroup(self.p, a, b) for a, b in cuts)
+        return tuple(BlockGroup(self.p, b - a) for a, b in cuts)
 
     def to_json(self) -> dict:
         obj = {"mode": self.mode, "boundaries": list(self.boundaries), "block_orders": list(self.block_orders)}
@@ -280,11 +279,10 @@ class NullsetSpec:
     @cached_property
     def cylinders(self) -> tuple:
         """Per block of several coordinates, the two chains of cylinders
-        (:func:`_gap_cylinders`) of each gap; ``None`` for a cyclic block
-        (one coordinate, or a p-adic block).  Built once per spec, on
-        first use."""
+        (:func:`_gap_cylinders`) of each gap; ``None`` for a block of one
+        coordinate.  Built once per spec, on first use."""
         return tuple(
-            None if len(getattr(group, "orders", ())) < 2
+            None if len(group.orders) < 2
             else tuple(_gap_cylinders(a, b, group.orders, group.weights) for a, b in gaps)
             for group, gaps in zip(self.plan.block_groups, self.gaps)
         )
@@ -393,12 +391,9 @@ class Slalom:
         return sum(map(len, self.sets))
 
     @cached_property
-    def _element_count(self) -> int:
-        return prod(map(len, self.sets))
-
     def element_count(self) -> int:
         """prod |S_n|: the slalom elements that a check decides."""
-        return self._element_count
+        return prod(map(len, self.sets))
 
     def check_domains(self, plan: BlockPlan) -> None:
         if self.depth != plan.depth:
@@ -500,21 +495,20 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     index outside it exists and is returned.  The complement is read off
     the gaps of ``kept``, and no group element is ever built.  Index
     subtraction is carry-free in the mixed radix of the block's k
-    coordinates (``group.orders``, last fastest); a cyclic block (one
-    coordinate, or a p-adic digit block) is the case k = 1, where it is
-    subtraction mod the order.
+    coordinates (``group.orders``, last fastest); a block of one
+    coordinate is the case k = 1, where it is subtraction mod the order.
 
     A kept set of several gaps takes one sweep: each gap is split into
     at most 2k - 1 cylinders, as the product check splits it
     (:func:`_gap_cylinders`), each target and cylinder forbid one or two
     index intervals, and one pass over these |targets| * gaps * (4k - 2)
     intervals at most, sorted, stops at the first free index.  A kept
-    set of one gap [a, b) is probed; a step-1 range kept set gives its
-    gaps from its two ends.  In a cyclic block g is forbidden
-    iff a target lies in the window g + [a, b), and a probe jumps up
-    from 0 past the highest such target, one bisection per jump and at
-    most 2 |targets| jumps (a target, or its copy one order up, ends
-    each).  In a block of k > 1 coordinates a probe tries g = 0, 1, ...
+    set with no gap admits g = 0.  A kept set of one gap [a, b) is
+    probed; a step-1 range kept set gives its gaps from its two ends.
+    In a block of one coordinate g is forbidden iff a target lies in
+    the window g + [a, b), and a probe jumps up from 0 past the highest
+    such target, one bisection per jump and at most 2 |targets| jumps (a
+    target, or its copy one order up, ends each).  In a block of k > 1 coordinates a probe tries g = 0, 1, ...
     against every missing index within a budget of |targets| * (4k - 2)
     lookups; a large missing set spends it at once and takes the sweep.
     No search's work grows with the order of ``group``, so no cap bounds
@@ -542,10 +536,11 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     missing = order - len(kept)
     # counting bound behind the whole construction
     assert len(targets) * missing < order
-    # a p-adic digit block is cyclic: one coordinate of radix its order
-    radices = getattr(group, "orders", (order,))
+    if not gaps:   # nothing is missing, so every g works
+        return 0
+    radices = group.orders
     if len(gaps) > 1:
-        g = _product_translator(targets, gaps, radices, getattr(group, "weights", (1,)))
+        g = _product_translator(targets, gaps, radices, group.weights)
     elif len(radices) > 1:
         # the probe may spend what the sweep would read
         budget = len(targets) * (4 * len(radices) - 2)
@@ -949,7 +944,7 @@ def verify_cover(spec: NullsetSpec, translate: tuple[tuple[int, ...], ...], slal
     values = slalom.value_count
     if values > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"a slalom of {_count_text(values)} values exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
-    total = slalom.element_count()
+    total = slalom.element_count
     if len(translate) != plan.depth:
         raise PreconditionViolated(f"translate has {len(translate)} blocks, plan has {plan.depth}")
     # index_of rejects a translate block of the wrong length or range

@@ -1,7 +1,9 @@
 """The index codecs of finite abelian groups and of p-adic digit blocks
 (element to enumeration index and back; the library does its group
-arithmetic on indices), and primality; the truncated p-adic integers of
-length L are the digit block [0, L).
+arithmetic on indices), and primality.  A digit block is keyed by
+``(p, length)`` alone: it is the cyclic group Z_{p^length}, one
+coordinate; the truncated p-adic integers of length L are the block of
+all L digits.
 
 Elements are plain tuples of small nonnegative ints: residue vectors for
 finite groups, digit vectors (least significant digit first) for p-adic
@@ -117,37 +119,39 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class BlockGroup:
-    """The digit codec of a p-adic block: the base-p digits on the interval
-    [start, stop) of a p-adic integer, least significant first, read as
-    their value, an element of the integers mod p^len.  The block's group
-    law is addition of values mod p^len (carried digit addition with the
-    final carry forgotten), so the cover and the verifier work on values
-    alone; digits appear only in certificates.
+    """The digit codec of a p-adic block: ``length`` base-p digits, least
+    significant first, read as their value, an element of the integers
+    mod p^length.  The block's group law is addition of values mod
+    p^length (carried digit addition with the final carry forgotten), so
+    as a group it is one coordinate of radix its order, and the cover and
+    the verifier work on values alone; digits appear only in
+    certificates.
     """
 
     p: int
-    start: int
-    stop: int
+    length: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise PreconditionViolated(f"p = {self.p} is not prime")
-        if not 0 <= self.start < self.stop:
-            raise PreconditionViolated(f"bad digit interval [{self.start}, {self.stop})")
-
-    @cached_property
-    def len(self) -> int:
-        return self.stop - self.start
+        if self.length < 1:
+            raise PreconditionViolated(f"a digit block needs length >= 1, got {self.length}")
 
     @cached_property
     def order(self) -> int:
-        return self.p**self.len
+        return self.p**self.length
+
+    @cached_property
+    def orders(self) -> tuple[int]:
+        return (self.order,)
+
+    weights = (1,)
 
     def element_at(self, index: int) -> DigitVector:
         if not 0 <= index < self.order:
             raise PreconditionViolated(f"value {index} out of range for block of order {self.order}")
         digits = []
-        for _ in range(self.len):
+        for _ in range(self.length):
             index, d = divmod(index, self.p)
             digits.append(d)
         return tuple(digits)
@@ -155,8 +159,8 @@ class BlockGroup:
     def index_of(self, x: DigitVector) -> int:
         # one Horner pass from the most significant digit, each digit
         # range-checked on the way
-        if len(x) != self.len:
-            raise DimensionMismatch(f"digit vector of length {len(x)}, block expects {self.len}")
+        if len(x) != self.length:
+            raise DimensionMismatch(f"digit vector of length {len(x)}, block expects {self.length}")
         p = self.p
         index = 0
         for d in reversed(x):
@@ -167,14 +171,7 @@ class BlockGroup:
 
 
 class PadicContext(BlockGroup):
-    """Truncated p-adic integers: ``length`` base-p digits, least
-    significant first.  This is the digit block [0, length), the codec of
-    the integers mod p^length.
+    """Truncated p-adic integers: the block of all ``length`` base-p
+    digits, the codec of the integers mod p^length.  The name is kept
+    because the benchmark constructs it.
     """
-
-    def __init__(self, p: int, length: int) -> None:
-        BlockGroup.__init__(self, p, 0, length)
-
-    @property
-    def length(self) -> int:
-        return self.stop

@@ -116,7 +116,7 @@ def verify_cover_by_enumeration(spec, translate, slalom, cap):
     escaping element."""
     plan = spec.plan
     slalom.check_domains(plan)
-    total = slalom.element_count()
+    total = slalom.element_count
     if total > cap:
         raise CapExceeded(f"{total} slalom elements exceed the verification cap {cap}")
     if len(translate) != plan.depth:
@@ -278,7 +278,7 @@ def verify_product_by_values(spec, translate, slalom):
     looked up in the kept set.  The reference for the cylinder-interval
     check at depths that enumeration cannot reach."""
     plan = spec.plan
-    total = slalom.element_count()
+    total = slalom.element_count
     passes = []
     for n, (values, block) in enumerate(zip(slalom.sets, translate)):
         group = plan.block_groups[n]
@@ -307,7 +307,7 @@ def verify_padic_by_values(spec, translate, slalom):
     digit powers."""
     plan = spec.plan
     depth = plan.depth
-    total = slalom.element_count()
+    total = slalom.element_count
     offsets = [sum(d * plan.p**k for k, d in enumerate(block)) for block in translate]
     # inside[n][c] and out[n][c]: per slalom value of block n with carry c
     # into the block, whether the block sum lands in the kept set and

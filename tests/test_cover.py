@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import random
@@ -7,6 +8,8 @@ from unittest import mock
 from fractions import Fraction
 from math import prod
 from operator import lt
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -95,6 +98,17 @@ class TestFindTranslator:
         with pytest.raises(PreconditionViolated):
             find_translator(G, tuple(range(6)), {0, 1, 2}, 0)
 
+    @pytest.mark.parametrize("group", [FiniteAbelianGroup((8,)), BlockGroup(2, 3), FiniteAbelianGroup((2, 4))])
+    def test_gapless_kept_set_admits_zero(self, group):
+        # a kept set of the whole block misses nothing, so every g works
+        G = FiniteAbelianGroup(group.orders)
+        elements = [G.element_at(i) for i in range(G.order)]
+        for kept in (range(G.order), tuple(range(G.order))):
+            for n in range(3):
+                for targets in itertools.combinations(range(G.order), min(n + 2, 3)):
+                    expected = G.index_of(least_translator_by_scan(G, elements, [elements[t] for t in targets]))
+                    assert find_translator(group, kept, list(targets), n) == expected == 0
+
     def test_exhaustive_small_sweep(self):
         # every group of order <= 8 (and six p-adic digit blocks of order
         # <= 8), every level n <= 3, every kept set of exactly the minimal
@@ -102,8 +116,8 @@ class TestFindTranslator:
         # budget; cross-checked against the full scan and the forbidden-set
         # characterisation.  A digit block's values are the integers mod its
         # order, so its scan runs in the cyclic group of that order.
-        blocks = [BlockGroup(2, 0, 1), BlockGroup(2, 1, 3), BlockGroup(2, 4, 7),
-                  BlockGroup(3, 0, 1), BlockGroup(5, 2, 3), BlockGroup(7, 0, 1)]
+        blocks = [BlockGroup(2, 1), BlockGroup(2, 2), BlockGroup(2, 3),
+                  BlockGroup(3, 1), BlockGroup(5, 1), BlockGroup(7, 1)]
         searched = [*abelian_groups_up_to(8), *blocks]
         scanned = [*abelian_groups_up_to(8), *(FiniteAbelianGroup((B.order,)) for B in blocks)]
         for searched_group, G in zip(searched, scanned):
@@ -181,7 +195,7 @@ class TestFindTranslator:
 TRANSLATOR_BLOCKS = [
     FiniteAbelianGroup((7,)), FiniteAbelianGroup((16,)), FiniteAbelianGroup((2, 3)),
     FiniteAbelianGroup((3, 4)), FiniteAbelianGroup((2, 2, 3)),
-    BlockGroup(2, 0, 4), BlockGroup(3, 1, 3), BlockGroup(5, 0, 1),
+    BlockGroup(2, 4), BlockGroup(3, 2), BlockGroup(5, 1),
 ]
 
 
@@ -212,12 +226,12 @@ class TestTranslatorInputForms:
 
     @staticmethod
     def oracle(group, kept, targets):
-        if isinstance(group, BlockGroup):   # a digit block is cyclic of its order
-            return cyclic_translator_by_sorting(sorted(set(targets)), gaps_by_membership(kept, group.order),
-                                                group.order)
-        elements = [group.element_at(i) for i in range(group.order)]
-        found = least_translator_by_scan(group, [elements[i] for i in kept], [elements[t] for t in targets])
-        return group.index_of(found)
+        # scanned in the residue-vector group of the block's radices, so a
+        # digit block is the cyclic group of its order
+        G = FiniteAbelianGroup(group.orders)
+        elements = [G.element_at(i) for i in range(G.order)]
+        found = least_translator_by_scan(G, [elements[i] for i in kept], [elements[t] for t in targets])
+        return G.index_of(found)
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(TRANSLATOR_BLOCKS), st.integers(0, 3),
@@ -318,7 +332,7 @@ class TestSlalomFacts:
         mine, reference = self.checked(slalom, plan)
         assert mine == reference
         assert slalom.value_count == sum(map(len, sets))
-        assert slalom.element_count() == prod(map(len, sets))
+        assert slalom.element_count == prod(map(len, sets))
 
     def test_one_slalom_against_two_plans(self):
         small = plan_blocks_product(itertools.cycle([2]), 3)
@@ -344,7 +358,7 @@ class TestSlalomFacts:
             with pytest.raises(PreconditionViolated, match=message):
                 verify_cover(spec, translate, slalom)
         empty = Slalom(width="n+2", sets=())
-        assert (empty.least_value, empty.last_values, empty.value_count, empty.element_count()) == (0, (), 0, 1)
+        assert (empty.least_value, empty.last_values, empty.value_count, empty.element_count) == (0, (), 0, 1)
 
 
 class TestTracingContract:
@@ -374,6 +388,49 @@ class TestTracingContract:
             order = plan.block_orders[n]
             assert set(targets) == (values | {(v + 1) % order for v in values} if padic else values)
         verify.assert_called_once_with(spec, cert.translate, slalom)
+
+    def test_bench_tracer_reads_the_library(self, monkeypatch):
+        # the benchmark's tracer, installed in-process as bench/run.py
+        # installs it, reads one p-adic and one product cover
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        tracing = importlib.import_module("tracing")
+        from nullcover import groups, nullset, structure
+
+        for name in tracing.GROUP_CLASSES:
+            assert isinstance(getattr(groups, name), type)
+        covers = []
+        for padic in (True, False):
+            spec = padic_spec(2, 12) if padic else product_spec(9)
+            slalom = random_slalom(spec.plan, "(n+2)//2" if padic else "n+2", 3)
+            _ = spec.plan.block_groups, spec.gaps, spec.cylinders   # built before tracing
+            covers.append((padic, spec, slalom))
+        ctx = PadicContext(2, covers[0][1].plan.boundaries[-1])
+        tracer = tracing.Tracer()
+        tracer.install(SimpleNamespace(cover=cover_module, structure=structure, nullset=nullset, groups=groups))
+        try:
+            for padic, spec, slalom in covers:
+                if padic:
+                    cover_module.cover_padic_slalom(ctx, spec, slalom)
+                else:
+                    cover_module.cover_product_slalom(spec, slalom)
+        finally:
+            tracer.uninstall()
+        assert cover_padic_slalom is cover_module.cover_padic_slalom   # the patches are undone
+        order_sum, slacks, depths = 0, [], 0
+        for padic, spec, slalom in covers:
+            for values, order, kept in zip(slalom.sets, spec.plan.block_orders, spec.kept):
+                targets = set(values) | {(v + 1) % order for v in values} if padic else set(values)
+                order_sum += order
+                slacks.append(order - len(targets) * (order - len(kept)))
+            depths += spec.plan.depth
+        counters = tracer.counters
+        assert tracer.calls["cover.translate"] == depths and tracer.calls["cover.verify"] == 2
+        assert counters["cover.translate.order_sum"] == order_sum
+        assert tracer.min_slack == min(slacks)
+        # one element_at per translate block and one index_of per block
+        # checked, each counted once
+        assert counters["groups.calls"] == 2 * depths
+        assert counters["groups.errors"] == counters["cover.errors"] == 0
 
 
 class TestGapCylinders:
@@ -589,6 +646,20 @@ class TestPlans:
             assert plan.block_orders is plan.block_orders
             assert BlockPlan.from_json(plan.to_json()) == plan
 
+    @pytest.mark.parametrize("p,depth", [(2, 6), (3, 4), (5, 3), (7, 3)])
+    def test_padic_blocks_read_digit_slices(self, p, depth):
+        # block n's codec reads the digits [c_n, c_{n+1}) of the whole
+        # truncated integer, which the plan's cuts place
+        plan = plan_blocks_padic(p, depth)
+        whole = PadicContext(p, plan.boundaries[-1])
+        rng = random.Random(p * 100 + depth)
+        for _ in range(50):
+            x = rng.randrange(whole.order)
+            digits = whole.element_at(x)
+            for group, a, b in zip(plan.block_groups, plan.boundaries, plan.boundaries[1:]):
+                assert group == BlockGroup(p, b - a)
+                assert digits[a:b] == group.element_at(x // p**a % p ** (b - a))
+
     def test_padic_block_bits_capped_before_any_power(self):
         # len * p.bit_length() may reach NUMERIC_DEPTH_CAP and no further
         start = time.perf_counter()
@@ -676,6 +747,18 @@ class TestBuildNullset:
             tracemalloc.stop()
         assert all(isinstance(k, range) for k in spec.kept)
         assert peak < 1 << 20
+
+    def test_cylinders_exactly_for_blocks_of_several_coordinates(self):
+        plans = [plan_blocks_product([9, 2, 5, 11, 3, 5, 17, 2, 2, 2, 2], 5), plan_blocks_padic(3, 5)]
+        shapes = set()
+        for plan in plans:
+            spec = build_nullset(plan)
+            for group, gaps, cylinders in zip(plan.block_groups, spec.gaps, spec.cylinders):
+                shapes.add(len(group.orders) > 1)
+                assert (cylinders is None) == (len(group.orders) == 1)
+                if cylinders is not None:
+                    assert len(cylinders) == len(gaps)
+        assert shapes == {False, True}
 
     def test_kept_sets_take_one_canonical_form(self):
         plan = plan_blocks_product([2, 2, 2], 1)   # one block of order 8, which keeps 6
@@ -855,7 +938,7 @@ class TestProductCover:
         spec = product_spec(3)
         slalom = random_slalom(spec.plan, "n+2", seed=5)
         cert = cover_product_slalom(spec, slalom)
-        assert cert.checked_count == slalom.element_count()
+        assert cert.checked_count == slalom.element_count
 
     def test_mixed_orders(self):
         spec = build_nullset(plan_blocks_product(itertools.cycle([2, 3, 5]), 4))
@@ -936,7 +1019,7 @@ class TestVerifyCover:
         cert = cover_padic_slalom(PadicContext(3, spec.plan.boundaries[-1]), spec, slalom)
         result = verify_cover(spec, cert.translate, slalom)
         assert result.ok and result.witness is None
-        assert result.checked_count == slalom.element_count()
+        assert result.checked_count == slalom.element_count
 
     def test_corrupted_translate_detected(self):
         # depth-one cover of the singleton at value 3: the computed offset
@@ -998,7 +1081,7 @@ class TestVerifyCover:
                                    (product, "n+2", lambda s: cover_product_slalom(product, s))):
             slalom = random_slalom(spec.plan, width, seed=30)
             translate = cover(slalom).translate
-            assert slalom.element_count() > DEFAULT_VERIFY_CAP
+            assert slalom.element_count > DEFAULT_VERIFY_CAP
             assert verify_cover(spec, translate, slalom).ok
         # nor a cap on the block order: one block of order 2^21, above the
         # default enumeration cap, in each mode
@@ -1013,7 +1096,7 @@ class TestVerifyCover:
             (product, Slalom("n+2", (targets,)), lambda s: cover_product_slalom(product, s)),
         ):
             cert = cover(slalom)
-            assert cert.verified and cert.checked_count == slalom.element_count()
+            assert cert.verified and cert.checked_count == slalom.element_count
             assert verify_cover(spec, cert.translate, slalom).ok
         assert find_translator(FiniteAbelianGroup((order,)), range(hi), targets, 0) == \
             cyclic_translator_by_sorting(targets, ((hi, order),), order)
@@ -1092,7 +1175,7 @@ class TestVerifyAgainstEnumeration:
         start = time.perf_counter()
         spec = padic_spec(2, 100)
         slalom = random_slalom(spec.plan, "(n+2)//2", seed=100)
-        total = slalom.element_count()
+        total = slalom.element_count
         ctx = PadicContext(2, spec.plan.boundaries[-1])
         cert = cover_padic_slalom(ctx, spec, slalom)
         result = verify_cover(spec, cert.translate, slalom)
@@ -1107,7 +1190,7 @@ class TestVerifyAgainstEnumeration:
         start = time.perf_counter()
         spec = product_spec(100)
         slalom = random_slalom(spec.plan, "n+2", seed=100)
-        total = slalom.element_count()
+        total = slalom.element_count
         cert = cover_product_slalom(spec, slalom)
         result = verify_cover(spec, cert.translate, slalom)
         elapsed = time.perf_counter() - start
@@ -1232,7 +1315,7 @@ class TestVerifyPadicAgainstValues:
         slalom = Slalom(tuple(map(len, sets)), tuple(sets))
         translate = tuple(G.element_at(t) for G, t in zip(plan.block_groups, offsets))
         expected = verify_padic_by_values(spec, translate, slalom)
-        assert cover_module._verify_padic(spec, offsets, slalom, slalom.element_count()) == expected
+        assert cover_module._verify_padic(spec, offsets, slalom, slalom.element_count) == expected
         assert expected.ok or not covering
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 from math import prod
@@ -70,10 +71,10 @@ class TestFiniteAbelianGroup:
         (FiniteAbelianGroup((2, 3)), (1,), DimensionMismatch, "element of length 1 in group of rank 2"),
         (FiniteAbelianGroup((2, 3)), (1, 3), PreconditionViolated, "residues (1, 3) out of range for orders (2, 3)"),
         (FiniteAbelianGroup((2, 3)), (-1, 0), PreconditionViolated, "residues (-1, 0) out of range for orders (2, 3)"),
-        (BlockGroup(2, 1, 4), (0, 1), DimensionMismatch, "digit vector of length 2, block expects 3"),
-        (BlockGroup(2, 1, 4), (0, 2, 1), PreconditionViolated, "digits (0, 2, 1) out of range for p = 2"),
-        (BlockGroup(3, 0, 2), (-1, 0), PreconditionViolated, "digits (-1, 0) out of range for p = 3"),
-        (BlockGroup(3, 0, 2), (0, 3), PreconditionViolated, "digits (0, 3) out of range for p = 3"),
+        (BlockGroup(2, 3), (0, 1), DimensionMismatch, "digit vector of length 2, block expects 3"),
+        (BlockGroup(2, 3), (0, 2, 1), PreconditionViolated, "digits (0, 2, 1) out of range for p = 2"),
+        (BlockGroup(3, 2), (-1, 0), PreconditionViolated, "digits (-1, 0) out of range for p = 3"),
+        (BlockGroup(3, 2), (0, 3), PreconditionViolated, "digits (0, 3) out of range for p = 3"),
     ])
     def test_decoders_refuse_bad_elements(self, group, element, error, message):
         # index_of checks while it decodes
@@ -167,8 +168,11 @@ class TestPadic:
 
 
 class TestBlockGroup:
+    # a block of the digits [start, stop) of a p-adic integer is the codec
+    # of Z_{p^(stop - start)}, keyed by its length alone
+
     def test_add_examples(self):
-        B = BlockGroup(2, 0, 3)
+        B = BlockGroup(2, 3)
         assert B.index_of(add_digits(2, B.element_at(3), B.element_at(1))) == 4
         assert B.index_of(add_digits(2, B.element_at(5), B.element_at(5))) == 2
         x = B.element_at(6)
@@ -176,13 +180,13 @@ class TestBlockGroup:
 
     def test_neg_examples(self):
         # the negative of value 3 in Z_8 is value 5: their digits add to zero
-        B = BlockGroup(2, 0, 3)
+        B = BlockGroup(2, 3)
         assert add_digits(2, B.element_at(3), B.element_at(5)) == B.element_at(0) == (0, 0, 0)
-        assert BlockGroup(3, 0, 1).element_at(-1 % 3) == (2,)
+        assert BlockGroup(3, 1).element_at(-1 % 3) == (2,)
 
     @pytest.mark.parametrize("p,start,stop", [(2, 0, 3), (2, 3, 7), (3, 2, 4), (5, 0, 2)])
     def test_add_matches_integers(self, p, start, stop):
-        B = BlockGroup(p, start, stop)
+        B = BlockGroup(p, stop - start)
         for u in range(B.order):
             for v in range(B.order):
                 assert B.index_of(add_digits(p, B.element_at(u), B.element_at(v))) == (u + v) % B.order
@@ -190,40 +194,75 @@ class TestBlockGroup:
     def test_carry_unit_has_value_one(self):
         # a carry arriving from below the block is a single 1 in its
         # lowest digit, the element of value 1
-        B = BlockGroup(3, 5, 8)
+        B = BlockGroup(3, 3)
         assert B.element_at(1) == (1, 0, 0)
         assert B.index_of((1, 0, 0)) == 1
 
     @pytest.mark.parametrize("p,start,stop", [(2, 2, 5), (3, 1, 3)])
     def test_agrees_with_padic_when_no_low_carry(self, p, start, stop):
-        # block digits sit at positions [start, stop) of the whole number;
-        # if both summands vanish below the block, carried addition of the
-        # whole numbers sends no carry into it, so the block digits agree
-        B = BlockGroup(p, start, stop)
+        # the block's digits sit at positions [start, stop) of the whole
+        # number, which the plan fixes and the codec does not hold; if both
+        # summands vanish below the block, carried addition of the whole
+        # numbers sends no carry into it, so the block digits agree
+        B = BlockGroup(p, stop - start)
         ctx = PadicContext(p, stop + 1)
         for u in range(B.order):
             x = ctx.element_at(u * p**start)
             assert x[start:stop] == B.element_at(u)
-            assert x[:start] + x[stop:] == (0,) * (ctx.length - B.len)
+            assert x[:start] + x[stop:] == (0,) * (ctx.length - B.length)
             for v in range(B.order):
                 y = ctx.element_at(v * p**start)
                 assert add_digits(p, x, y)[start:stop] == add_digits(p, B.element_at(u), B.element_at(v))
 
     def test_enumeration_is_by_value(self):
         expected = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        for B in (BlockGroup(2, 0, 2), BlockGroup(2, 5, 7)):
-            assert [B.element_at(v) for v in range(B.order)] == expected
-            assert [B.index_of(x) for x in expected] == [0, 1, 2, 3]
+        B = BlockGroup(2, 2)
+        assert [B.element_at(v) for v in range(B.order)] == expected
+        assert [B.index_of(x) for x in expected] == [0, 1, 2, 3]
 
-    @given(st.sampled_from([(2, 0, 9), (3, 4, 9), (7, 1, 4)]), st.data())
+    @given(st.sampled_from([(2, 9), (3, 5), (7, 3)]), st.data())
     def test_index_round_trip(self, params, data):
         B = BlockGroup(*params)
-        x = tuple(data.draw(st.integers(0, B.p - 1)) for _ in range(B.len))
+        x = tuple(data.draw(st.integers(0, B.p - 1)) for _ in range(B.length))
         assert B.element_at(B.index_of(x)) == x
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            BlockGroup(2, 3, 7).index_of((1, 0, 1))
+            BlockGroup(2, 4).index_of((1, 0, 1))
+
+    def test_fields_are_prime_and_length(self):
+        assert [f.name for f in dataclasses.fields(BlockGroup)] == ["p", "length"]
+        with pytest.raises(PreconditionViolated, match="is not prime"):
+            BlockGroup(4, 2)
+        for length in (0, -1):
+            with pytest.raises(PreconditionViolated, match=f"length >= 1, got {length}"):
+                BlockGroup(2, length)
+
+
+CODECS = [
+    FiniteAbelianGroup((7,)), FiniteAbelianGroup((2, 3)), FiniteAbelianGroup((3, 2, 4)),
+    BlockGroup(2, 1), BlockGroup(2, 4), BlockGroup(5, 2),
+    PadicContext(3, 1), PadicContext(3, 3),
+]
+
+
+class TestBlockCodecContract:
+    """Every block codec is read through one interface: its ``order``,
+    its coordinate ``orders`` and their index ``weights``, and the
+    enumeration between indices and elements."""
+
+    @pytest.mark.parametrize("group", CODECS)
+    def test_order_is_the_product_of_orders(self, group):
+        assert group.order == prod(group.orders)
+
+    @pytest.mark.parametrize("group", CODECS)
+    def test_weights_are_mixed_radix(self, group):
+        # each weight is the product of the orders after it
+        assert list(group.weights) == [prod(group.orders[i + 1:]) for i in range(len(group.orders))]
+
+    @pytest.mark.parametrize("group", CODECS)
+    def test_index_round_trip(self, group):
+        assert [group.index_of(group.element_at(i)) for i in range(group.order)] == list(range(group.order))
 
 
 class TestCachedOrders:
@@ -239,16 +278,16 @@ class TestCachedOrders:
         assert G == fresh and hash(G) == hash(fresh) and len({G, fresh}) == 1
         assert G != FiniteAbelianGroup((*orders, 2))
 
-    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 6), st.integers(1, 30))
-    def test_block_order(self, p, start, length):
-        B = BlockGroup(p, start, start + length)
-        fresh = BlockGroup(p, start, start + length)
-        assert (B.order, B.len) == (p**length, length)
-        assert {"order", "len"} <= set(vars(B)) and "order" not in vars(fresh)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 30))
+    def test_block_order(self, p, length):
+        B = BlockGroup(p, length)
+        fresh = BlockGroup(p, length)
+        assert (B.order, B.orders, B.weights) == (p**length, (p**length,), (1,))
+        assert {"order", "orders"} <= set(vars(B)) and "order" not in vars(fresh)
         assert B == fresh and hash(B) == hash(fresh) and len({B, fresh}) == 1
-        assert B != BlockGroup(p, start, start + length + 1)
+        assert B != BlockGroup(p, length + 1)
         ctx = PadicContext(p, length)
-        assert (ctx.order, ctx.len, ctx.length) == (p**length, length, length)
+        assert (ctx.order, ctx.length) == (p**length, length)
         assert ctx == PadicContext(p, length) and hash(ctx) == hash(PadicContext(p, length))
 
 
