@@ -357,6 +357,9 @@ def measure_cmd(payload, blocks, first_below) -> dict:
     from . import cover as cov
 
     if first_below is not None:
+        given = [flag for flag, value in (("--in", payload), ("--blocks", blocks)) if value is not None]
+        if given:
+            raise SchemaError(f"--first-below takes no spec; drop {', '.join(given)}")
         threshold = _parse_fraction(first_below)
         n = cov.first_bound_below(threshold)
         return {

@@ -30,15 +30,15 @@ works on enumeration indices too.  A kept set of several gaps takes one
 sweep, which reads the one or two forbidden intervals of each target and
 cylinder of a gap, at most |targets| * gaps * (4k - 2), sorted; a
 block of one coordinate is its case k = 1.  A kept set of one gap is
-probed.  In a block of one coordinate a probe jumps up from 0 past the
-highest target in the gap's window, one bisection per jump and at most
-2 |targets| jumps, so it skips only forbidden indices.  In a product of several coordinates a probe tries
-g = 0, 1, ... against every missing index, within a budget of
-|targets| * (4k - 2) lookups, and past it takes the sweep.  No bound
-grows with the block order, so no cap bounds it.  Group elements appear
-only as the translate blocks of a certificate: the cover body encodes
-them and the check decodes each block once, in one pass that
-range-checks every digit.
+probed: from g = 0 the probe jumps past the run of translators that the
+highest target in a window of g forbids, so it skips only forbidden
+indices.  Each jump ends one of the sweep's intervals and costs one or
+two bisections per cylinder of the gap; a block of one coordinate has
+one cylinder and at most 2 |targets| jumps.  No bound grows with the
+block order, so no cap bounds it.  Group elements appear only as the
+translate blocks of a certificate: the cover body encodes them and the
+check decodes each block once, in one pass that range-checks every
+digit.
 
 The tables that depend on the plan, the spec or the slalom alone, never
 on a translate, are built once, on first use.  Each plan holds its block
@@ -77,7 +77,6 @@ from .errors import (
     DEFAULT_VERIFY_CAP,
     NUMERIC_DEPTH_CAP,
     CapExceeded,
-    EmptyWindow,
     NoTranslator,
     PreconditionViolated,
     SchemaError,
@@ -498,20 +497,21 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     coordinates (``group.orders``, last fastest); a block of one
     coordinate is the case k = 1, where it is subtraction mod the order.
 
-    A kept set of several gaps takes one sweep: each gap is split into
-    at most 2k - 1 cylinders, as the product check splits it
+    The gaps alone pick the search; a step-1 range kept set gives its
+    gaps from its two ends.  A kept set with no gap admits g = 0.  A
+    kept set of several gaps takes one sweep: each gap is split into at
+    most 2k - 1 cylinders, as the product check splits it
     (:func:`_gap_cylinders`), each target and cylinder forbid one or two
     index intervals, and one pass over these |targets| * gaps * (4k - 2)
     intervals at most, sorted, stops at the first free index.  A kept
-    set with no gap admits g = 0.  A kept set of one gap [a, b) is
-    probed; a step-1 range kept set gives its gaps from its two ends.
-    In a block of one coordinate g is forbidden iff a target lies in
-    the window g + [a, b), and a probe jumps up from 0 past the highest
-    such target, one bisection per jump and at most 2 |targets| jumps (a
-    target, or its copy one order up, ends each).  In a block of k > 1 coordinates a probe tries g = 0, 1, ...
-    against every missing index within a budget of |targets| * (4k - 2)
-    lookups; a large missing set spends it at once and takes the sweep.
-    No search's work grows with the order of ``group``, so no cap bounds
+    set of one gap [a, b) is probed: g is forbidden iff a target lies in
+    the window g + C of a cylinder C of the gap, and the probe jumps up
+    from 0 past the run of translators that the highest such target
+    forbids.  Each jump ends one of the sweep's intervals, so it makes
+    at most |targets| * (4k - 2) jumps, one or two bisections per
+    cylinder each.  In a block of one coordinate the gap is its one
+    cylinder, g + [a, b), and :func:`_cyclic_translator` probes it.  No
+    search's work grows with the order of ``group``, so no cap bounds
     the block order.
     """
     if n < 0:
@@ -542,9 +542,7 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     if len(gaps) > 1:
         g = _product_translator(targets, gaps, radices, group.weights)
     elif len(radices) > 1:
-        # the probe may spend what the sweep would read
-        budget = len(targets) * (4 * len(radices) - 2)
-        g = _probed_translator(targets, gaps[0], radices, group.weights, budget)
+        g = _probed_translator(targets, gaps[0], radices, group.weights)
     else:
         g = _cyclic_translator(targets, gaps[0], order)
     if g >= order:
@@ -584,49 +582,62 @@ def _cyclic_translator(targets: Sequence[int], gap: tuple[int, int], order: int)
 
 
 def _probed_translator(targets: Sequence[int], gap: tuple[int, int], radices: Sequence[int],
-                       weights: Sequence[int], budget: int) -> int:
+                       weights: Sequence[int]) -> int:
     """Least g outside targets - [a, b) for the one gap [a, b) of a block
-    of several coordinates, or the order when they forbid every g.
-    Probes g = 0, 1, ... and tests whether g + c (carry-free, digit by
-    digit mod the radices) is a target for any c in the gap, at most
-    ``budget`` lookups in all, b - a per probe; when that runs out, or
-    the gap alone exceeds it, :func:`_product_translator` reads the
-    forbidden intervals instead.  The counting bound leaves a free g,
-    which a short gap finds in a few probes, while a long one goes to
-    the search whose work does not grow with its length."""
-    a, b = gap
+    of several coordinates, or the order when they forbid every g: a
+    probe that jumps up from 0, as :func:`_cyclic_translator` does for
+    one coordinate.
+
+    g is forbidden iff a target lies in the window g + C (carry-free)
+    of some cylinder C of the gap (:func:`_gap_cylinders`): the fixed
+    digits (d_j + g_j) mod m_j before C's level i, and digit i in
+    [g_i + lo, g_i + hi), read in [0, 2 m_i), where a digit past m_i
+    wraps and counts one radix up.  One or two bisections give the
+    highest target s in the window, its digit i s_i read so; s forbids
+    every g' with g's digits before i, digit i from g_i to
+    min(s_i - lo, m_i - 1) and any later digits.  So the probe jumps to
+    the largest end of these runs over the cylinders and never skips a
+    free index.  Each jump ends one of the at most |targets| * (4k - 2)
+    index intervals that the targets and the cylinders forbid."""
     order = radices[0] * weights[0]
-    probes = min(order, budget // (b - a))
-    if probes:
-        missing = range(a, b)
-        hits = set(targets)
-        if hits.isdisjoint(missing):   # g = 0 adds nothing
-            return 0
-        # per coordinate: radix, weight and the digit of every missing index
-        columns = [(m, w, [c // w % m for c in missing]) for m, w in zip(radices, weights)]
-        for g in range(1, probes):
-            sums = [0] * (b - a)
-            for m, w, digits in columns:
-                d = g // w % m
-                sums = [t + (d + c) % m * w for t, c in zip(sums, digits)]
-            if hits.isdisjoint(sums):
-                return g
-        if probes == order:
-            return order
-    return _product_translator(targets, (gap,), radices, weights)
+    chains = _gap_cylinders(*gap, radices, weights)
+    g = 0
+    while g < order:
+        end = g
+        for digits, steps in chains:
+            fixed = j = 0
+            for i, lo, hi in steps:
+                while j < i:
+                    fixed += (digits[j] + g // weights[j]) % radices[j] * weights[j]
+                    j += 1
+                m, w = radices[i], weights[i]
+                first = g // w % m + lo   # the window's digits are [first, first + hi - lo)
+                for up in (m, 0):   # the part past the radix first, its digits one radix up
+                    bottom, top = max(first - up, 0), min(first + hi - lo - up, m)
+                    if bottom < top:
+                        x = bisect_left(targets, fixed + top * w)
+                        if x and targets[x - 1] >= fixed + bottom * w:
+                            s = (targets[x - 1] - fixed) // w + up
+                            end = max(end, g - g % (w * m) + (min(s - lo, m - 1) + 1) * w)
+                            break
+        if end == g:
+            return g
+        g = end
+    return order
 
 
 def _product_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], radices: Sequence[int],
                         weights: Sequence[int]) -> int:
-    """Least g outside targets - gaps in a block of the mixed radix
-    ``radices`` (a cyclic block is ``(order,)`` with weights ``(1,)``),
-    or the order when they forbid every g.  Target s minus a cylinder of
-    a gap fixes the digits (s_j - d_j) mod m_j before level i and runs
-    digit i over a cyclic range: one index interval, or two where it
-    wraps.  Along each chain of cylinders the index of every target's
-    fixed digits grows by one term per level, one pass over the targets
-    each, as digit j of s is (s // w_j) mod m_j.  One sweep over the
-    intervals, sorted, stops at the first free g."""
+    """Least g outside targets - gaps for a kept set of several gaps in
+    a block of the mixed radix ``radices`` (a cyclic block is
+    ``(order,)`` with weights ``(1,)``), or the order when they forbid
+    every g; a kept set of one gap is probed instead.  Target s minus a
+    cylinder of a gap fixes the digits (s_j - d_j) mod m_j before level
+    i and runs digit i over a cyclic range: one index interval, or two
+    where it wraps.  Along each chain of cylinders the index of every
+    target's fixed digits grows by one term per level, one pass over the
+    targets each, as digit j of s is (s // w_j) mod m_j.  One sweep over
+    the intervals, sorted, stops at the first free g."""
     intervals = []
     for a, b in gaps:
         for digits, steps in _gap_cylinders(a, b, radices, weights):
@@ -760,10 +771,7 @@ def build_nullset(plan: BlockPlan) -> NullsetSpec:
         raise CapExceeded(f"blocks of {_count_text(total)} elements in all exceed the enumeration cap {DEFAULT_ENUM_CAP}")
     kept = []
     for n, size in enumerate(sizes):
-        lo, hi = kept_window(size, n)
-        if lo > hi:
-            raise EmptyWindow(f"block {n} of order {size} admits no kept-set size at level {n}")
-        kept.append(range(hi))
+        kept.append(range(kept_window(size, n)[1]))
     return NullsetSpec(plan=plan, kept=tuple(kept))
 
 

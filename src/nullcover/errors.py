@@ -72,14 +72,6 @@ class NoTranslator(NullcoverError):
     exit_code = 3
 
 
-class EmptyWindow(PreconditionViolated):
-    """The admissible size window for a block subset is empty.
-
-    Impossible for well-formed plans (block order > 2(n+3)); treated as
-    plan corruption.
-    """
-
-
 class VerificationFailed(NullcoverError):
     """An exact re-check contradicted a produced certificate.
 

@@ -174,10 +174,6 @@ def is_discrete(d: Descriptor) -> bool:
     return bool(_kind_bits(d) & DISCRETE)
 
 
-def is_compact(d: Descriptor) -> bool:
-    return bool(_kind_bits(d) & COMPACT)
-
-
 def descriptor_to_json(d: Descriptor) -> dict:
     kind = type(d)
     if kind is FiniteSum or kind is SumOmega or kind is ProdOmega:

@@ -17,6 +17,7 @@ from nullcover.errors import DEFAULT_ENUM_CAP, CapExceeded, PreconditionViolated
 from nullcover.groups import FiniteAbelianGroup, is_prime
 from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits, factorial_expand
 from nullcover.structure import (
+    COMPACT,
     Cyclic,
     FiniteSum,
     Int,
@@ -25,6 +26,7 @@ from nullcover.structure import (
     Quasicyclic,
     SumOmega,
     Torus,
+    _kind_bits,
 )
 
 
@@ -253,7 +255,8 @@ def product_translator_by_pairs(group, kept, targets):
     targets - complement built pair by pair: the larger side is split
     into digit columns once, and each index of the smaller side costs
     one carry-free subtraction per coordinate.  The reference for the
-    product probe and the cylinder-interval search it falls back to."""
+    product jump probe on one gap and the cylinder-interval sweep on
+    several."""
     kept = set(kept)
     complement = [c for c in range(group.order) if c not in kept]
     targets = sorted(set(targets))
@@ -484,6 +487,12 @@ def is_discrete_by_match(d):
             return all(is_discrete_by_match(p) for p in parts)
         case _:
             return False
+
+
+def is_compact(d):
+    """The library's compact bit of d, as ``is_finite`` and
+    ``is_discrete`` read theirs; only the tests ask for it."""
+    return bool(_kind_bits(d) & COMPACT)
 
 
 def is_compact_by_match(d):

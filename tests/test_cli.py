@@ -45,6 +45,11 @@ COVER = ["cover", "padic", "--p", "2", "--depth", "1", "--seed", "0"]
 PADIC_RUN = ["padic", "--p", "2", "--depth", "2"]
 PRODUCT_RUN = ["product", "--orders", "2", "--cycle", "--depth", "2"]
 CUBE = '{"plan":{"mode":"padic","p":2,"boundaries":[0,3]},"family":[]}'
+# stdout of the deepest covers, after "cover"
+DEEP_BUNDLE_SHA256 = {
+    "padic --p 2 --depth 850 --seed 1": "ca06068aa1c623c4fa16ad560b3928e4cc61f84bd27cc57fd64a35884d56b585",
+    "product --orders 2 --cycle --depth 850 --seed 1": "45d6d2f173b182d34786d77cfafa3989324250e6dde903015bc704631b4dedff",
+}
 # each integer option on a command that reads it, the value last
 INTEGER_OPTIONS = [
     ["ek", "sup", "--depth"],
@@ -128,15 +133,21 @@ class TestCoverRoundTrip:
         [
             ["padic", "--p", "2", "--depth", "100"],
             ["product", "--orders", "2", "--cycle", "--depth", "100"],
-            ["padic", "--p", "2", "--depth", "850"],
+            ["padic", "--p", "2", "--depth", "850", "--seed", "1"],
+            ["product", "--orders", "2", "--cycle", "--depth", "850", "--seed", "1"],
         ],
     )
     def test_deep_covers_need_no_element_cap(self, runner, tmp_path, args):
         # far more than 2^20 slalom elements: the cover and verify commands
-        # have no element cap
+        # have no element cap.  The depth-850 bundles are pinned byte for byte
+        result = run(runner, ["cover", *args])
+        assert result.exit_code == 0
+        digest = DEEP_BUNDLE_SHA256.get(" ".join(args))
+        if digest is not None:
+            assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
         bundle = tmp_path / "bundle.json"
-        assert run(runner, ["cover", *args, "--out", str(bundle)]).exit_code == 0
-        certificate = json.loads(bundle.read_text())["certificate"]
+        bundle.write_bytes(result.stdout_bytes)
+        certificate = json.loads(result.stdout)["certificate"]
         assert certificate["verified"] is True and certificate["checked_count"] > cli.DEFAULT_VERIFY_CAP
         result = run_json(runner, ["verify", "--in", f"@{bundle}"])
         assert result["ok"] is True and result["checked_count"] == certificate["checked_count"]
@@ -183,6 +194,21 @@ class TestEkAndMeasure:
     def test_measure_first_below(self, runner):
         payload = run_json(runner, ["measure", "--first-below", "1/10"])
         assert payload["first_n"] == 225
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--blocks", "3"], "--blocks"),
+            (["--in", '{"bogus": 1}'], "--in"),
+            (["--blocks", "3", "--in", '{"bogus": 1}'], "--in, --blocks"),
+        ],
+    )
+    def test_measure_first_below_refuses_spec_flags(self, runner, flags, named):
+        result = run(runner, ["measure", "--first-below", "1/10"] + flags)
+        assert result.exit_code == 2
+        assert result.stdout.count("\n") == 1
+        error = json.loads(result.stdout)["error"]
+        assert error["type"] == "SchemaError" and named in error["message"]
 
     def test_measure_of_spec(self, runner):
         plan = run_json(runner, ["plan", "padic", "--p", "2", "--depth", "2"])

@@ -519,60 +519,103 @@ class TestCyclicSweep:
 
 
 class TestProductProbe:
-    """The budgeted probe of a block of several coordinates, whose kept
-    set has one gap, and its fallback, against the whole forbidden set
-    built pair by pair, without the counting preconditions of
-    ``find_translator``."""
+    """The jump probe of a block of several coordinates, whose kept set
+    has one gap, against the whole forbidden set built pair by pair,
+    without the counting preconditions of ``find_translator``."""
 
     @staticmethod
-    def search(group, gap, targets, budget):
-        """The probe's answer and whether it fell back to the interval
-        search."""
-        real = cover_module._product_translator
-        with mock.patch.object(cover_module, "_product_translator", wraps=real) as fallback:
-            g = cover_module._probed_translator(sorted(set(targets)), gap, group.orders, group.weights, budget)
-        return g, fallback.called
+    def probe(group, gap, targets):
+        return cover_module._probed_translator(sorted(set(targets)), gap, group.orders, group.weights)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(2, 5), min_size=2, max_size=4), st.sampled_from([0, 1, None]), st.data())
-    def test_against_pairs(self, orders, budget, data):
+    @given(st.lists(st.integers(2, 5), min_size=2, max_size=4), st.data())
+    def test_against_pairs(self, orders, data):
         G = FiniteAbelianGroup(tuple(orders))
         index = st.integers(0, G.order - 1)
         a = data.draw(index)
         b = data.draw(st.integers(a + 1, G.order))
         kept = [i for i in range(G.order) if not a <= i < b]
         targets = data.draw(st.sets(index, max_size=6))
-        unbounded = G.order * (b - a)
-        g, fell_back = self.search(G, (a, b), targets, unbounded if budget is None else budget)
-        assert g == product_translator_by_pairs(G, kept, targets)
-        # budget 0 probes nothing; a budget for every probe never falls back
-        if budget is None:
-            assert not fell_back
-        elif budget == 0:
-            assert fell_back
+        # the order when the targets forbid the whole block
+        assert self.probe(G, (a, b), targets) == product_translator_by_pairs(G, kept, targets)
 
-    def test_large_missing_set_takes_the_fallback(self):
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 8), min_size=2, max_size=5), st.data())
+    def test_jump_bound(self, orders, data):
+        # each pass but the last ends past one of the at most
+        # |targets| * (4k - 2) index intervals that the targets and the
+        # cylinders forbid, and bisects at most twice per cylinder.  A pass
+        # walks the first chain of cylinders once, which counts it
+        G = FiniteAbelianGroup(tuple(orders))
+        index = st.integers(0, G.order - 1)
+        a = data.draw(index)
+        b = data.draw(st.integers(a + 1, G.order))
+        targets = sorted(data.draw(st.sets(index, max_size=10)))
+        walks = []
+
+        class Walked(list):
+            def __iter__(self):
+                walks.append(self)
+                return super().__iter__()
+
+        def cylinders(*args):
+            (low, first), (high, second) = real_cylinders(*args)
+            return (low, Walked(first)), (high, second)
+
+        real_cylinders = cover_module._gap_cylinders
+        chains = real_cylinders(a, b, G.orders, G.weights)
+        with (mock.patch.object(cover_module, "_gap_cylinders", cylinders),
+              mock.patch.object(cover_module, "bisect_left", wraps=cover_module.bisect_left) as bisections):
+            g = cover_module._probed_translator(targets, (a, b), G.orders, G.weights)
+        kept = range(b, G.order + a)   # the complement of the gap, read mod the order
+        assert g == product_translator_by_pairs(G, [i % G.order for i in kept], targets)
+        passes = len(walks)
+        assert 1 <= passes <= len(targets) * (4 * len(orders) - 2) + 1
+        assert bisections.call_count <= 2 * sum(len(steps) for _, steps in chains) * passes
+
+    @pytest.mark.parametrize(
+        "orders,gap,targets,expected",
+        [
+            # the gap is digit 1 in [3, 5) under digit 0 = 0.  From g = 0 the
+            # window {3, 4} holds 3; at g = 1 it wraps, [4, 6), and its part
+            # past 5 holds 0, read as digit 5; at g = 3 it lies wholly past
+            # 5, [6, 8), and holds 1, read as 6, which forbids g up to 4
+            ((2, 5), (3, 5), (0, 1, 3), 5),
+            # the gap is digit 1 in [1, 3): g = 0 meets 2 and jumps to 2,
+            # whose window [3, 5) holds 3 below the radix 4 and 0 past it,
+            # read as 4, which forbids g up to 3 where 3 forbids only 2
+            ((2, 4), (1, 3), (0, 2, 3), 4),
+            # windows below and past the radix 2 forbid the whole block
+            ((2, 2), (1, 2), (0, 1, 2, 3), 4),
+        ],
+    )
+    def test_windows_past_the_radix(self, orders, gap, targets, expected):
+        G = FiniteAbelianGroup(orders)
+        kept = [i for i in range(G.order) if not gap[0] <= i < gap[1]]
+        assert product_translator_by_pairs(G, kept, targets) == expected
+        assert self.probe(G, gap, targets) == expected
+
+    def test_large_missing_set_is_probed(self):
         # one block of order 2^21 whose kept set misses about 350,000
-        # indices: the probe's budget, 2 targets * 1 gap * 6, is spent
-        # before one probe, so the interval search answers
+        # indices: the probe reads the gap's cylinders, not its indices,
+        # and the interval sweep never runs
         G = FiniteAbelianGroup((2, 1 << 20))
         hi = kept_window(G.order, 0)[1]
         assert G.order - hi > 349_000
         targets = (5, G.order - 3)
-        real = cover_module._product_translator
-        with mock.patch.object(cover_module, "_product_translator", wraps=real) as fallback:
+        with mock.patch.object(cover_module, "_product_translator") as sweep:
             g = find_translator(G, range(hi), targets, 0)
-        assert fallback.call_count == 1
+        assert not sweep.called
         assert g == product_translator_by_pairs(G, range(hi), targets)
 
     def test_deep_product_blocks_are_probed(self):
         # blocks of orders 2 miss one or two indices, so the probe answers
-        # in every block and the interval search never runs
+        # in every block and the interval sweep never runs
         spec = product_spec(60)
         slalom = random_slalom(spec.plan, "n+2", 60)
-        with mock.patch.object(cover_module, "_product_translator") as fallback:
+        with mock.patch.object(cover_module, "_product_translator") as sweep:
             cert = cover_product_slalom(spec, slalom)
-        assert not fallback.called
+        assert not sweep.called
         assert cert.translate == tuple(
             G.element_at(product_translator_by_pairs(G, kept, values))
             for G, kept, values in zip(spec.plan.block_groups, spec.kept, slalom.sets)

@@ -11,6 +11,7 @@ from referencing import Registry, Resource
 
 import nullcover.cli as cli
 from nullcover import cover as cov
+from nullcover import errors
 from nullcover.errors import VerificationFailed
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -226,3 +227,15 @@ def test_descriptor_with_unknown_key_is_refused(descriptor, key):
         document = fail([command, "--in", json.dumps(descriptor)], 2)
         assert document["error"]["type"] == "SchemaError"
         assert repr(key) in document["error"]["message"]
+
+
+def test_error_schema_names_every_error_type():
+    # the error document's type enum and the library's error classes
+    # cannot drift apart
+    classes = [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.NullcoverError)
+        and value is not errors.NullcoverError
+    ]
+    schema = json.loads((SCHEMA_DIR / "error.schema.json").read_text())
+    assert set(schema["properties"]["error"]["properties"]["type"]["enum"]) == {c.__name__ for c in classes}

@@ -38,7 +38,6 @@ from nullcover.structure import (
     divisible_chain,
     dual,
     enumerate_descriptors,
-    is_compact,
     is_discrete,
     is_finite,
     niceness_pipeline,
@@ -52,6 +51,7 @@ from helpers import (
     divisible_chain_by_elements,
     factor_by_trial_division,
     flatten_by_rebuilding,
+    is_compact,
     is_compact_by_match,
     is_discrete_by_match,
     is_finite_by_match,
