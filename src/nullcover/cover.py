@@ -21,15 +21,16 @@ values that lands in a gap.  Product mode splits each gap of a block
 of k coordinates into at most 2k - 1 cylinders (:func:`_gap_cylinders`,
 the one carry-free layer), each one or two intervals of values, so it
 costs O(sum gaps_n * k_n * log |S_n|).  p-adic mode is a two-state carry
-transducer; per block, one bisection finds where carrying out starts and
-one per gap finds the first value in a gap, each for both incoming
-carries at once, O(sum gaps_n * log |S_n|).  The check decides all
-prod |S_n| elements at that cost, so no cap bounds the element count;
-the slalom's values, sum |S_n|, are bounded.  The translator search
-works on enumeration indices too.  A kept set of several gaps takes one
-sweep, which reads the one or two forbidden intervals of each target and
-cylinder of a gap, at most |targets| * gaps * (4k - 2), sorted; a
-block of one coordinate is its case k = 1.  A kept set of one gap is
+transducer: one backward pass over all blocks, from the last, where per
+block one bisection finds where carrying out starts and one per gap
+finds the first value in a gap, each for both incoming carries at once,
+O(sum gaps_n * log |S_n|).  The check decides all prod |S_n| elements
+at that cost, so no cap bounds the element count; the slalom's values,
+sum |S_n|, are bounded.  The translator search works on enumeration
+indices too.  A kept set of several gaps takes one sweep, which reads
+the one or two forbidden intervals of each target and cylinder of a
+gap, at most |targets| * gaps * (4k - 2), sorted; a block of one
+coordinate is its case k = 1.  A kept set of one gap is
 probed: from g = 0 the probe jumps past the run of translators that the
 highest target in a window of g forbids, so it skips only forbidden
 indices.  Each jump ends one of the sweep's intervals and costs one or
@@ -50,12 +51,13 @@ holds its least value, the last value of each set and its value and
 element counts, so its domain check against a plan is one comparison
 per block.  So checking one more translate on the same spec and slalom
 runs only flat per-block passes: decode the blocks, bisect the slalom
-sets, and in p-adic mode one backward and one forward pass over one
-tuple per block.  The translator search gets no spec: a range kept set,
-as :func:`build_nullset` makes, gives its gaps from its ends, any other
-is bisected into gaps, and their cylinders are built only when it
-sweeps.  Targets that arrive as a sorted, duplicate-free tuple, as a
-product cover's slalom sets do, are searched as given.
+sets, and in p-adic mode one backward pass over all blocks, in one
+call, that keeps one flat row per block, and one forward pass over the
+rows.  The translator search gets no spec: a range kept set, as
+:func:`build_nullset` makes, gives its gaps from its ends, any other is
+bisected into gaps, and their cylinders are built only when it sweeps.
+Targets that arrive as a sorted, duplicate-free tuple, as a product
+cover's slalom sets do, are searched as given.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -523,21 +525,24 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     if not (isinstance(targets, tuple) and all(map(lt, targets, targets[1:]))):
         targets = sorted(set(targets))
     order = group.order
-    min_kept = _ceil_div(order * (n + 2), n + 3)   # kept_window(order, n)[0]
-    if len(kept) < min_kept:
+    size = len(kept)
+    # size >= kept_window(order, n)[0] = ceil(order * (n + 2) / (n + 3)),
+    # cross-multiplied; the bound itself is computed only for the message
+    if size * (n + 3) < order * (n + 2):
         raise PreconditionViolated(
-            f"kept set has {len(kept)} of {order} elements, level {n} requires >= {min_kept}"
+            f"kept set has {size} of {order} elements, level {n} requires >= {_ceil_div(order * (n + 2), n + 3)}"
         )
-    if len(targets) > n + 2:
-        raise PreconditionViolated(f"{len(targets)} targets exceed the level-{n} limit {n + 2}")
-    if kept[0] < 0 or kept[-1] >= order or (targets and (targets[0] < 0 or targets[-1] >= order)):
+    count = len(targets)
+    if count > n + 2:
+        raise PreconditionViolated(f"{count} targets exceed the level-{n} limit {n + 2}")
+    if kept[0] < 0 or kept[-1] >= order or (count and (targets[0] < 0 or targets[-1] >= order)):
         raise PreconditionViolated(f"kept or target indices outside [0, {order})")
-    gaps = _gaps(kept, order)
-    missing = order - len(kept)
+    missing = order - size
     # counting bound behind the whole construction
-    assert len(targets) * missing < order
-    if not gaps:   # nothing is missing, so every g works
+    assert count * missing < order
+    if not missing:   # nothing is missing, so every g works
         return 0
+    gaps = _gaps(kept, order)
     radices = group.orders
     if len(gaps) > 1:
         g = _product_translator(targets, gaps, radices, group.weights)
@@ -927,16 +932,16 @@ def verify_cover(spec: NullsetSpec, translate: tuple[tuple[int, ...], ...], slal
     (at order - offset - c), and the first value whose block sum lands
     in a gap of the kept set (the preimage of a gap is one cyclic
     interval).  Both carries share the searches: one bisection for where
-    carrying starts, and one per gap (:func:`_verify_padic`).  The check
-    costs O(sum gaps_n * log |S_n|).  A backward pass finds, per block and
-    incoming carry, whether some completion escapes and how many carried
-    (element, block) pairs all completions hold; a greedy forward pass
-    then picks the least escaping element, its mixed-radix rank
-    (``checked_count`` is rank + 1, as in an enumeration that stops at
-    the witness) and the carry split over the elements up to it.
-    ``carry_cases`` counts, per
-    element and block, whether the block sum is target + offset or
-    target + offset + 1.
+    carrying starts, and one per gap.  The check costs
+    O(sum gaps_n * log |S_n|).  One backward pass over all blocks
+    (:func:`_padic_backward`) runs these searches and finds, per block
+    and incoming carry, whether some completion escapes and how many
+    carried (element, block) pairs all completions hold; a greedy
+    forward pass over its rows then picks the least escaping element,
+    its mixed-radix rank (``checked_count`` is rank + 1, as in an
+    enumeration that stops at the witness) and the carry split over the
+    elements up to it.  ``carry_cases`` counts, per element and block,
+    whether the block sum is target + offset or target + offset + 1.
 
     The per-spec tables, the gaps and in product mode the cylinders of
     each gap, are built on the first check of a spec and read by every
@@ -985,38 +990,12 @@ def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, t
 
 
 def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, total: int) -> VerifyResult:
-    """The p-adic check of :func:`verify_cover` on the decoded offsets.
-
-    Per block, both incoming carries come from shared searches of the
-    sorted values: one bisection at order - offset - 1 gives where the
-    sum carries out with carry 1, and that index or the next where it
-    does with carry 0.  The preimages of a gap under offset and
-    offset + 1 are one cyclic interval and the same shifted down by one,
-    so one bisection at the start of their union gives the first value in
-    the gap under both (:func:`_first_in_gap_pairs`)."""
+    """The p-adic check of :func:`verify_cover` on the decoded offsets:
+    one backward pass over all blocks (:func:`_padic_backward`), then, on
+    failure, one greedy forward pass over its rows."""
     plan = spec.plan
     depth = plan.depth
-    # backward pass, from the last block.  With carry c into block n the
-    # sorted values carry out of it from index split[c] on, and first[c]
-    # is the least index whose block sum lands in a gap of the kept set
-    # (|S_n| when none does).  For the completions of blocks n+1.., of
-    # which there are count = prod_{m > n} |S_m|, entered with carry 0
-    # and 1: e0 and e1 say whether some value leaves the kept set, and k0
-    # and k1 count the (element, block) pairs that carry.  Each block
-    # keeps what the forward pass reads.
-    rows = []
-    count, e0, e1, k0, k1 = 1, False, False, 0, 0
-    for values, offset, order, gaps in reversed(list(zip(slalom.sets, offsets, plan.block_orders, spec.gaps))):
-        size = len(values)
-        z1 = bisect_left(values, order - offset - 1)
-        z0 = z1 + (z1 < size and values[z1] == order - offset - 1)
-        first = _first_in_gap_pairs(values, gaps, offset, order)
-        f0, f1 = first
-        rows.append((values, (z0, z1), first, count, e0, e1, k0, k1))
-        e0, e1 = (f0 < size or (z0 > 0 and e0) or (z0 < size and e1),
-                  f1 < size or (z1 > 0 and e0) or (z1 < size and e1))
-        k0, k1 = z0 * k0 + (size - z0) * k1, size * count + z1 * k0 + (size - z1) * k1
-        count *= size
+    rows, e0, k0 = _padic_backward(slalom.sets, offsets, plan.block_orders, spec.gaps)
     if not e0:
         return VerifyResult(ok=True, witness=None, checked_count=total, carry_cases=(total * depth - k0, k0))
     # forward pass: the least escaping element, its rank, and the carried
@@ -1027,20 +1006,21 @@ def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, tot
     c = 0
     escaped = False
     witness = []
-    for values, split, first, count, e0, e1, k0, k1 in reversed(rows):
-        zeros, j = split[c], 0
+    for values, z0, z1, f0, f1, count, e0, e1, k0, k1 in rows:
+        zeros, first = (z1, f1) if c else (z0, f0)
+        j = 0
         if not escaped:
             # the first value in a gap, unless a completion escapes sooner
-            j = first[c]
+            j = first
             if e1 and zeros < j:
                 j = zeros
             if e0 and zeros > 0:
                 j = 0
             rank += j * count
             carry_total += j * count * (path_carries + c)
-            ones = max(j - zeros, 0)
+            ones = j - zeros if j > zeros else 0
             carry_total += (j - ones) * k0 + ones * k1
-            escaped = j == first[c]
+            escaped = j == first
         witness.append(values[j])
         path_carries += c
         c = int(j >= zeros)
@@ -1048,6 +1028,60 @@ def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, tot
     carry_total += path_carries
     return VerifyResult(ok=False, witness=tuple(witness), checked_count=checked,
                         carry_cases=(checked * depth - carry_total, carry_total))
+
+
+def _padic_backward(sets: Sequence[Sequence[int]], offsets: Sequence[int], orders: Sequence[int],
+                    gaps: Sequence[Sequence[tuple[int, int]]]) -> tuple[list, bool, int]:
+    """The backward pass of the p-adic check, from the last block: per
+    block n, one row (values, z0, z1, f0, f1, count, e0, e1, k0, k1),
+    in block order, and then e0 and k0 of the whole slalom.
+
+    With carry c into block n the sorted values carry out of it from
+    index z_c on, and f_c is the least index whose block sum lands in a
+    gap of the kept set (|S_n| when none does).  The completions of
+    blocks n+1.., of which there are count = prod_{m > n} |S_m|, entered
+    with carry 0 and 1: e0 and e1 say whether some value leaves the kept
+    set, and k0 and k1 count the (element, block) pairs that carry.
+
+    Both carries share the searches.  One bisection at order - offset - 1
+    gives z1, where the sum carries out with carry 1, and z0 is that
+    index or the next.  Under offset + 1 the preimage of a gap [a, b) is
+    [lo, hi) with lo = (a - offset - 1) mod order, and under offset it
+    is one later, [lo + 1, hi + 1), read in [0, 2 order) as the other
+    is: the part of either past the order wraps to [0, ...).  One
+    bisection at lo, the start of their union, gives the first value of
+    both; the values are distinct, so the first of [lo + 1, ...) is that
+    one or the next."""
+    rows = [None] * len(sets)
+    count, e0, e1, k0, k1 = 1, False, False, 0, 0
+    for n in range(len(sets) - 1, -1, -1):
+        values = sets[n]
+        order = orders[n]
+        size = len(values)
+        edge = order - offsets[n] - 1
+        z1 = bisect_left(values, edge)
+        z0 = z1 + (z1 < size and values[z1] == edge)
+        f0 = f1 = size
+        for a, b in gaps[n]:
+            lo = (a + edge) % order   # (a - offset - 1) mod order
+            hi = lo + b - a
+            if values[0] < hi + 1 - order:   # the wrapped parts [0, hi + 1 - order), [0, hi - order)
+                f0 = 0
+                if values[0] < hi - order:
+                    f1 = 0
+            j = bisect_left(values, lo, 0, f0 if f0 > f1 else f1)
+            if j < f1 and values[j] < hi:
+                f1 = j
+            if j < size and values[j] == lo:
+                j += 1
+            if j < f0 and values[j] <= hi:
+                f0 = j
+        rows[n] = (values, z0, z1, f0, f1, count, e0, e1, k0, k1)
+        e0, e1 = (f0 < size or (z0 > 0 and e0) or (z0 < size and e1),
+                  f1 < size or (z1 > 0 and e0) or (z1 < size and e1))
+        k0, k1 = z0 * k0 + (size - z0) * k1, size * count + z1 * k0 + (size - z1) * k1
+        count *= size
+    return rows, e0, k0
 
 
 def _first_in_gaps(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift: int, order: int) -> int:
@@ -1066,34 +1100,6 @@ def _first_in_gaps(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift
         if j < best and values[j] < hi:
             best = j
     return best
-
-
-def _first_in_gap_pairs(values: Sequence[int], gaps: Sequence[tuple[int, int]], shift: int,
-                        order: int) -> tuple[int, int]:
-    """:func:`_first_in_gaps` under ``shift`` and under ``shift + 1`` at
-    once.  Under shift + 1 the preimage of a gap [a, b) is [lo, hi) with
-    lo = (a - shift - 1) mod order, and under shift it is one later,
-    [lo + 1, hi + 1), read in [0, 2 * order) as the other is: the part
-    of either past the order wraps to [0, ...).  One bisection at lo, the
-    start of their union, gives the first value of both; the values are
-    distinct, so the first of [lo + 1, ...) is that one or the next."""
-    size = len(values)
-    f0 = f1 = size
-    for a, b in gaps:
-        lo = (a - shift - 1) % order
-        hi = lo + b - a
-        if values[0] < hi + 1 - order:   # the wrapped parts [0, hi + 1 - order), [0, hi - order)
-            f0 = 0
-            if values[0] < hi - order:
-                f1 = 0
-        j = bisect_left(values, lo, 0, max(f0, f1))
-        if j < f1 and values[j] < hi:
-            f1 = j
-        if j < size and values[j] == lo:
-            j += 1
-        if j < f0 and values[j] <= hi:
-            f0 = j
-    return f0, f1
 
 
 def _first_in_cylinders(values: Sequence[int], cylinders: Sequence, t: int,

@@ -88,10 +88,18 @@ class TestFindTranslator:
         G = FiniteAbelianGroup((8,))
         assert find_translator(G, tuple(range(6)), {3, 4}, 0) == 0
 
-    def test_kept_too_small(self):
-        G = FiniteAbelianGroup((8,))
-        with pytest.raises(PreconditionViolated):
-            find_translator(G, tuple(range(5)), {3}, 0)
+    @pytest.mark.parametrize("order, n", [(9, 0), (8, 0), (10, 2), (16, 2)])
+    def test_kept_too_small(self, order, n):
+        # the window's lower end is accepted and one index fewer refused,
+        # where order * (n + 2) / (n + 3) is an integer (orders 9 and 10)
+        # and where it is not (orders 8 and 16)
+        G = FiniteAbelianGroup((order,))
+        least = kept_window(order, n)[0]
+        assert find_translator(G, tuple(range(least)), {3}, n) == 0
+        message = f"kept set has {least - 1} of {order} elements, level {n} requires >= {least}"
+        with pytest.raises(PreconditionViolated) as raised:
+            find_translator(G, tuple(range(least - 1)), {3}, n)
+        assert str(raised.value) == message
 
     def test_too_many_targets(self):
         G = FiniteAbelianGroup((8,))
@@ -624,12 +632,19 @@ class TestProductProbe:
 
 class TestGapPairs:
     """The p-adic check's paired gap search: both carry states of a block
-    from shared bisections, against one search per shift."""
+    from shared bisections, read off the row of a one-block backward
+    pass, against one search per shift."""
 
     @staticmethod
     def both(values, gaps, t, order):
         return (cover_module._first_in_gaps(values, gaps, t, order),
                 cover_module._first_in_gaps(values, gaps, t + 1, order))
+
+    @staticmethod
+    def pair(values, gaps, t, order):
+        (row,), _, _ = cover_module._padic_backward([values], [t], [order], [gaps])
+        _, _, _, f0, f1, *_ = row
+        return f0, f1
 
     @settings(max_examples=1000, deadline=None)
     @given(st.integers(1, 40), st.data())
@@ -641,7 +656,7 @@ class TestGapPairs:
         cuts = sorted(data.draw(st.sets(ends, max_size=8)))
         gaps = list(zip(cuts[::2], cuts[1::2]))
         t = data.draw(st.just(order - 1) | index)
-        assert cover_module._first_in_gap_pairs(values, gaps, t, order) == self.both(values, gaps, t, order)
+        assert self.pair(values, gaps, t, order) == self.both(values, gaps, t, order)
 
     @pytest.mark.parametrize("order", range(1, 7))
     def test_exhaustive_small_orders(self, order):
@@ -653,7 +668,7 @@ class TestGapPairs:
             for cuts in cut_sets:
                 gaps = list(zip(cuts[::2], cuts[1::2]))
                 for t in indices:
-                    assert cover_module._first_in_gap_pairs(values, gaps, t, order) == \
+                    assert self.pair(values, gaps, t, order) == \
                         self.both(values, gaps, t, order)
 
 
@@ -1307,6 +1322,10 @@ class TestVerifyPadicAgainstValues:
         for spec in (covering, random_kept):
             outcomes = {self.check(spec, slalom, bad) for bad in self.tampered(spec, slalom, offsets, rng)}
             assert False in outcomes
+            # the wrap edges: offset 0, under which gap preimages run
+            # through 0, and offset order - 1, where order - offset - 1 == 0
+            for edge in (0, -1):
+                self.check(spec, slalom, [edge % order for order in spec.plan.block_orders])
 
     def test_gaps_complement_kept_and_built_once(self, monkeypatch):
         calls = []
