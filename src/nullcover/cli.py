@@ -28,11 +28,13 @@ from click.core import ParameterSource
 from .errors import (
     DEFAULT_ENUM_CAP,
     DEFAULT_VERIFY_CAP,
+    PAST_DIGIT_LIMIT,
     CapExceeded,
     NullcoverError,
     SchemaError,
     VerificationFailed,
     _as_int,
+    _count_text,
     _refuse_unknown_keys,
     rational_to_json,
 )
@@ -89,7 +91,7 @@ def emit(out: Optional[str], payload: dict) -> None:
     except ValueError:
         # payloads hold no cycles, so this is an integer past the
         # interpreter's limit on decimal conversion
-        raise CapExceeded("the output holds an integer past the interpreter's decimal digit limit") from None
+        raise CapExceeded(PAST_DIGIT_LIMIT) from None
     if out:
         try:
             with open(out, "w", encoding="utf-8") as handle:
@@ -338,9 +340,13 @@ def verify_cmd(payload: Optional[str]) -> dict:
     spec = cov.NullsetSpec.from_json(obj["spec"])
     slalom = cov.Slalom.from_json(obj["slalom"])
     cert = cov.CoverCertificate.from_json(spec.plan, obj["certificate"])
+    # the domain check first: it refuses a slalom of the wrong depth
+    # before the element count multiplies all of its set sizes
+    slalom.check_domains(spec.plan)
     if cert.verified and cert.checked_count != slalom.element_count:
         raise SchemaError(
-            f"certificate claims {cert.checked_count} checked elements, slalom has {slalom.element_count}"
+            f"certificate claims {_count_text(cert.checked_count)} checked elements,"
+            f" slalom has {_count_text(slalom.element_count)}"
         )
     return cov.verify_cover(spec, cert.translate, slalom).to_json()
 

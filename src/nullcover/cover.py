@@ -55,7 +55,8 @@ sets, and in p-adic mode one backward pass over all blocks, in one
 call, that keeps one flat row per block, and one forward pass over the
 rows.  The translator search gets no spec: a range kept set, as
 :func:`build_nullset` makes, gives its gaps from its ends, any other is
-bisected into gaps, and their cylinders are built only when it sweeps.
+bisected into gaps, and in a block of several coordinates their
+cylinders are built on every call, by the sweep and by the probe alike.
 Targets that arrive as a sorted, duplicate-free tuple, as a product
 cover's slalom sets do, are searched as given.
 
@@ -84,6 +85,7 @@ from .errors import (
     SchemaError,
     VerificationFailed,
     _as_int,
+    _count_text,
     _refuse_unknown_keys,
 )
 from .groups import BlockGroup, FiniteAbelianGroup, is_prime
@@ -127,9 +129,11 @@ class BlockPlan:
     ``boundaries`` is the cut sequence 0 = c_0 < c_1 < ... < c_D; block n
     covers coordinates [c_n, c_n+1).  Product mode records the cyclic
     orders of the consumed coordinates; p-adic mode records the prime and
-    the cuts are digit positions.  A p-adic block may span at most
-    ``NUMERIC_DEPTH_CAP`` bits of digits (len * p.bit_length()), judged
-    before any power of p is computed.
+    the cuts are digit positions, so its radices are (p, p, ...).  The
+    bits of a block's radices may number at most ``NUMERIC_DEPTH_CAP``:
+    the sum of ``bit_length()`` over a product block's coordinate orders,
+    len * p.bit_length() for a p-adic block of len digits.  The bound is
+    judged before any block order is computed.
 
     The block orders and the block groups are built once per plan, on
     first use.
@@ -155,16 +159,16 @@ class BlockPlan:
                 )
             if any(m < 2 for m in self.orders):
                 raise PreconditionViolated("coordinate orders must be >= 2")
+            bits = (sum(map(int.bit_length, self.orders[a:b])) for a, b in zip(cuts, cuts[1:]))
         else:
             if self.p is None or self.orders is not None:
                 raise SchemaError("padic plans carry a prime and no orders")
             if not is_prime(self.p):
                 raise PreconditionViolated(f"p = {self.p} is not prime")
-            widest = max(b - a for a, b in zip(cuts, cuts[1:]))
-            if widest * self.p.bit_length() > NUMERIC_DEPTH_CAP:
-                raise CapExceeded(
-                    f"a block of {widest} base-{self.p} digits exceeds the {NUMERIC_DEPTH_CAP}-bit block cap"
-                )
+            bits = ((b - a) * self.p.bit_length() for a, b in zip(cuts, cuts[1:]))
+        for n, count in enumerate(bits):
+            if count > NUMERIC_DEPTH_CAP:
+                raise CapExceeded(f"block {n} has {count} bits of radices, past the {NUMERIC_DEPTH_CAP}-bit block cap")
         for n, size in enumerate(self.block_orders):
             if size <= _grow(n):
                 raise PreconditionViolated(f"block {n} has order {size} <= {_grow(n)}")
@@ -258,11 +262,12 @@ class NullsetSpec:
         for n, (indices, size) in enumerate(zip(self.kept, self.plan.block_orders)):
             indices = _canonical_kept(n, indices)
             if indices and not (0 <= indices[0] and indices[-1] < size):
-                raise PreconditionViolated(f"kept set for block {n} has indices outside [0, {size})")
+                raise PreconditionViolated(f"kept set for block {n} has indices outside [0, {_count_text(size)})")
             lo, hi = kept_window(size, n)
             if not lo <= len(indices) <= hi:
                 raise PreconditionViolated(
-                    f"kept set for block {n} has size {len(indices)}, outside window [{lo}, {hi}]"
+                    f"kept set for block {n} has size {len(indices)},"
+                    f" outside window [{_count_text(lo)}, {_count_text(hi)}]"
                 )
             kept.append(indices)
         object.__setattr__(self, "kept", tuple(kept))
@@ -403,7 +408,7 @@ class Slalom:
             return
         for n, (s, size) in enumerate(zip(self.sets, plan.block_orders)):
             if s[0] < 0 or s[-1] >= size:
-                raise PreconditionViolated(f"slalom set {n} leaves the block domain [0, {size})")
+                raise PreconditionViolated(f"slalom set {n} leaves the block domain [0, {_count_text(size)})")
 
     def to_json(self) -> dict:
         width = self.width if isinstance(self.width, str) else list(self.width)
@@ -530,13 +535,14 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     # cross-multiplied; the bound itself is computed only for the message
     if size * (n + 3) < order * (n + 2):
         raise PreconditionViolated(
-            f"kept set has {size} of {order} elements, level {n} requires >= {_ceil_div(order * (n + 2), n + 3)}"
+            f"kept set has {size} of {_count_text(order)} elements,"
+            f" level {n} requires >= {_count_text(_ceil_div(order * (n + 2), n + 3))}"
         )
     count = len(targets)
     if count > n + 2:
         raise PreconditionViolated(f"{count} targets exceed the level-{n} limit {n + 2}")
     if kept[0] < 0 or kept[-1] >= order or (count and (targets[0] < 0 or targets[-1] >= order)):
-        raise PreconditionViolated(f"kept or target indices outside [0, {order})")
+        raise PreconditionViolated(f"kept or target indices outside [0, {_count_text(order)})")
     missing = order - size
     # counting bound behind the whole construction
     assert count * missing < order
@@ -551,7 +557,7 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     else:
         g = _cyclic_translator(targets, gaps[0], order)
     if g >= order:
-        raise NoTranslator(f"forbidden set exhausted a group of order {order}")
+        raise NoTranslator(f"forbidden set exhausted a group of order {_count_text(order)}")
     return g
 
 
@@ -671,12 +677,6 @@ def _product_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]],
     return g
 
 
-def _count_text(count: int) -> str:
-    # exact up to 2^64; beyond that a power of two below the count, since
-    # the interpreter refuses to print integers of more than 4,300 digits
-    return str(count) if count.bit_length() <= 64 else f"more than 2^{count.bit_length() - 1}"
-
-
 def _gaps(kept: Sequence[int], order: int) -> list[tuple[int, int]]:
     """The complement of a sorted, duplicate-free index sequence in
     [0, order), as half-open intervals in increasing order.  A step-1
@@ -716,42 +716,40 @@ def plan_blocks_product(orders: Iterable[int], depth: int) -> BlockPlan:
     any order is read.
     """
     _check_plan_depth(depth)
-    supply = iter(orders)
-    consumed: list[int] = []
-    cuts = [0]
-    for n in range(depth):
-        size = 1
-        while size <= _grow(n):
-            try:
-                m = next(supply)
-            except StopIteration:
-                raise PreconditionViolated(
-                    f"coordinates exhausted while forming block {n} of {depth}"
-                ) from None
-            if m < 2:
-                raise PreconditionViolated(f"coordinate orders must be >= 2, got {m}")
-            consumed.append(m)
-            size *= m
-        cuts.append(len(consumed))
+    cuts, consumed = _greedy_cuts(orders, depth)
     return BlockPlan(mode="product", boundaries=tuple(cuts), orders=tuple(consumed))
 
 
 def plan_blocks_padic(p: int, depth: int) -> BlockPlan:
     """Digit cuts 0 = k_0 < k_1 < ... with each step the minimal m such
-    that p^m > 2(n+3); depths above ``NUMERIC_DEPTH_CAP`` raise
+    that p^m > 2(n+3): the product plan over the radices (p, p, ...),
+    read with carries.  Depths above ``NUMERIC_DEPTH_CAP`` raise
     :class:`CapExceeded`."""
     _check_plan_depth(depth)
     if not is_prime(p):
         raise PreconditionViolated(f"p = {p} is not prime")
-    cuts = [0]
-    for n in range(depth):
-        size = 1
-        step = 0
-        while size <= _grow(n):
-            size *= p
-            step += 1
-        cuts.append(cuts[-1] + step)
+    cuts, _ = _greedy_cuts(itertools.repeat(p), depth)
     return BlockPlan(mode="padic", boundaries=tuple(cuts), p=p)
+
+
+def _greedy_cuts(radices: Iterable[int], depth: int) -> tuple[list[int], list[int]]:
+    """The greedy cut loop of both planners: block n takes the fewest
+    next radices whose product exceeds 2(n+3).  Returns the cuts and the
+    consumed radices; nothing past the last block is read."""
+    consumed: list[int] = []
+    cuts = [0]
+    size, bound = 1, _grow(0)
+    for m in radices:
+        if m < 2:
+            raise PreconditionViolated(f"coordinate orders must be >= 2, got {m}")
+        consumed.append(m)
+        size *= m
+        if size > bound:   # block len(cuts) - 1 is complete
+            cuts.append(len(consumed))
+            if len(cuts) > depth:
+                return cuts, consumed
+            size, bound = 1, _grow(len(cuts) - 1)
+    raise PreconditionViolated(f"coordinates exhausted while forming block {len(cuts) - 1} of {depth}")
 
 
 def _check_plan_depth(depth: int) -> None:
@@ -1215,11 +1213,17 @@ def cube_cover_check(
     """Does the union of the slaloms exhaust the truncated cube?
 
     Scans the whole cube in canonical order, so the returned witness is
-    the least uncovered point.
+    the least uncovered point.  The block orders are multiplied in turn,
+    and the first partial product above ``cap`` raises
+    :class:`CapExceeded`, before any later order is multiplied.
     """
-    cube = prod(plan.block_orders)
-    if cube > cap:
-        raise CapExceeded(f"cube of {_count_text(cube)} points exceeds the cap {cap}")
+    cube = 1
+    for n, size in enumerate(plan.block_orders, 1):
+        cube *= size
+        if cube > cap:
+            # a stop before the last block knows only a lower bound
+            points = _count_text(cube) if n == plan.depth else f"more than 2^{cube.bit_length() - 1}"
+            raise CapExceeded(f"cube of {points} points exceeds the cap {cap}")
     member_sets = []
     for slalom in family:
         slalom.check_domains(plan)

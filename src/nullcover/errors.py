@@ -7,8 +7,9 @@ The CLI maps these onto exit codes, so the split between "bad input"
 (:class:`VerificationFailed`) is part of the interface.  The default
 caps live here too, beside :class:`CapExceeded`, so that the CLI can
 declare its options without importing the modules that apply them, and
-so do the two helpers that every reader and writer of outside input
-shares: the strict integer parser and the JSON form of a rational.
+so do the helpers that every reader and writer of outside input
+shares: the strict integer parser, the JSON form of a rational and the
+text of a count in an error message.
 """
 
 import re
@@ -26,6 +27,10 @@ DEFAULT_VERIFY_CAP = 1 << 20
 # count first_bound_below may search, judged by its Wallis estimate
 # before any big-integer work.
 NUMERIC_DEPTH_CAP = 1 << 15
+
+# what a document raises when it holds an integer that the interpreter
+# will not print in decimal, past its 4,300-digit limit
+PAST_DIGIT_LIMIT = "the output holds an integer past the interpreter's decimal digit limit"
 
 # an optional minus sign and decimal digits, nothing else: no sign "+",
 # no underscores, no surrounding whitespace
@@ -120,7 +125,18 @@ def _refuse_unknown_keys(obj: dict, allowed: tuple[str, ...], what: str) -> None
             raise SchemaError(f"{what} has unknown field {key!r}")
 
 
+def _count_text(count: int) -> str:
+    """An integer as a message prints it: exact up to 2^64, beyond that
+    the greatest power of two below it, since the interpreter refuses to
+    print integers of more than 4,300 digits."""
+    return str(count) if count <= 1 << 64 else f"more than 2^{(count - 1).bit_length() - 1}"
+
+
 def rational_to_json(q) -> dict:
     """An exact rational (a ``Fraction``) as decimal strings, so that
-    numerators and denominators of any size survive JSON."""
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    numerators and denominators of any size up to the interpreter's
+    4,300-digit limit survive JSON; past it :class:`CapExceeded`."""
+    try:
+        return {"num": str(q.numerator), "den": str(q.denominator)}
+    except ValueError:
+        raise CapExceeded(PAST_DIGIT_LIMIT) from None

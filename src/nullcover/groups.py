@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-from .errors import CapExceeded, DimensionMismatch, PreconditionViolated
+from .errors import CapExceeded, DimensionMismatch, PreconditionViolated, _count_text
 
 # Residue vector of a finite abelian group element.
 GroupElement = tuple[int, ...]
@@ -97,7 +97,9 @@ class FiniteAbelianGroup:
 
     def element_at(self, index: int) -> GroupElement:
         if not 0 <= index < self.order:
-            raise PreconditionViolated(f"index {index} out of range for group of order {self.order}")
+            raise PreconditionViolated(
+                f"index {_count_text(index)} out of range for group of order {_count_text(self.order)}"
+            )
         residues = []
         for m in reversed(self.orders):
             index, r = divmod(index, m)
@@ -149,7 +151,9 @@ class BlockGroup:
 
     def element_at(self, index: int) -> DigitVector:
         if not 0 <= index < self.order:
-            raise PreconditionViolated(f"value {index} out of range for block of order {self.order}")
+            raise PreconditionViolated(
+                f"value {_count_text(index)} out of range for block of order {_count_text(self.order)}"
+            )
         digits = []
         for _ in range(self.length):
             index, d = divmod(index, self.p)

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import nullcover.cli as cli
 from nullcover import cover as cov
-from nullcover.errors import VerificationFailed
+from nullcover.errors import PAST_DIGIT_LIMIT, VerificationFailed
 
 
 @pytest.fixture()
@@ -348,6 +348,56 @@ class TestErrorChannel:
         assert result.exit_code == 4
         assert result.output.count("\n") == 1
         assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+
+    @pytest.mark.parametrize(
+        "printable,unprintable",
+        [
+            (["ek", "sup", "--depth", "1558"], ["ek", "sup", "--depth", "1559"]),
+            (["measure", "--first-below", "1/56"], ["measure", "--first-below", "1/57"]),
+        ],
+    )
+    def test_output_past_the_digit_limit_exits_4(self, runner, printable, unprintable):
+        # the rational's numerator or denominator passes 4,300 digits one
+        # step past the last printable argument
+        run_json(runner, printable)
+        result = run(runner, unprintable)
+        assert result.exit_code == 4
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout)["error"] == {"type": "CapExceeded", "message": PAST_DIGIT_LIMIT}
+
+    def test_product_block_past_the_bit_cap_exits_4(self, runner):
+        # one block of 800,000 order-2 coordinates, refused by its bits
+        # before its order is formed
+        plan = json.dumps({"mode": "product", "boundaries": [0, 800_000], "orders": [2] * 800_000})
+        start = time.perf_counter()
+        result = run(runner, ["build-nullset", "--in", plan])
+        assert time.perf_counter() - start < 2
+        assert result.exit_code == 4
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout)["error"]["type"] == "CapExceeded"
+
+    @pytest.mark.parametrize("kept", ["[[0]]", "[[-1]]"])
+    def test_message_of_a_block_order_past_the_digit_limit_exits_3(self, runner, kept):
+        # a block of order 2^16384, whose window bounds and order have
+        # 4,933 digits: the message prints them as powers of two
+        spec = '{"plan":{"mode":"padic","p":2,"boundaries":[0,16384]},"A":' + kept + "}"
+        result = run(runner, ["measure", "--blocks", "1", "--in", spec])
+        assert result.exit_code == 3
+        assert result.stdout.count("\n") == 1
+        error = json.loads(result.stdout)["error"]
+        assert error["type"] == "PreconditionViolated" and "more than 2^16383" in error["message"]
+
+    def test_verify_checks_the_slalom_domains_before_the_count(self, runner):
+        # 100,000 sets [0, 1] hold 2^100000 elements, a count of 30,103
+        # digits; the depth mismatch is refused first
+        bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "2", "--seed", "1"])
+        bundle["slalom"] = {"width": "n+2", "sets": [[0, 1]] * 100_000}
+        result = run(runner, ["verify", "--in", json.dumps(bundle)])
+        assert result.exit_code == 3
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout)["error"] == {
+            "type": "PreconditionViolated", "message": "slalom depth 100000 != plan depth 2"
+        }
 
     @pytest.mark.parametrize("command", ["dual", "pipeline", "classify"])
     @pytest.mark.parametrize("depth", [400, 900, 3000])

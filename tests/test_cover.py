@@ -39,7 +39,7 @@ from nullcover.cover import (
     verify_cover,
     width_fn,
 )
-from nullcover.errors import CapExceeded, NoTranslator, PreconditionViolated, SchemaError
+from nullcover.errors import CapExceeded, NoTranslator, PreconditionViolated, SchemaError, _count_text
 from nullcover.groups import BlockGroup, FiniteAbelianGroup, PadicContext
 from nullcover.nullset import NUMERIC_DEPTH_CAP
 
@@ -725,6 +725,34 @@ class TestPlans:
         for p, cuts in ((2, (0, NUMERIC_DEPTH_CAP // 2 + 1)), (3, (0, 3, 10**9)), (65537, (0, 2000))):
             with pytest.raises(CapExceeded):
                 BlockPlan(mode="padic", boundaries=cuts, p=p)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 65537])
+    def test_padic_cuts_closed_form(self, p):
+        # step n is the least m with p^m > 2(n + 3): the number of base-p
+        # digits of 2(n + 3)
+        def digits(x):
+            return len(f"{x:b}") if p == 2 else next(m for m in itertools.count() if p**m > x)
+
+        steps = [digits(2 * (n + 3)) for n in range(60)]
+        cuts = (0, *itertools.accumulate(steps))
+        for depth in range(1, 61):
+            assert plan_blocks_padic(p, depth).boundaries == cuts[: depth + 1]
+        # the p-adic plan is the product plan over the radices (p, p, ...)
+        assert plan_blocks_product(itertools.repeat(p), 60).boundaries == cuts
+
+    def test_product_block_bits_capped(self):
+        # an order-2 coordinate has 2 bits, so 16,384 of them reach the cap
+        # and one more passes it, judged before the block order is formed
+        fits = NUMERIC_DEPTH_CAP // 2
+        assert BlockPlan(mode="product", boundaries=(0, fits), orders=(2,) * fits).depth == 1
+        with pytest.raises(CapExceeded, match=f"block 0 has {NUMERIC_DEPTH_CAP + 2} bits"):
+            BlockPlan(mode="product", boundaries=(0, fits + 1), orders=(2,) * (fits + 1))
+        with pytest.raises(CapExceeded, match=f"block 1 has {21 * 1561} bits"):
+            BlockPlan(mode="product", boundaries=(0, 1, 1562), orders=(7,) + (1 << 20,) * 1561)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"{NUMERIC_DEPTH_CAP}-bit block cap"):
+            BlockPlan(mode="product", boundaries=(0, 800_000), orders=(2,) * 800_000)
         assert time.perf_counter() - start < 0.5
 
     def test_padic_plan_p7_first_cut(self):
@@ -1571,9 +1599,40 @@ class TestCubeCover:
         assert cube_cover_check(removed, plan) == (False, points[37])
 
     def test_cap(self):
+        # block orders 8, 16, 16: the partial product 128 passes a cap of
+        # 100 before the last block, the whole cube 2048 a cap of 1000
         plan = plan_blocks_padic(2, 3)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^cube of more than 2\^7 points exceeds the cap 100$"):
             cube_cover_check([], plan, cap=100)
+        with pytest.raises(CapExceeded, match="^cube of 2048 points exceeds the cap 1000$"):
+            cube_cover_check([], plan, cap=1000)
+
+    def test_cap_stops_at_the_first_partial_product_above_it(self):
+        # 32,768 blocks of 4,000-bit orders, whose product no left-to-right
+        # multiplication forms in reasonable time
+        start = time.perf_counter()
+        order = (1 << 3999) + 1
+        plan = BlockPlan(mode="product", boundaries=tuple(range(32769)), orders=(order,) * 32768)
+        with pytest.raises(CapExceeded, match=r"more than 2\^3999 points"):
+            cube_cover_check([], plan)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_count_text_exact_up_to_2_64():
+    # beyond 2^64 the greatest power of two below the count, so a power
+    # of two is given by the one below it
+    cases = [
+        (0, "0"),
+        (12345, "12345"),
+        ((1 << 64) - 1, str((1 << 64) - 1)),
+        (1 << 64, str(1 << 64)),
+        ((1 << 64) + 1, "more than 2^64"),
+        (1 << 65, "more than 2^64"),
+        ((1 << 65) + 1, "more than 2^65"),
+        (1 << 20000, "more than 2^19999"),
+    ]
+    for count, text in cases:
+        assert _count_text(count) == text
 
 
 class TestCertificateJson:
