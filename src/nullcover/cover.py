@@ -42,23 +42,30 @@ check decodes each block once, in one pass that range-checks every
 digit.
 
 The tables that depend on the plan, the spec or the slalom alone, never
-on a translate, are built once, on first use.  Each plan holds its block
-orders and its block groups (:attr:`BlockPlan.block_groups`, one tuple
-that every reader zips with its per-block data).  Each spec holds its
-gaps and the gaps' cylinders (:attr:`NullsetSpec.gaps`,
+on a translate, are built once, on first use.  Each plan holds its
+depth, its block orders and its block groups
+(:attr:`BlockPlan.block_groups`, one tuple that every reader zips with
+its per-block data).  Each block group of several coordinates holds the
+cylinders of every gap searched or checked on it
+(:attr:`FiniteAbelianGroup.cylinders`, filled by :func:`_cylinders`),
+so a gap is split into cylinders once per group, and the table is freed
+with the group.  Each spec holds its gaps and collects the gaps'
+cylinders from that table (:attr:`NullsetSpec.gaps`,
 :attr:`NullsetSpec.cylinders`), which the check reads.  Each slalom
-holds its least value, the last value of each set and its value and
-element counts, so its domain check against a plan is one comparison
-per block.  So checking one more translate on the same spec and slalom
-runs only flat per-block passes: decode the blocks, bisect the slalom
-sets, and in p-adic mode one backward pass over all blocks, in one
-call, that keeps one flat row per block, and one forward pass over the
-rows.  The translator search gets no spec: a range kept set, as
-:func:`build_nullset` makes, gives its gaps from its ends, any other is
-bisected into gaps, and in a block of several coordinates their
-cylinders are built on every call, by the sweep and by the probe alike.
-Targets that arrive as a sorted, duplicate-free tuple, as a product
-cover's slalom sets do, are searched as given.
+holds its depth, its least value, the last value of each set and its
+value and element counts, so its domain check against a plan is one
+comparison per block.  So checking one more translate on the same spec
+and slalom runs only flat per-block passes: decode the blocks, bisect
+the slalom sets, and in p-adic mode one backward pass over all blocks,
+in one call, that keeps one flat row per block, and one forward pass
+over the rows.  The translator search gets no spec: a range kept set,
+as :func:`build_nullset` makes, gives its gaps from its ends, any other
+is bisected into gaps, and in a block of several coordinates the sweep
+and the probe read the gaps' cylinders from the group's table, the
+same chains as the spec's, so a second cover on the same plan builds
+none.  A gap of a block of one coordinate is its own one cylinder and
+is never tabled.  Targets that arrive as a sorted, duplicate-free
+tuple, as a product cover's slalom sets do, are searched as given.
 
 All integers are exact; caps abort rather than degrade to sampling.
 """
@@ -135,8 +142,8 @@ class BlockPlan:
     len * p.bit_length() for a p-adic block of len digits.  The bound is
     judged before any block order is computed.
 
-    The block orders and the block groups are built once per plan, on
-    first use.
+    The depth, the block orders and the block groups are computed once
+    per plan, on first use.
     """
 
     mode: str
@@ -173,7 +180,7 @@ class BlockPlan:
             if size <= _grow(n):
                 raise PreconditionViolated(f"block {n} has order {size} <= {_grow(n)}")
 
-    @property
+    @cached_property
     def depth(self) -> int:
         return len(self.boundaries) - 1
 
@@ -264,10 +271,17 @@ class NullsetSpec:
             if indices and not (0 <= indices[0] and indices[-1] < size):
                 raise PreconditionViolated(f"kept set for block {n} has indices outside [0, {_count_text(size)})")
             lo, hi = kept_window(size, n)
-            if not lo <= len(indices) <= hi:
+            # name the end that the size misses: past 2^64 both ends print
+            # as the same power of two
+            if len(indices) < lo:
                 raise PreconditionViolated(
                     f"kept set for block {n} has size {len(indices)},"
-                    f" outside window [{_count_text(lo)}, {_count_text(hi)}]"
+                    f" below the window's lower end {_count_text(lo)}"
+                )
+            if len(indices) > hi:
+                raise PreconditionViolated(
+                    f"kept set for block {n} has size {len(indices)},"
+                    f" above the window's upper end {_count_text(hi)}"
                 )
             kept.append(indices)
         object.__setattr__(self, "kept", tuple(kept))
@@ -285,11 +299,12 @@ class NullsetSpec:
     @cached_property
     def cylinders(self) -> tuple:
         """Per block of several coordinates, the two chains of cylinders
-        (:func:`_gap_cylinders`) of each gap; ``None`` for a block of one
-        coordinate.  Built once per spec, on first use."""
+        (:func:`_gap_cylinders`) of each gap, read from the block group's
+        table (:func:`_cylinders`), so the check and the translator search
+        share one copy; ``None`` for a block of one coordinate.  Collected
+        once per spec, on first use."""
         return tuple(
-            None if len(group.orders) < 2
-            else tuple(_gap_cylinders(a, b, group.orders, group.weights) for a, b in gaps)
+            None if len(group.orders) < 2 else tuple(_cylinders(group, gap) for gap in gaps)
             for group, gaps in zip(self.plan.block_groups, self.gaps)
         )
 
@@ -359,9 +374,10 @@ class Slalom:
     by the width function.
 
     Each set is nonempty, sorted and duplicate-free.  The facts that
-    depend on the sets alone are computed once, on first use: the least
-    value, the last value of each set, and the value and element counts.
-    They hold no plan, so one slalom may be checked against any plan.
+    depend on the sets alone are computed once, on first use: the depth,
+    the least value, the last value of each set, and the value and
+    element counts.  They hold no plan, so one slalom may be checked
+    against any plan.
     """
 
     width: WidthSpec
@@ -377,7 +393,7 @@ class Slalom:
             if len(s) > f(n):
                 raise PreconditionViolated(f"slalom set {n} has {len(s)} values, width allows {f(n)}")
 
-    @property
+    @cached_property
     def depth(self) -> int:
         return len(self.sets)
 
@@ -516,10 +532,14 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     from 0 past the run of translators that the highest such target
     forbids.  Each jump ends one of the sweep's intervals, so it makes
     at most |targets| * (4k - 2) jumps, one or two bisections per
-    cylinder each.  In a block of one coordinate the gap is its one
-    cylinder, g + [a, b), and :func:`_cyclic_translator` probes it.  No
-    search's work grows with the order of ``group``, so no cap bounds
-    the block order.
+    cylinder each.  In a block of several coordinates the sweep and the
+    probe read each gap's chains of cylinders from the group's table
+    (:func:`_cylinders`), which the gap's first search or check on the
+    group fills and the spec's check reads too.  In a block of one
+    coordinate each gap is its own one cylinder, g + [a, b), built
+    inline and never tabled; :func:`_cyclic_translator` probes a lone
+    gap.  No search's work grows with the order of ``group``, so no cap
+    bounds the block order.
     """
     if n < 0:
         raise PreconditionViolated(f"level must be >= 0, got {n}")
@@ -550,10 +570,14 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
         return 0
     gaps = _gaps(kept, order)
     radices = group.orders
-    if len(gaps) > 1:
-        g = _product_translator(targets, gaps, radices, group.weights)
-    elif len(radices) > 1:
-        g = _probed_translator(targets, gaps[0], radices, group.weights)
+    if len(radices) > 1:
+        if len(gaps) > 1:
+            g = _product_translator(targets, [_cylinders(group, gap) for gap in gaps], radices, group.weights)
+        else:
+            g = _probed_translator(targets, _cylinders(group, gaps[0]), radices, group.weights)
+    elif len(gaps) > 1:
+        # each gap of a cyclic block is its own one cylinder: digit 0 in [a, b)
+        g = _product_translator(targets, [(((), ((0, a, b),)),) for a, b in gaps], radices, (1,))
     else:
         g = _cyclic_translator(targets, gaps[0], order)
     if g >= order:
@@ -592,10 +616,10 @@ def _cyclic_translator(targets: Sequence[int], gap: tuple[int, int], order: int)
             return order
 
 
-def _probed_translator(targets: Sequence[int], gap: tuple[int, int], radices: Sequence[int],
-                       weights: Sequence[int]) -> int:
+def _probed_translator(targets: Sequence[int], chains, radices: Sequence[int], weights: Sequence[int]) -> int:
     """Least g outside targets - [a, b) for the one gap [a, b) of a block
-    of several coordinates, or the order when they forbid every g: a
+    of several coordinates, given as its two chains of cylinders
+    (:func:`_gap_cylinders`), or the order when they forbid every g: a
     probe that jumps up from 0, as :func:`_cyclic_translator` does for
     one coordinate.
 
@@ -611,7 +635,6 @@ def _probed_translator(targets: Sequence[int], gap: tuple[int, int], radices: Se
     free index.  Each jump ends one of the at most |targets| * (4k - 2)
     index intervals that the targets and the cylinders forbid."""
     order = radices[0] * weights[0]
-    chains = _gap_cylinders(*gap, radices, weights)
     g = 0
     while g < order:
         end = g
@@ -637,21 +660,23 @@ def _probed_translator(targets: Sequence[int], gap: tuple[int, int], radices: Se
     return order
 
 
-def _product_translator(targets: Sequence[int], gaps: Sequence[tuple[int, int]], radices: Sequence[int],
+def _product_translator(targets: Sequence[int], cylinders: Iterable, radices: Sequence[int],
                         weights: Sequence[int]) -> int:
     """Least g outside targets - gaps for a kept set of several gaps in
     a block of the mixed radix ``radices`` (a cyclic block is
     ``(order,)`` with weights ``(1,)``), or the order when they forbid
-    every g; a kept set of one gap is probed instead.  Target s minus a
-    cylinder of a gap fixes the digits (s_j - d_j) mod m_j before level
+    every g; a kept set of one gap is probed instead.  ``cylinders``
+    holds, per gap, its chains of cylinders as :func:`_gap_cylinders`
+    gives them (one chain of one cylinder for a cyclic gap).  Target s
+    minus a cylinder of a gap fixes the digits (s_j - d_j) mod m_j before level
     i and runs digit i over a cyclic range: one index interval, or two
     where it wraps.  Along each chain of cylinders the index of every
     target's fixed digits grows by one term per level, one pass over the
     targets each, as digit j of s is (s // w_j) mod m_j.  One sweep over
     the intervals, sorted, stops at the first free g."""
     intervals = []
-    for a, b in gaps:
-        for digits, steps in _gap_cylinders(a, b, radices, weights):
+    for chains in cylinders:
+        for digits, steps in chains:
             fixed = [0] * len(targets)
             j = 0
             for i, lo, hi in steps:
@@ -882,26 +907,28 @@ def _cover(spec: NullsetSpec, slalom: Slalom) -> CoverCertificate:
     :func:`verify_cover`."""
     plan = spec.plan
     padic = plan.mode == "padic"
-    tag = "(n+2)//2" if padic else "n+2"
+    # the mode's width tag and its formula's divisor: (n + 2) // halve
+    tag, halve = ("(n+2)//2", 2) if padic else ("n+2", 1)
     slalom.check_domains(plan)
-    f = width_fn(tag)
     translate = []
     blocks = zip(slalom.sets, plan.block_groups, plan.block_orders, spec.kept)
     for n, (values, group, order, kept) in enumerate(blocks):
-        if len(values) > f(n):
+        if len(values) > (n + 2) // halve:
             raise PreconditionViolated(f"slalom set {n} is wider than {tag}")
         targets = values
         if padic:
             # each value and its successor mod the order, which a carry into
             # the block makes; values are sorted, so only the last one wraps
-            targets = [*values, *[v + 1 for v in values[:-1]], (values[-1] + 1) % order]
+            targets = [v + 1 for v in values]
+            targets[-1] %= order
+            targets += values
         g = find_translator(group, kept, targets, n)
         translate.append(group.element_at(-g % order if padic else g))
     translate = tuple(translate)
     result = verify_cover(spec, translate, slalom)
     if not result.ok:
         raise VerificationFailed(f"{plan.mode} cover failed its re-check at element {result.witness}")
-    return CoverCertificate(translate=translate, verified=True, checked_count=result.checked_count)
+    return CoverCertificate(translate, True, result.checked_count)
 
 
 def verify_cover(spec: NullsetSpec, translate: tuple[tuple[int, ...], ...], slalom: Slalom) -> VerifyResult:
@@ -942,8 +969,10 @@ def verify_cover(spec: NullsetSpec, translate: tuple[tuple[int, ...], ...], slal
     whether the block sum is target + offset or target + offset + 1.
 
     The per-spec tables, the gaps and in product mode the cylinders of
-    each gap, are built on the first check of a spec and read by every
-    later one; the block codecs are built once per plan.  Everything
+    each gap, are collected on the first check of a spec and read by
+    every later one; the cylinders come from the block group's table,
+    which a cover's translator search on the same plan may have filled
+    already, and the block codecs are built once per plan.  Everything
     that depends on the translate is computed afresh on every call.
 
     No cap bounds the number of slalom elements, since none is visited.
@@ -976,7 +1005,7 @@ def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, t
             first.append(_first_in_cylinders(values, cylinders, t, group.orders, group.weights))
     failing = [n for n, (j, values) in enumerate(zip(first, slalom.sets)) if j < len(values)]
     if not failing:
-        return VerifyResult(ok=True, witness=None, checked_count=total)
+        return VerifyResult(True, None, total)
     # block 0 varies slowest: the first element escapes if any first value
     # fails; otherwise the least escaper differs from it only in the last
     # block with a failing value, where it takes the first such value
@@ -984,7 +1013,7 @@ def _verify_product(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, t
     if all(first):
         choice[failing[-1]] = first[failing[-1]]
     witness = tuple(values[i] for values, i in zip(slalom.sets, choice))
-    return VerifyResult(ok=False, witness=witness, checked_count=total)
+    return VerifyResult(False, witness, total)
 
 
 def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, total: int) -> VerifyResult:
@@ -995,7 +1024,7 @@ def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, tot
     depth = plan.depth
     rows, e0, k0 = _padic_backward(slalom.sets, offsets, plan.block_orders, spec.gaps)
     if not e0:
-        return VerifyResult(ok=True, witness=None, checked_count=total, carry_cases=(total * depth - k0, k0))
+        return VerifyResult(True, None, total, (total * depth - k0, k0))
     # forward pass: the least escaping element, its rank, and the carried
     # pairs of every element ranked up to it
     rank = 0
@@ -1024,8 +1053,7 @@ def _verify_padic(spec: NullsetSpec, offsets: Sequence[int], slalom: Slalom, tot
         c = int(j >= zeros)
     checked = rank + 1
     carry_total += path_carries
-    return VerifyResult(ok=False, witness=tuple(witness), checked_count=checked,
-                        carry_cases=(checked * depth - carry_total, carry_total))
+    return VerifyResult(False, tuple(witness), checked, (checked * depth - carry_total, carry_total))
 
 
 def _padic_backward(sets: Sequence[Sequence[int]], offsets: Sequence[int], orders: Sequence[int],
@@ -1135,6 +1163,18 @@ def _first_in_cylinders(values: Sequence[int], cylinders: Sequence, t: int,
                 if x < best and values[x] < fixed + stop * w:
                     best = x
     return best
+
+
+def _cylinders(group, gap: tuple[int, int]):
+    """The chains of cylinders (:func:`_gap_cylinders`) of a gap of a
+    block of several coordinates, read from the group's table
+    (:attr:`FiniteAbelianGroup.cylinders`) and built there on the gap's
+    first search or check, so every later search and check of the gap
+    on the same group reads the same chains."""
+    chains = group.cylinders.get(gap)
+    if chains is None:
+        chains = group.cylinders[gap] = _gap_cylinders(*gap, group.orders, group.weights)
+    return chains
 
 
 def _gap_cylinders(a: int, b: int, radices: Sequence[int], weights: Sequence[int]):

@@ -8,12 +8,15 @@ all L digits.
 Elements are plain tuples of small nonnegative ints: residue vectors for
 finite groups, digit vectors (least significant digit first) for p-adic
 numbers and blocks.  Every operation is a pure function of immutable
-values, so everything here can be shared freely between threads.
+values, so everything here can be shared freely between threads.  The
+one table a group holds, the cylinders of the gaps searched or checked
+on it (:attr:`FiniteAbelianGroup.cylinders`), is filled deterministically
+on first use, so a race between threads only builds equal chains twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
@@ -77,6 +80,12 @@ class FiniteAbelianGroup:
     """
 
     orders: tuple[int, ...]
+    # the carry-free cylinders of each gap searched or checked on this
+    # group, keyed by the gap (a, b): the two chains that
+    # cover._gap_cylinders builds, filled by the cover module on a gap's
+    # first use and freed with the group; a cache, so it takes no part
+    # in construction, equality, hashing or repr
+    cylinders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(not isinstance(m, int) or m < 2 for m in self.orders):

@@ -1,9 +1,11 @@
+import gc
 import importlib
 import itertools
 import json
 import random
 import time
 import tracemalloc
+import weakref
 from unittest import mock
 from fractions import Fraction
 from math import prod
@@ -440,6 +442,109 @@ class TestTracingContract:
         assert counters["groups.calls"] == 2 * depths
         assert counters["groups.errors"] == counters["cover.errors"] == 0
 
+    def test_second_cover_on_a_spec_is_traced_alike(self, monkeypatch):
+        # the second cover reads the cylinders that the first one tabled,
+        # and still makes one find_translator call per block and one
+        # element_at and one index_of per block
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        tracing = importlib.import_module("tracing")
+        from nullcover import groups, nullset, structure
+
+        spec = build_nullset(plan_blocks_product(itertools.cycle([2, 3]), 8))
+        depth = spec.plan.depth
+        tracer = tracing.Tracer()
+        tracer.install(SimpleNamespace(cover=cover_module, structure=structure, nullset=nullset, groups=groups))
+        seen = []
+        try:
+            for seed in (1, 2):
+                cover_module.cover_product_slalom(spec, random_slalom(spec.plan, "n+2", seed))
+                seen.append((tracer.calls["cover.translate"], tracer.calls["cover.verify"],
+                             tracer.counters["groups.calls"]))
+        finally:
+            tracer.uninstall()
+        assert seen == [(depth, 1, 2 * depth), (2 * depth, 2, 4 * depth)]
+
+
+class TestCylinderTable:
+    """Each block group of several coordinates tables the cylinders of
+    the gaps searched or checked on it: the translator search and the
+    spec's check read the same chains, a second cover builds none, and
+    the table lives and dies with its group."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = cover_module._gap_cylinders
+        monkeypatch.setattr(cover_module, "_gap_cylinders", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_second_cover_builds_no_cylinders(self, monkeypatch):
+        plan = plan_blocks_product(itertools.cycle([2, 3]), 8)
+        spec = build_nullset(plan)
+        calls = self.counted(monkeypatch)
+        cover_product_slalom(spec, random_slalom(plan, "n+2", 1))
+        wide = sum(len(G.orders) > 1 for G in plan.block_groups)
+        assert len(calls) == wide > 0   # one gap per built block
+        calls.clear()
+        cover_product_slalom(spec, random_slalom(plan, "n+2", 2))
+        # a second spec on the same plan reads the same groups' tables
+        cover_product_slalom(build_nullset(plan), random_slalom(plan, "n+2", 3))
+        assert calls == []
+        # an equal plan has its own groups and tables: nothing module-wide
+        fresh = plan_blocks_product(itertools.cycle([2, 3]), 8)
+        assert fresh == plan and all(G.cylinders == {} for G in fresh.block_groups)
+        cover_product_slalom(build_nullset(fresh), random_slalom(plan, "n+2", 1))
+        assert len(calls) == wide
+
+    def test_translator_and_check_read_the_same_chains(self, monkeypatch):
+        rng = random.Random(5)
+        # blocks of several coordinates and cyclic blocks of orders 97 and 101
+        plan = plan_blocks_product(itertools.cycle([2, 2, 2, 97, 2, 2, 2, 2, 101, 3, 3, 3]), 12)
+        # built kept sets have one gap, which is probed; random ones have
+        # several, which the sweep reads
+        built = build_nullset(plan).kept
+        spec = NullsetSpec(plan, tuple(TestVerifyPadicAgainstValues.kept_set(size, n, rng) if n % 2 else kept
+                                       for n, (kept, size) in enumerate(zip(built, plan.block_orders))))
+        read = []   # the chains of every gap the search reads, by block
+
+        def reader(real, one_gap):
+            def search(targets, chains, radices, weights):
+                if len(radices) > 1:   # a cyclic gap is its own cylinder, never tabled
+                    read.append((chains,) if one_gap else chains)
+                return real(targets, chains, radices, weights)
+            return search
+
+        monkeypatch.setattr(cover_module, "_probed_translator", reader(cover_module._probed_translator, True))
+        monkeypatch.setattr(cover_module, "_product_translator", reader(cover_module._product_translator, False))
+        cover_product_slalom(spec, random_slalom(plan, "n+2", 5))
+        tabled = [cylinders for cylinders in spec.cylinders if cylinders is not None]
+        assert {len(chains) > 1 for chains in tabled} == {False, True}
+        assert None in spec.cylinders
+        assert len(read) == len(tabled)
+        for chains, cylinders in zip(read, tabled):
+            assert len(chains) == len(cylinders)
+            assert all(a is b for a, b in zip(chains, cylinders))
+        for G, gaps, cylinders in zip(plan.block_groups, spec.gaps, spec.cylinders):
+            if cylinders is not None:
+                assert all(G.cylinders[gap] is chains for gap, chains in zip(gaps, cylinders))
+
+    def test_table_holds_only_searched_gaps_and_dies_with_its_group(self):
+        G = FiniteAbelianGroup((2, 3, 4))
+        assert G.cylinders == {}
+        find_translator(G, range(20), (1, 7), 0)
+        assert list(G.cylinders) == [(20, 24)]
+        find_translator(G, (0, 1, 2, 4, *range(6, 23)), (1, 7), 0)
+        assert list(G.cylinders) == [(20, 24), (3, 4), (5, 6), (23, 24)]
+        # a cyclic block's gaps are their own cylinders and are not tabled
+        C = FiniteAbelianGroup((24,))
+        find_translator(C, (0, 1, 2, 4, *range(6, 23)), (1, 7), 0)
+        find_translator(C, range(20), (1, 7), 0)
+        assert C.cylinders == {}
+        ref = weakref.ref(G)
+        del G
+        gc.collect()
+        assert ref() is None
+
 
 class TestGapCylinders:
     """The one carry-free layer of product blocks: a gap as disjoint
@@ -464,6 +569,16 @@ class TestGapCylinders:
         assert count <= 2 * len(radices) - 1
         # disjoint, and their union is exactly [a, b)
         assert sorted(covered) == list(range(a, b))
+
+    @given(st.integers(1, 60), st.data())
+    def test_a_cyclic_gap_is_its_own_cylinder(self, order, data):
+        # the one chain of one cylinder that find_translator builds inline
+        # for a gap of a cyclic block is what the layer gives, less an
+        # empty chain
+        a = data.draw(st.integers(0, order - 1))
+        b = data.draw(st.integers(a + 1, order))
+        (_, first), (_, second) = cover_module._gap_cylinders(a, b, (order,), (1,))
+        assert first == [(0, a, b)] and second == []
 
 
 class TestCyclicSweep:
@@ -499,7 +614,9 @@ class TestCyclicSweep:
         for _ in range(2500):
             order, gaps, targets = self.case(rng)
             if len(gaps) > 1:
-                g = cover_module._product_translator(targets, gaps, (order,), (1,))
+                # each gap as its one cylinder, as find_translator passes it
+                cylinders = [(((), ((0, a, b),)),) for a, b in gaps]
+                g = cover_module._product_translator(targets, cylinders, (order,), (1,))
             else:
                 g = cover_module._cyclic_translator(targets, gaps[0], order)
             assert g == cyclic_translator_by_sorting(targets, gaps, order)
@@ -533,7 +650,8 @@ class TestProductProbe:
 
     @staticmethod
     def probe(group, gap, targets):
-        return cover_module._probed_translator(sorted(set(targets)), gap, group.orders, group.weights)
+        chains = cover_module._gap_cylinders(*gap, group.orders, group.weights)
+        return cover_module._probed_translator(sorted(set(targets)), chains, group.orders, group.weights)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(2, 5), min_size=2, max_size=4), st.data())
@@ -566,15 +684,10 @@ class TestProductProbe:
                 walks.append(self)
                 return super().__iter__()
 
-        def cylinders(*args):
-            (low, first), (high, second) = real_cylinders(*args)
-            return (low, Walked(first)), (high, second)
-
-        real_cylinders = cover_module._gap_cylinders
-        chains = real_cylinders(a, b, G.orders, G.weights)
-        with (mock.patch.object(cover_module, "_gap_cylinders", cylinders),
-              mock.patch.object(cover_module, "bisect_left", wraps=cover_module.bisect_left) as bisections):
-            g = cover_module._probed_translator(targets, (a, b), G.orders, G.weights)
+        (low, first), (high, second) = chains = cover_module._gap_cylinders(a, b, G.orders, G.weights)
+        walked = (low, Walked(first)), (high, second)
+        with mock.patch.object(cover_module, "bisect_left", wraps=cover_module.bisect_left) as bisections:
+            g = cover_module._probed_translator(targets, walked, G.orders, G.weights)
         kept = range(b, G.order + a)   # the complement of the gap, read mod the order
         assert g == product_translator_by_pairs(G, [i % G.order for i in kept], targets)
         passes = len(walks)
@@ -808,6 +921,26 @@ class TestBuildNullset:
         with pytest.raises(PreconditionViolated):
             NullsetSpec(plan=spec.plan, kept=(tuple(range(7)),))
 
+    def test_window_message_names_the_missed_end(self):
+        plan = plan_blocks_product([2, 2, 2], 1)   # one block of order 8, whose window is [6, 6]
+        assert kept_window(8, 0) == (6, 6)
+        with pytest.raises(PreconditionViolated, match=r"has size 5, below the window's lower end 6$"):
+            NullsetSpec(plan=plan, kept=(range(5),))
+        with pytest.raises(PreconditionViolated, match=r"has size 7, above the window's upper end 6$"):
+            NullsetSpec(plan=plan, kept=(range(7),))
+        # past 2^64 both ends print as the same power of two, so only the
+        # named end tells them apart
+        huge = BlockPlan(mode="padic", boundaries=(0, 16384), p=2)
+        lo, hi = kept_window(huge.block_orders[0], 0)
+        assert _count_text(lo) == _count_text(hi) == "more than 2^16383"
+        with pytest.raises(PreconditionViolated, match=r"has size 1, below the window's lower end more than 2\^16383$"):
+            NullsetSpec(plan=huge, kept=((0,),))
+        # up to 2^64 the ends print exactly
+        edge = BlockPlan(mode="product", boundaries=(0, 1), orders=(1 << 64,))
+        lo = kept_window(1 << 64, 0)[0]
+        with pytest.raises(PreconditionViolated, match=rf"has size 1, below the window's lower end {lo}$"):
+            NullsetSpec(plan=edge, kept=((0,),))
+
     @pytest.mark.parametrize("depth", [8, 100, 850])
     def test_built_and_parsed_specs_are_equal(self, depth):
         spec = padic_spec(2, depth)
@@ -998,6 +1131,25 @@ class TestWidthTables:
     def test_rejects_non_positive_int_entries(self, table):
         with pytest.raises(SchemaError):
             width_fn(table)
+
+    @pytest.mark.parametrize("mode", ["product", "padic"])
+    def test_cover_bounds_each_set_by_the_mode_width(self, mode):
+        padic = mode == "padic"
+        spec = padic_spec(2, 7) if padic else product_spec(7)
+        limits = [(n + 2) // 2 if padic else n + 2 for n in range(spec.plan.depth)]
+
+        def cover(sets):
+            slalom = Slalom(width=tuple(limit + 1 for limit in limits), sets=tuple(map(tuple, sets)))
+            if padic:
+                return cover_padic_slalom(PadicContext(2, spec.plan.boundaries[-1]), spec, slalom)
+            return cover_product_slalom(spec, slalom)
+
+        # every set at its mode's width covers; one value more in set n is refused
+        assert cover([range(limit) for limit in limits]).verified
+        tag = r"\(n\+2\)//2" if padic else r"n\+2"
+        for n in (0, 3, 6):
+            with pytest.raises(PreconditionViolated, match=rf"^slalom set {n} is wider than {tag}$"):
+                cover([range(limit + (m == n)) for m, limit in enumerate(limits)])
 
 
 class TestProductCover:

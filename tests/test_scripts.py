@@ -42,9 +42,10 @@ def test_deep_table_rows():
         "p-adic, p=2, depth 8", "p-adic, p=2, depth 12",
         "product, orders 2 cycled, depth 8", "product, orders 2 cycled, depth 12",
     ]
-    assert all(set(row["ms"]) == {"plan", "build", "slalom", "find_translator", "cover", "verify_cover"}
+    assert all(set(row["ms"]) == {"plan", "build", "slalom", "find_translator", "cover", "second_cover",
+                                  "verify_cover"}
                for row in rows)
-    assert all(row["ms"]["find_translator"] > 0 for row in rows)
+    assert all(row["ms"]["find_translator"] > 0 and row["ms"]["second_cover"] > 0 for row in rows)
     assert all(row["bundle_mb"] > 0 for row in rows)
     # a built nullset holds one range per block, not its indices
     assert all(0 < row["build_peak_mib"] < 1 for row in rows)
