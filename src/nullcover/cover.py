@@ -271,16 +271,17 @@ class NullsetSpec:
             if indices and not (0 <= indices[0] and indices[-1] < size):
                 raise PreconditionViolated(f"kept set for block {n} has indices outside [0, {_count_text(size)})")
             lo, hi = kept_window(size, n)
+            count = _kept_size(indices)
             # name the end that the size misses: past 2^64 both ends print
             # as the same power of two
-            if len(indices) < lo:
+            if count < lo:
                 raise PreconditionViolated(
-                    f"kept set for block {n} has size {len(indices)},"
+                    f"kept set for block {n} has size {_count_text(count)},"
                     f" below the window's lower end {_count_text(lo)}"
                 )
-            if len(indices) > hi:
+            if count > hi:
                 raise PreconditionViolated(
-                    f"kept set for block {n} has size {len(indices)},"
+                    f"kept set for block {n} has size {_count_text(count)},"
                     f" above the window's upper end {_count_text(hi)}"
                 )
             kept.append(indices)
@@ -337,6 +338,14 @@ def _canonical_kept(n: int, indices: Sequence[int]) -> Union[range, tuple[int, .
     if not _strictly_increasing(indices):
         raise PreconditionViolated(f"kept set for block {n} must be sorted and duplicate-free")
     return indices
+
+
+def _kept_size(kept: Sequence[int]) -> int:
+    """The number of indices in a kept set; a range's is read off its
+    ends, since ``len()`` refuses a range longer than ``sys.maxsize``."""
+    if isinstance(kept, range):
+        return max(0, -((kept.start - kept.stop) // kept.step))
+    return len(kept)
 
 
 def _strictly_increasing(values: Sequence[int]) -> bool:
@@ -550,7 +559,10 @@ def find_translator(group, kept: Sequence[int], targets: Iterable[int], n: int) 
     if not (isinstance(targets, tuple) and all(map(lt, targets, targets[1:]))):
         targets = sorted(set(targets))
     order = group.order
-    size = len(kept)
+    try:
+        size = len(kept)
+    except OverflowError:   # a range longer than sys.maxsize
+        size = _kept_size(kept)
     # size >= kept_window(order, n)[0] = ceil(order * (n + 2) / (n + 3)),
     # cross-multiplied; the bound itself is computed only for the message
     if size * (n + 3) < order * (n + 2):
@@ -827,7 +839,7 @@ def measure_upper(spec: NullsetSpec, n_blocks: int) -> Fraction:
     if not 0 <= n_blocks <= spec.depth:
         raise PreconditionViolated(f"{n_blocks} blocks requested, spec realizes {spec.depth}")
     measure = Fraction(
-        prod(len(ind) for ind in spec.kept[:n_blocks]),
+        prod(map(_kept_size, spec.kept[:n_blocks])),
         prod(spec.plan.block_orders[:n_blocks]),
     )
     if measure > bound_product(n_blocks):

@@ -320,33 +320,38 @@ def classify_subgroup(d: Descriptor) -> TrichotomyVerdict:
     discrete descriptor, trying the cases in order: an Int summand, then
     a SumOmega summand, then a Quasicyclic one.
 
-    Within this grammar "infinitely many primes with nontrivial part"
-    and "an infinite elementary p-summand" are expressible only through
-    SumOmega, so case 2 reduces to SumOmega presence.
+    One preorder walk through the finite sums finds the case: it stops
+    at the first Int and remembers the first SumOmega and the first
+    Quasicyclic on its way.  FiniteSum is the only transparent
+    constructor (omega parts are finite, so nothing relevant hides
+    there).  Within this grammar "infinitely many primes with nontrivial
+    part" and "an infinite elementary p-summand" are expressible only
+    through SumOmega, so case 2 reduces to SumOmega presence.
     """
     bits = _kind_bits(d)
     if not bits & DISCRETE:
         raise NotDiscrete(f"{d!r} does not denote a discrete group")
     if bits & FINITE:
         raise NotInfinite(f"{d!r} denotes a finite group")
-    for case, kind in ((1, Int), (2, SumOmega), (3, Quasicyclic)):
-        found = _scan(d, kind)
-        if found is not None:
-            return TrichotomyVerdict(case=case, witness=found.p if case == 3 else found)
-    return TrichotomyVerdict(case=None, witness=None)
-
-
-def _scan(d: Descriptor, kind: type) -> Optional[Descriptor]:
-    # first matching node in preorder; FiniteSum is the only transparent
-    # constructor (omega parts are finite, so nothing relevant hides there)
-    if isinstance(d, kind):
-        return d
-    if isinstance(d, FiniteSum):
-        for part in d.parts:
-            found = _scan(part, kind)
-            if found is not None:
-                return found
-    return None
+    omega = quasicyclic = None
+    pending = [d]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is FiniteSum:
+            pending += reversed(node.parts)
+        elif kind is Int:
+            return TrichotomyVerdict(1, node)
+        elif kind is SumOmega:
+            if omega is None:
+                omega = node
+        elif kind is Quasicyclic and quasicyclic is None:
+            quasicyclic = node
+    if omega is not None:
+        return TrichotomyVerdict(2, omega)
+    if quasicyclic is not None:
+        return TrichotomyVerdict(3, quasicyclic.p)
+    return TrichotomyVerdict(None, None)
 
 
 def divisible_chain(
@@ -488,16 +493,18 @@ class PipelineResult:
 
 
 def _flatten(d: Descriptor) -> Descriptor:
-    """The flat form of d: d itself when it is no finite sum, or a sum of
-    two or more parts none of which is a finite sum."""
-    if not isinstance(d, FiniteSum):
+    """The flat form of d: d itself when it is no finite sum or is
+    already flat, else a sum of two or more parts none of which is a
+    finite sum, or the one part left.  Descriptor classes are final, so
+    exact type tests stand for ``isinstance``."""
+    if type(d) is not FiniteSum:
         return d
-    if len(d.parts) > 1 and not any(isinstance(part, FiniteSum) for part in d.parts):
+    if len(d.parts) > 1 and FiniteSum not in map(type, d.parts):
         return d
     parts: list[Descriptor] = []
     for part in d.parts:
         flat = _flatten(part)
-        if isinstance(flat, FiniteSum):
+        if type(flat) is FiniteSum:
             parts.extend(flat.parts)
         else:
             parts.append(flat)
@@ -521,32 +528,44 @@ def niceness_pipeline(d: Descriptor) -> PipelineResult:
     terminal shapes or it is dualized, the trichotomy picks a subgroup of
     the dual, and that subgroup's dual is the coverable factor.  Every
     "nice" verdict is conditional on the recorded index side condition.
+
+    The flat sum's parts are read once: no part is a finite sum, so each
+    part's kind bits are one table read of its type, and one loop over
+    the types gathers what the first rules test, the AND of DISCRETE
+    over all parts, the parts an open subgroup keeps (finite or not
+    discrete) and the AND of COMPACT over those.  ``dual`` and
+    ``classify_subgroup`` are called through the module globals.
     """
     steps: list[TraceStep] = []
     current = _flatten(d)
     if current is not d:
         steps.append(TraceStep("flatten-sum", d, current))
 
-    # a flat sum's parts are atoms and omega nodes: one table read each
-    parts = current.parts if isinstance(current, FiniteSum) else (current,)
-    part_bits = [_kind_bits(part) for part in parts]
-    if all(bits & DISCRETE for bits in part_bits):
+    parts = current.parts if type(current) is FiniteSum else (current,)
+    types = tuple(map(type, parts))
+    discrete, compact = DISCRETE, COMPACT
+    kept = []
+    for i, kind in enumerate(types):
+        bits = _KIND_BITS.get(kind, 0)
+        discrete &= bits
+        if bits & FINITE or not bits & DISCRETE:
+            kept.append(i)
+            compact &= bits
+    if discrete:
         steps.append(TraceStep("discrete-no-nullset", current, None))
         return PipelineResult(VERDICT_DISCRETE, tuple(steps), ())
 
-    kept = [i for i, bits in enumerate(part_bits) if bits & FINITE or not bits & DISCRETE]
     if len(kept) < len(parts):
-        parts = tuple([parts[i] for i in kept])
-        part_bits = [part_bits[i] for i in kept]
-        subgroup = parts[0] if len(parts) == 1 else FiniteSum(parts)
+        subgroup = parts[kept[0]] if len(kept) == 1 else FiniteSum(tuple([parts[i] for i in kept]))
         steps.append(TraceStep("open-subgroup", current, subgroup))
         current = subgroup
 
-    if any(isinstance(part, Reals) for part in parts):
+    # a real line is never discrete, so it is always kept
+    if Reals in types:
         steps.append(TraceStep("real-factor", current, None))
         return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
 
-    if not all(bits & COMPACT for bits in part_bits):
+    if not compact:
         steps.append(TraceStep("no-applicable-rule", current, None))
         return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
 

@@ -13,20 +13,39 @@ from fractions import Fraction
 from math import prod
 
 from nullcover.cover import VerifyResult, kept_window
-from nullcover.errors import DEFAULT_ENUM_CAP, CapExceeded, PreconditionViolated, VerificationFailed
+from nullcover.errors import (
+    DEFAULT_ENUM_CAP,
+    CapExceeded,
+    NotDiscrete,
+    NotInfinite,
+    PreconditionViolated,
+    VerificationFailed,
+)
 from nullcover.groups import FiniteAbelianGroup, is_prime
 from nullcover.nullset import TAIL_MAX, TAIL_UNKNOWN, TAIL_ZERO, FactorialDigits, factorial_expand
 from nullcover.structure import (
     COMPACT,
+    DISCRETE,
+    FINITE,
+    SIDE_CONDITION_INDEX,
+    VERDICT_DISCRETE,
+    VERDICT_NICE,
+    VERDICT_UNRESOLVED,
     Cyclic,
     FiniteSum,
     Int,
     Padic,
+    PipelineResult,
     ProdOmega,
     Quasicyclic,
+    Reals,
     SumOmega,
     Torus,
+    TraceStep,
+    TrichotomyVerdict,
+    _TERMINAL_RULES,
     _kind_bits,
+    dual,
 )
 
 
@@ -518,6 +537,82 @@ def flatten_by_rebuilding(d):
         else:
             parts.append(flat)
     return parts[0] if len(parts) == 1 else FiniteSum(tuple(parts))
+
+
+def classify_by_scans(d):
+    """The subgroup trichotomy by up to three preorder scans, one per
+    case in order (Int, then SumOmega, then Quasicyclic): the reference
+    for the library's one-walk ``classify_subgroup``."""
+    bits = _kind_bits(d)
+    if not bits & DISCRETE:
+        raise NotDiscrete(f"{d!r} does not denote a discrete group")
+    if bits & FINITE:
+        raise NotInfinite(f"{d!r} denotes a finite group")
+    for case, kind in ((1, Int), (2, SumOmega), (3, Quasicyclic)):
+        found = _first_in_preorder(d, kind)
+        if found is not None:
+            return TrichotomyVerdict(case=case, witness=found.p if case == 3 else found)
+    return TrichotomyVerdict(case=None, witness=None)
+
+
+def _first_in_preorder(d, kind):
+    # finite sums are the only constructor scanned through
+    if isinstance(d, kind):
+        return d
+    if isinstance(d, FiniteSum):
+        for part in d.parts:
+            found = _first_in_preorder(part, kind)
+            if found is not None:
+                return found
+    return None
+
+
+def pipeline_by_rules(d):
+    """The reduction pipeline one rule at a time, each rule re-reading
+    the flat sum's parts, with the three-scan trichotomy: the reference
+    for the library's one-pass ``niceness_pipeline``."""
+    steps = []
+    current = flatten_by_rebuilding(d)
+    if current != d:
+        steps.append(TraceStep("flatten-sum", d, current))
+    parts = current.parts if isinstance(current, FiniteSum) else (current,)
+    part_bits = [_kind_bits(part) for part in parts]
+    if all(bits & DISCRETE for bits in part_bits):
+        steps.append(TraceStep("discrete-no-nullset", current, None))
+        return PipelineResult(VERDICT_DISCRETE, tuple(steps), ())
+    kept = [i for i, bits in enumerate(part_bits) if bits & FINITE or not bits & DISCRETE]
+    if len(kept) < len(parts):
+        parts = tuple(parts[i] for i in kept)
+        part_bits = [part_bits[i] for i in kept]
+        subgroup = parts[0] if len(parts) == 1 else FiniteSum(parts)
+        steps.append(TraceStep("open-subgroup", current, subgroup))
+        current = subgroup
+    if any(isinstance(part, Reals) for part in parts):
+        steps.append(TraceStep("real-factor", current, None))
+        return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
+    if not all(bits & COMPACT for bits in part_bits):
+        steps.append(TraceStep("no-applicable-rule", current, None))
+        return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
+    terminal = _TERMINAL_RULES.get(type(current))
+    if terminal is not None:
+        steps.append(TraceStep(terminal, current, current))
+        return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
+    dualized = dual(current)
+    steps.append(TraceStep("dualize", current, dualized))
+    verdict = classify_by_scans(dualized)
+    if verdict.case is None:
+        steps.append(TraceStep("no-applicable-rule", dualized, None))
+        return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
+    witness = Quasicyclic(verdict.witness) if verdict.case == 3 else verdict.witness
+    steps.append(TraceStep("subgroup-trichotomy", dualized, witness))
+    factor = dual(witness)
+    steps.append(TraceStep("dualize-witness", witness, factor))
+    terminal = _TERMINAL_RULES.get(type(factor))
+    if terminal is None:
+        steps.append(TraceStep("no-applicable-rule", factor, None))
+        return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
+    steps.append(TraceStep(terminal, factor, factor))
+    return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
 
 
 def syntactic_size(d):

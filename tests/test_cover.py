@@ -941,6 +941,31 @@ class TestBuildNullset:
         with pytest.raises(PreconditionViolated, match=rf"has size 1, below the window's lower end {lo}$"):
             NullsetSpec(plan=edge, kept=((0,),))
 
+    def test_huge_range_kept_set_is_sized_by_its_ends(self):
+        # len() refuses a range longer than sys.maxsize: the window check
+        # reads its size off its ends and names the missed end
+        huge = BlockPlan(mode="padic", boundaries=(0, 16384), p=2)
+        with pytest.raises(PreconditionViolated, match=r"above the window's upper end more than 2\^16383$"):
+            NullsetSpec(huge, (range(2**16384 - 5),))
+        with pytest.raises(PreconditionViolated, match=r"has size more than 2\^16382, below the window's lower end"):
+            NullsetSpec(huge, (range(1, 2**16383),))
+
+    def test_huge_range_nullset_answers_exactly(self):
+        order = 2**16384
+        huge = BlockPlan(mode="padic", boundaries=(0, 16384), p=2)
+        lo, hi = kept_window(order, 0)
+        spec = NullsetSpec(huge, (range(lo),))
+        assert measure_upper(spec, 1) == Fraction(lo, order)
+        shifted = NullsetSpec(huge, (range(1, 1 + hi),))
+        assert measure_upper(shifted, 1) == Fraction(hi, order)
+        group = huge.block_groups[0]
+        # the one gap is [lo, order): g works iff every (t - g) mod order < lo
+        assert find_translator(group, spec.kept[0], (lo, lo + 1), 0) == 2
+        assert find_translator(group, spec.kept[0], (order - 1,), 0) == order - lo
+        assert find_translator(group, spec.kept[0], (0, lo - 1), 0) == 0
+        # kept [1, 1 + hi): g works iff order - g lies in it, so g >= order - hi
+        assert find_translator(group, shifted.kept[0], (0,), 0) == order - hi
+
     @pytest.mark.parametrize("depth", [8, 100, 850])
     def test_built_and_parsed_specs_are_equal(self, depth):
         spec = padic_spec(2, depth)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from nullcover.structure import enumerate_descriptors
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -49,6 +51,28 @@ def test_deep_table_rows():
     assert all(row["bundle_mb"] > 0 for row in rows)
     # a built nullset holds one range per block, not its indices
     assert all(0 < row["build_peak_mib"] < 1 for row in rows)
+
+
+def test_pipeline_table_rows():
+    # size 3 keeps the run short; the default is 5
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "pipeline_table.py"), "--size", "3", "--repeats", "1", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)
+    assert [row["stage"] for row in rows] == [
+        "descriptor_to_json", "descriptor_from_json", "niceness_pipeline", "dual", "classify_subgroup",
+    ]
+    # classify runs on the infinite discrete descriptors alone
+    counts = {row["stage"]: row["descriptors"] for row in rows}
+    assert counts["niceness_pipeline"] == len(list(enumerate_descriptors(3)))
+    assert 0 < counts["classify_subgroup"] < counts["dual"] == counts["niceness_pipeline"]
+    assert all(row["us_each"] > 0 for row in rows)
 
 
 def test_ab_ops_smoke():

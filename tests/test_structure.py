@@ -55,7 +55,9 @@ from helpers import (
     is_compact_by_match,
     is_discrete_by_match,
     is_finite_by_match,
+    classify_by_scans,
     order_of,
+    pipeline_by_rules,
     scale_residues,
     syntactic_size,
     zero_residues,
@@ -77,6 +79,32 @@ descriptors = st.recursive(
         st.builds(ProdOmega, st.lists(finite_descriptors, min_size=1, max_size=2).map(tuple)),
     ),
     max_leaves=6,
+)
+
+
+# larger than the enumerated descriptors the golden digests cover: more
+# leaves, deeper nesting, composite cyclic orders and the primes 2 to 7
+PRIMES = (2, 3, 5, 7)
+wide_finite_descriptors = st.recursive(
+    st.builds(Cyclic, st.integers(2, 12)),
+    lambda children: st.builds(FiniteSum, st.lists(children, min_size=1, max_size=4).map(tuple)),
+    max_leaves=6,
+)
+wide_descriptors = st.recursive(
+    st.one_of(
+        st.sampled_from([Int(), Reals(), Torus()]),
+        st.builds(Cyclic, st.integers(2, 12)),
+        st.builds(Quasicyclic, st.sampled_from(PRIMES)),
+        st.builds(Padic, st.sampled_from(PRIMES)),
+    ),
+    # finite sums drawn three times as often as each omega node, so that
+    # sums of many kinds of parts reach every rule
+    lambda children: st.one_of(
+        *[st.builds(FiniteSum, st.lists(children, min_size=1, max_size=5).map(tuple))] * 3,
+        st.builds(SumOmega, st.lists(wide_finite_descriptors, min_size=1, max_size=3).map(tuple)),
+        st.builds(ProdOmega, st.lists(wide_finite_descriptors, min_size=1, max_size=3).map(tuple)),
+    ),
+    max_leaves=30,
 )
 
 
@@ -450,6 +478,37 @@ class TestPipeline:
             last = result.steps[-1]
             assert last.rule in ("terminal-circle", "terminal-finite-product", "terminal-padic", "real-factor")
             assert result.side_conditions == ("open-subgroup-index-bounded",)
+
+
+def classify_outcome(classify, d):
+    try:
+        return classify(d)
+    except (NotDiscrete, NotInfinite) as refused:
+        return type(refused)
+
+
+class TestAgainstRuleByRule:
+    """The one-pass pipeline and the one-walk trichotomy against the
+    rule-by-rule pipeline and the three-scan trichotomy they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(wide_descriptors)
+    def test_pipeline_matches(self, d):
+        # steps compare with their before and after trees
+        assert niceness_pipeline(d) == pipeline_by_rules(d)
+
+    @settings(max_examples=400, deadline=None)
+    @given(wide_descriptors)
+    def test_classify_matches(self, d):
+        # the dual of a compact descriptor is discrete, so both sides of
+        # the duality reach the cases as well as the refusals
+        for tree in (d, dual(d)):
+            assert classify_outcome(classify_subgroup, tree) == classify_outcome(classify_by_scans, tree)
+
+    def test_enumerated_match(self):
+        for d in enumerate_descriptors(4):
+            assert niceness_pipeline(d) == pipeline_by_rules(d)
+            assert classify_outcome(classify_subgroup, d) == classify_outcome(classify_by_scans, d)
 
 
 class TestGoldenDigests:
