@@ -26,8 +26,6 @@ import click
 from click.core import ParameterSource
 
 from .errors import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_VERIFY_CAP,
     PAST_DIGIT_LIMIT,
     CapExceeded,
     NullcoverError,
@@ -39,30 +37,21 @@ from .errors import (
     rational_to_json,
 )
 
-ENV_CAP_VERIFY = "NULLCOVER_CAP_VERIFY"
-
 
 class _Integer(click.ParamType):
     """Every integer option: the strict spelling of ``errors._as_int``
-    (``-?[0-9]+``, nothing else); a cap must also be positive."""
+    (``-?[0-9]+``, nothing else)."""
 
     name = "integer"
 
-    def __init__(self, positive: bool = False) -> None:
-        self.positive = positive
-
     def convert(self, value, param, ctx) -> int:
         try:
-            number = _as_int(value, "value")
+            return _as_int(value, "value")
         except SchemaError:
             self.fail(f"{value!r} is not a valid integer.", param, ctx)
-        if self.positive and number <= 0:
-            self.fail(f"{number} is not positive.", param, ctx)
-        return number
 
 
 INTEGER = _Integer()
-CAP = _Integer(positive=True)
 
 seed_option = click.option("--seed", type=INTEGER, default=0, show_default=True, help="Deterministic seed.")
 
@@ -466,19 +455,13 @@ def pipeline_cmd(payload) -> dict:
 @click.option("--orders", required=True, help="Comma-separated cyclic orders of the finite group.")
 @click.option("--p", type=INTEGER, required=True)
 @click.option("--depth", type=INTEGER, required=True)
-@click.option(
-    "--cap-enum",
-    type=CAP,
-    default=DEFAULT_ENUM_CAP,
-    help="Cap on the chain's entries, (depth + 1) x coordinates (default 2^20).",
-)
 @command
-def chain_cmd(orders: str, p: int, depth: int, cap_enum: int) -> dict:
+def chain_cmd(orders: str, p: int, depth: int) -> dict:
     from . import structure as st
     from .groups import FiniteAbelianGroup
 
     group = FiniteAbelianGroup(_parse_orders(orders))
-    chain = st.divisible_chain(group, p, depth, cap_enum)
+    chain = st.divisible_chain(group, p, depth)
     return {
         "depth": depth,
         "chain": None if chain is None else [list(g) for g in chain],
@@ -508,12 +491,8 @@ def slalom_gen_cmd(payload, width: str, seed: int) -> dict:
 
 @main.command("cube-check")
 @click.option("--in", "payload", default=None, help="{'plan':…,'family':[slaloms]}.")
-@click.option(
-    "--cap-verify", type=CAP, default=DEFAULT_VERIFY_CAP, envvar=ENV_CAP_VERIFY, show_envvar=True,
-    help="Most cube points the check scans (default 2^20).",
-)
 @command
-def cube_check_cmd(payload, cap_verify: int) -> dict:
+def cube_check_cmd(payload) -> dict:
     from . import cover as cov
 
     obj = parse_payload(payload)
@@ -524,7 +503,7 @@ def cube_check_cmd(payload, cap_verify: int) -> dict:
     if not isinstance(obj["family"], list):
         raise SchemaError("'family' must be an array of slaloms")
     family = [cov.Slalom.from_json(s) for s in obj["family"]]
-    covered, witness = cov.cube_cover_check(family, plan, cap_verify)
+    covered, witness = cov.cube_cover_check(family, plan)
     return {"covered": covered, "witness": None if witness is None else list(witness)}
 
 

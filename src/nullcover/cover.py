@@ -84,7 +84,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     DEFAULT_ENUM_CAP,
-    DEFAULT_VERIFY_CAP,
     NUMERIC_DEPTH_CAP,
     CapExceeded,
     NoTranslator,
@@ -487,7 +486,10 @@ class CoverCertificate:
         verified = obj["verified"]
         if not isinstance(verified, bool):
             raise SchemaError("'verified' must be a boolean")
-        return cls(translate=blocks, verified=verified, checked_count=_as_int(obj["checked_count"], "checked_count"))
+        checked_count = _as_int(obj["checked_count"], "checked_count")
+        if checked_count < 0:
+            raise SchemaError("checked_count must not be negative")
+        return cls(translate=blocks, verified=verified, checked_count=checked_count)
 
 
 @dataclass(frozen=True)
@@ -1257,25 +1259,21 @@ def _sample_without_replacement(rng: random.Random, population: int, k: int) -> 
     return chosen
 
 
-def cube_cover_check(
-    family: Sequence[Slalom],
-    plan: BlockPlan,
-    cap: int = DEFAULT_VERIFY_CAP,
-) -> tuple[bool, Optional[tuple[int, ...]]]:
+def cube_cover_check(family: Sequence[Slalom], plan: BlockPlan) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Does the union of the slaloms exhaust the truncated cube?
 
     Scans the whole cube in canonical order, so the returned witness is
     the least uncovered point.  The block orders are multiplied in turn,
-    and the first partial product above ``cap`` raises
+    and the first partial product above ``DEFAULT_ENUM_CAP`` raises
     :class:`CapExceeded`, before any later order is multiplied.
     """
     cube = 1
     for n, size in enumerate(plan.block_orders, 1):
         cube *= size
-        if cube > cap:
+        if cube > DEFAULT_ENUM_CAP:
             # a stop before the last block knows only a lower bound
             points = _count_text(cube) if n == plan.depth else f"more than 2^{cube.bit_length() - 1}"
-            raise CapExceeded(f"cube of {points} points exceeds the cap {cap}")
+            raise CapExceeded(f"cube of {points} points exceeds the cap {DEFAULT_ENUM_CAP}")
     member_sets = []
     for slalom in family:
         slalom.check_domains(plan)

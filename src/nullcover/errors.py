@@ -4,24 +4,21 @@ The CLI maps these onto exit codes, so the split between "bad input"
 (:class:`SchemaError`), "valid input violating a precondition"
 (:class:`PreconditionViolated`), "work refused by a cap"
 (:class:`CapExceeded`) and "internal contradiction"
-(:class:`VerificationFailed`) is part of the interface.  The default
-caps live here too, beside :class:`CapExceeded`, so that the CLI can
-declare its options without importing the modules that apply them, and
-so do the helpers that every reader and writer of outside input
-shares: the strict integer parser, the JSON form of a rational and the
-text of a count in an error message.
+(:class:`VerificationFailed`) is part of the interface.  The caps live
+here too, beside :class:`CapExceeded`, as constants that no option,
+variable or parameter sets, and so do the helpers that every reader and
+writer of outside input shares: the strict integer parser, the JSON
+form of a rational and the text of a count in an error message.
 """
 
 import re
 
-# Default cap on what a run builds: the elements of a nullset's blocks
+# Cap on what a run builds or scans: the elements of a nullset's blocks
 # in all, the values of a random slalom or of a checked one, the entries
-# of a divisible chain.
+# of a divisible chain, the points of a cube check.  A cover check has
+# no element cap, since it decides every slalom element without visiting
+# one; the slalom's values count against this cap.
 DEFAULT_ENUM_CAP = 1 << 20
-# Largest cube a default cube check scans point by point.  A cover check
-# has no element cap, since it decides every slalom element without
-# visiting one; the slalom's values count against DEFAULT_ENUM_CAP.
-DEFAULT_VERIFY_CAP = 1 << 20
 # Largest depth the exact numeric queries evaluate: the digit depth of
 # ek_sup, whose denominator is N!, and of factorial_expand, and the block
 # count first_bound_below may search, judged by its Wallis estimate
@@ -58,7 +55,7 @@ class DimensionMismatch(PreconditionViolated):
 
 
 class CapExceeded(NullcoverError):
-    """An exhaustive operation would exceed its configured cap.
+    """An exhaustive operation would exceed its cap.
 
     Caps abort; they never degrade an exhaustive check to sampling.
     """

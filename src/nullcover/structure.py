@@ -202,7 +202,10 @@ def _descriptor_from_json(obj: object, nesting: int) -> Descriptor:
         if kind in ("FiniteSum", "SumOmega", "ProdOmega"):
             if nesting == MAX_DESCRIPTOR_NESTING:
                 raise SchemaError(f"descriptor nests more than {MAX_DESCRIPTOR_NESTING} compounds")
-            parts = tuple([_descriptor_from_json(p, nesting + 1) for p in obj["parts"]])
+            parts = obj["parts"]
+            if not isinstance(parts, list):
+                raise SchemaError(f"descriptor {kind} field 'parts' must be an array")
+            parts = tuple([_descriptor_from_json(p, nesting + 1) for p in parts])
             node = {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}[kind](parts)
             fields = ("type", "parts")
         elif kind == "Cyclic":
@@ -354,9 +357,7 @@ def classify_subgroup(d: Descriptor) -> TrichotomyVerdict:
     return TrichotomyVerdict(None, None)
 
 
-def divisible_chain(
-    G: FiniteAbelianGroup, p: int, depth: int, cap: int = DEFAULT_ENUM_CAP
-) -> Optional[tuple[GroupElement, ...]]:
+def divisible_chain(G: FiniteAbelianGroup, p: int, depth: int) -> Optional[tuple[GroupElement, ...]]:
     """Lexicographically least chain (g_0, ..., g_depth) with g_0 nonzero
     and p * g_(i+1) = g_i, or None when no chain that deep exists.
 
@@ -369,7 +370,7 @@ def divisible_chain(
     x = d * ((y / h) * (p d / h)^-1 mod m / h).  No search backtracks
     and no element table is built, so the group order is not capped.  The
     chain has depth + 1 links: depths above ``NUMERIC_DEPTH_CAP``, or more
-    than ``cap`` coordinates in all, raise :class:`CapExceeded`.
+    than ``DEFAULT_ENUM_CAP`` coordinates in all, raise :class:`CapExceeded`.
     """
     if depth < 0:
         raise PreconditionViolated(f"depth must be >= 0, got {depth}")
@@ -378,9 +379,9 @@ def divisible_chain(
     if depth > NUMERIC_DEPTH_CAP:
         raise CapExceeded(f"chain depth {depth} exceeds the numeric depth cap {NUMERIC_DEPTH_CAP}")
     entries = (depth + 1) * len(G.orders)
-    if entries > cap:
+    if entries > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"a chain of {depth + 1} links over {len(G.orders)} coordinates"
-                          f" has {entries} entries, above the cap {cap}")
+                          f" has {entries} entries, above the cap {DEFAULT_ENUM_CAP}")
 
     def level(r: int, m: int) -> int:
         # the generator d of p^r Z_m; exponents past log2(m) leave it fixed

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import nullcover.cli as cli
 from nullcover import cover as cov
-from nullcover.errors import PAST_DIGIT_LIMIT, VerificationFailed
+from nullcover.errors import DEFAULT_ENUM_CAP, PAST_DIGIT_LIMIT, VerificationFailed
 
 
 @pytest.fixture()
@@ -45,6 +45,8 @@ COVER = ["cover", "padic", "--p", "2", "--depth", "1", "--seed", "0"]
 PADIC_RUN = ["padic", "--p", "2", "--depth", "2"]
 PRODUCT_RUN = ["product", "--orders", "2", "--cycle", "--depth", "2"]
 CUBE = '{"plan":{"mode":"padic","p":2,"boundaries":[0,3]},"family":[]}'
+# a cube of 2^24 points, past the cap of 2^20
+CUBE_PAST_CAP = json.dumps({"plan": cov.plan_blocks_padic(2, 6).to_json(), "family": []})
 # stdout of the deepest covers, after "cover"
 DEEP_BUNDLE_SHA256 = {
     "padic --p 2 --depth 850 --seed 1": "ca06068aa1c623c4fa16ad560b3928e4cc61f84bd27cc57fd64a35884d56b585",
@@ -56,8 +58,8 @@ INTEGER_OPTIONS = [
     ["plan", "padic", "--depth", "1", "--p"],
     ["slalom-gen", "--in", '{"mode":"padic","p":2,"boundaries":[0,3]}', "--seed"],
     ["measure", "--in", SPEC, "--blocks"],
-    ["chain", "--orders", "8", "--p", "2", "--depth", "2", "--cap-enum"],
-    ["cube-check", "--in", CUBE, "--cap-verify"],
+    ["chain", "--orders", "8", "--p", "2", "--depth"],
+    COVER[:-1],
 ]
 
 
@@ -148,7 +150,7 @@ class TestCoverRoundTrip:
         bundle = tmp_path / "bundle.json"
         bundle.write_bytes(result.stdout_bytes)
         certificate = json.loads(result.stdout)["certificate"]
-        assert certificate["verified"] is True and certificate["checked_count"] > cli.DEFAULT_VERIFY_CAP
+        assert certificate["verified"] is True and certificate["checked_count"] > DEFAULT_ENUM_CAP
         result = run_json(runner, ["verify", "--in", f"@{bundle}"])
         assert result["ok"] is True and result["checked_count"] == certificate["checked_count"]
 
@@ -253,12 +255,21 @@ class TestSymbolicCommands:
         assert payload["chain"] is None
 
     def test_chain_above_the_order_cap(self, runner):
-        # --cap-enum bounds the chain's entries, not the group order
+        # the cap bounds the chain's entries, not the group order
         payload = run_json(runner, ["chain", "--orders", "2097152", "--p", "2", "--depth", "3"])
         assert payload["chain"] == [[8], [4], [2], [1]]
-        result = run(runner, ["chain", "--orders", "8,8", "--p", "2", "--depth", "3", "--cap-enum", "7"])
+
+    def test_chain_entries_capped_at_2_20(self, runner):
+        # 32,768 links over 32 coordinates are 2^20 entries, which Z_2^32
+        # does not reach; a 33rd coordinate passes the cap
+        args = ["chain", "--p", "2", "--depth", "32767", "--orders"]
+        assert run_json(runner, args + [",".join(["2"] * 32)]) == {"depth": 32767, "chain": None}
+        result = run(runner, args + [",".join(["2"] * 33)])
         assert result.exit_code == 4
-        assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+        assert json.loads(result.output)["error"] == {
+            "type": "CapExceeded",
+            "message": "a chain of 32768 links over 33 coordinates has 1081344 entries, above the cap 1048576",
+        }
 
 
 class TestCubeCheck:
@@ -276,10 +287,26 @@ class TestCubeCheck:
 
     def test_default_cap_is_2_20_points(self, runner):
         # blocks of orders 8, 16, 16, 16, 16 and 32: a cube of 2^24 points
-        plan = run_json(runner, ["plan", "padic", "--p", "2", "--depth", "6"])
-        result = run(runner, ["cube-check", "--in", json.dumps({"plan": plan, "family": []})])
+        result = run(runner, ["cube-check", "--in", CUBE_PAST_CAP])
         assert result.exit_code == 4
         assert json.loads(result.output)["error"]["type"] == "CapExceeded"
+
+    @pytest.mark.parametrize("depth,message", [
+        (5, None),
+        (6, "cube of 16777216 points exceeds the cap 1048576"),
+        # the cap stops the product before the last block
+        (7, "cube of more than 2^24 points exceeds the cap 1048576"),
+    ])
+    def test_cap_at_the_constant(self, runner, depth, message):
+        # product plans of orders 2: 524,288 points at depth 5 are scanned
+        plan = run_json(runner, ["plan", "product", "--orders", "2", "--cycle", "--depth", str(depth)])
+        result = run(runner, ["cube-check", "--in", json.dumps({"plan": plan, "family": []})])
+        if message is None:
+            assert result.exit_code == 0
+            assert json.loads(result.output) == {"covered": False, "witness": [0] * depth}
+        else:
+            assert result.exit_code == 4
+            assert json.loads(result.output)["error"] == {"type": "CapExceeded", "message": message}
 
 
 class TestErrorChannel:
@@ -293,6 +320,17 @@ class TestErrorChannel:
         result = run(runner, ["dual", "--in", f'{{"type":"Cyclic","m":{m}}}'])
         assert result.exit_code == 2
         assert json.loads(result.output)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("parts,code,message", [
+        ("{}", 2, "descriptor FiniteSum field 'parts' must be an array"),
+        ('"ab"', 2, "descriptor FiniteSum field 'parts' must be an array"),
+        # an array of no parts is well formed, but no sum
+        ("[]", 3, "FiniteSum needs at least one part"),
+    ])
+    def test_descriptor_parts_are_an_array(self, runner, parts, code, message):
+        result = run(runner, ["pipeline", "--in", f'{{"type":"FiniteSum","parts":{parts}}}'])
+        assert result.exit_code == code
+        assert json.loads(result.output)["error"]["message"] == message
 
     def test_inconsistent_certificate_rejected(self, runner):
         bundle = run_json(runner, ["cover", "padic", "--p", "2", "--depth", "2", "--seed", "1"])
@@ -318,9 +356,9 @@ class TestErrorChannel:
         assert json.loads(result.output)["error"]["type"] == "PreconditionViolated"
 
     def test_cap_exceeded_exits_4(self, runner):
-        # a cube of 8 points past a cap of 1, and at depth 851 blocks of
-        # 1,049,928 elements in all past the enumeration cap
-        capped = ["cube-check", "--in", CUBE, "--cap-verify", "1"]
+        # a cube of 2^24 points past the cap of 2^20, and at depth 851
+        # blocks of 1,049,928 elements in all past the same cap
+        capped = ["cube-check", "--in", CUBE_PAST_CAP]
         for args in (capped, ["cover", "padic", "--p", "2", "--depth", "851"]):
             result = run(runner, args)
             assert result.exit_code == 4
@@ -438,15 +476,13 @@ class TestErrorChannel:
             ["ek", "sup", "--depth", "1" * 5000],
             # an option of another command
             ["ek", "sup", "--depth", "3", "--seed", "5"],
+            # every cap is a constant: no command takes --cap-enum or
+            # --cap-verify
             ["dual", "--in", '{"type":"Int"}', "--cap-enum", "4"],
             ["plan", "padic", "--p", "2", "--depth", "1", "--cap-verify", "4"],
-            # a cover searches any block order, so it has no --cap-enum
             ["cover", "product", "--orders", "2", "--cycle", "--depth", "3", "--cap-enum", "5"],
-            # a cap must be positive
-            ["chain", "--orders", "8", "--p", "2", "--depth", "2", "--cap-enum", "0"],
-            ["cube-check", "--in", CUBE, "--cap-verify", "-1"],
-            # a cover check decides every slalom element, so no command but
-            # cube-check has --cap-verify
+            ["chain", "--orders", "8", "--p", "2", "--depth", "2", "--cap-enum", "10000000000"],
+            ["cube-check", "--in", CUBE, "--cap-verify", "16777216"],
             COVER + ["--cap-verify", "4"],
             ["cover", "product", "--orders", "2", "--cycle", "--depth", "3", "--cap-verify", "4"],
             ["verify", "--in", "{}", "--cap-verify", "4"],
@@ -560,36 +596,22 @@ class TestErrorChannel:
         assert result.output.count("\n") == 1
         assert json.loads(result.output)["error"]["type"] == "SchemaError"
 
-    def test_env_var_overrides_verify_cap(self, runner):
-        # cube-check reads the variable; cover and verify have no cap to set
-        env = {cli.ENV_CAP_VERIFY: "1"}
-        assert run(runner, ["cube-check", "--in", CUBE], env=env).exit_code == 4
-        run_args = ["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"]
-        for args in (["verify", "--in", json.dumps(run_json(runner, run_args))], run_args):
-            unset = run(runner, args)
-            result = run(runner, args, env=env)
-            assert result.exit_code == unset.exit_code == 0
-            assert result.output == unset.output
-
-    @pytest.mark.parametrize("value", [" 1_0", "abc", "0"])
-    def test_cap_verify_variable_is_strict(self, runner, value):
+    @pytest.mark.parametrize("value", ["1", "junk", " 1_0", "abc", "0"])
+    def test_cap_verify_variable_is_ignored(self, runner, value):
+        # no command reads NULLCOVER_CAP_VERIFY, whatever its value
         bundle = run(runner, COVER).output
-        env = {cli.ENV_CAP_VERIFY: value}
-        result = run(runner, ["cube-check", "--in", CUBE], env=env)
-        assert result.exit_code == 2
-        assert result.stdout.count("\n") == 1
-        assert json.loads(result.stdout)["error"]["type"] == "SchemaError"
-        # read only by cube-check, the one command with --cap-verify
-        for args in (["verify", "--in", bundle], COVER, ["ek", "sup", "--depth", "4"]):
-            result = run(runner, args, env=env)
-            assert result.exit_code == 0
-            assert result.output == run(runner, args).output
+        for args in (["cube-check", "--in", CUBE], ["cube-check", "--in", CUBE_PAST_CAP],
+                     ["verify", "--in", bundle], COVER, ["ek", "sup", "--depth", "4"]):
+            unset = run(runner, args)
+            result = run(runner, args, env={"NULLCOVER_CAP_VERIFY": value})
+            assert result.exit_code == unset.exit_code
+            assert result.stdout == unset.stdout
 
     def test_empty_cap_verify_variable_is_unset(self, runner):
         bundle = run(runner, COVER).output
         for args in (["verify", "--in", bundle], COVER, ["cube-check", "--in", CUBE]):
             unset = run(runner, args)
-            empty = run(runner, args, env={cli.ENV_CAP_VERIFY: ""})
+            empty = run(runner, args, env={"NULLCOVER_CAP_VERIFY": ""})
             assert empty.exit_code == unset.exit_code == 0
             assert empty.output == unset.output
 

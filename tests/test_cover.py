@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from nullcover import cover as cover_module
 from nullcover.cover import (
-    DEFAULT_VERIFY_CAP,
+    DEFAULT_ENUM_CAP,
     BlockPlan,
     _int_array,
     _strictly_increasing,
@@ -1344,7 +1344,7 @@ class TestVerifyCover:
                                    (product, "n+2", lambda s: cover_product_slalom(product, s))):
             slalom = random_slalom(spec.plan, width, seed=30)
             translate = cover(slalom).translate
-            assert slalom.element_count > DEFAULT_VERIFY_CAP
+            assert slalom.element_count > DEFAULT_ENUM_CAP
             assert verify_cover(spec, translate, slalom).ok
         # nor a cap on the block order: one block of order 2^21, above the
         # default enumeration cap, in each mode
@@ -1410,7 +1410,7 @@ class TestVerifyAgainstEnumeration:
     def check(self, spec, slalom, accepted, rng):
         seen = set()
         for translate in self.translates(spec.plan, accepted, rng):
-            expected = verify_cover_by_enumeration(spec, translate, slalom, DEFAULT_VERIFY_CAP)
+            expected = verify_cover_by_enumeration(spec, translate, slalom, DEFAULT_ENUM_CAP)
             assert verify_cover(spec, translate, slalom) == expected
             seen.add(expected.ok)
         return seen
@@ -1775,14 +1775,19 @@ class TestCubeCover:
         assert len(union) == len(points) - 1
         assert cube_cover_check(removed, plan) == (False, points[37])
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         # block orders 8, 16, 16: the partial product 128 passes a cap of
         # 100 before the last block, the whole cube 2048 a cap of 1000
         plan = plan_blocks_padic(2, 3)
+        monkeypatch.setattr(cover_module, "DEFAULT_ENUM_CAP", 100)
         with pytest.raises(CapExceeded, match=r"^cube of more than 2\^7 points exceeds the cap 100$"):
-            cube_cover_check([], plan, cap=100)
+            cube_cover_check([], plan)
+        monkeypatch.setattr(cover_module, "DEFAULT_ENUM_CAP", 1000)
         with pytest.raises(CapExceeded, match="^cube of 2048 points exceeds the cap 1000$"):
-            cube_cover_check([], plan, cap=1000)
+            cube_cover_check([], plan)
+        # the cap is no parameter
+        with pytest.raises(TypeError):
+            cube_cover_check([], plan, cap=1 << 30)
 
     def test_cap_stops_at_the_first_partial_product_above_it(self):
         # 32,768 blocks of 4,000-bit orders, whose product no left-to-right

@@ -239,3 +239,13 @@ def test_error_schema_names_every_error_type():
     ]
     schema = json.loads((SCHEMA_DIR / "error.schema.json").read_text())
     assert set(schema["properties"]["error"]["properties"]["type"]["enum"]) == {c.__name__ for c in classes}
+
+
+def test_certificate_count_is_not_negative():
+    # a JSON integer escapes the pattern, which applies to strings alone
+    bundle = emit(["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"])
+    bundle["certificate"] = dict(bundle["certificate"], verified=False, checked_count=-5)
+    assert not load_validator("certificate.schema.json").is_valid(bundle["certificate"])
+    assert not load_validator("cover-bundle.schema.json").is_valid(bundle)
+    document = fail(["verify", "--in", json.dumps(bundle)], 2)
+    assert document["error"] == {"type": "SchemaError", "message": "checked_count must not be negative"}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullcover import structure as structure_module
 from nullcover.errors import (
     DEFAULT_ENUM_CAP,
     CapExceeded,
@@ -314,19 +315,25 @@ class TestDivisibleChain:
     def test_small_groups_match_element_oracle(self, G, p, depth):
         assert divisible_chain(G, p, depth) == divisible_chain_by_elements(G, p, depth)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         # the cap bounds the entries built, (depth + 1) x coordinates, and
-        # applies after the depth and prime checks
+        # applies after the depth and prime checks; it is no parameter
         G = FiniteAbelianGroup((4, 4))
+        with pytest.raises(TypeError):
+            divisible_chain(G, 2, 1, cap=1 << 30)
+        monkeypatch.setattr(structure_module, "DEFAULT_ENUM_CAP", 3)
         with pytest.raises(CapExceeded, match="has 4 entries, above the cap 3"):
-            divisible_chain(G, 2, 1, cap=3)
-        assert divisible_chain(G, 2, 1, cap=4) == divisible_chain_by_elements(G, 2, 1)
+            divisible_chain(G, 2, 1)
+        monkeypatch.setattr(structure_module, "DEFAULT_ENUM_CAP", 4)
+        assert divisible_chain(G, 2, 1) == divisible_chain_by_elements(G, 2, 1)
+        monkeypatch.setattr(structure_module, "DEFAULT_ENUM_CAP", 1)
         with pytest.raises(PreconditionViolated):
-            divisible_chain(G, 2, -1, cap=1)
+            divisible_chain(G, 2, -1)
         with pytest.raises(PreconditionViolated):
-            divisible_chain(G, 4, 1, cap=1)
+            divisible_chain(G, 4, 1)
         with pytest.raises(CapExceeded, match="numeric depth cap"):
-            divisible_chain(G, 2, NUMERIC_DEPTH_CAP + 1, cap=1)
+            divisible_chain(G, 2, NUMERIC_DEPTH_CAP + 1)
+        monkeypatch.undo()
         # the enumerating oracle still caps the group order; the closed
         # form does not
         with pytest.raises(CapExceeded, match="group order 16 exceeds enumeration cap 15"):
