@@ -1,12 +1,15 @@
 """The descriptor layer, stage by stage: microseconds per descriptor for
 the JSON writer and parser, the reduction pipeline, the character-group
 rewrite and the subgroup trichotomy, over every descriptor that
-``enumerate_descriptors(--size)`` yields.
+``enumerate_descriptors(--size)`` yields, and last the whole
+per-descriptor path of the benchmark's descriptor batches.
 
 ``descriptor_from_json`` parses the documents that ``descriptor_to_json``
 wrote, and ``classify_subgroup`` runs on the infinite discrete
 descriptors alone, the only ones it does not refuse; each stage's time
-is divided by the number of descriptors it ran on.  Times are
+is divided by the number of descriptors it ran on.  ``round_trip``
+writes a descriptor's document, dumps it to JSON text, loads it back,
+parses it, and runs the pipeline and the rewrite on what it parsed.  Times are
 in-process, the best of ``--repeats`` passes with the garbage collector
 off.
 
@@ -42,6 +45,12 @@ def best_us_each(stage, inputs, repeats):
     return min(times) * 1e6 / len(inputs)
 
 
+def round_trip(d):
+    """One descriptor through the path a descriptor batch runs."""
+    back = descriptor_from_json(json.loads(json.dumps(descriptor_to_json(d))))
+    return niceness_pipeline(back), dual(back)
+
+
 def table(size, repeats):
     descriptors = list(enumerate_descriptors(size))
     documents = [descriptor_to_json(d) for d in descriptors]
@@ -52,6 +61,7 @@ def table(size, repeats):
         (niceness_pipeline, descriptors),
         (dual, descriptors),
         (classify_subgroup, infinite_discrete),
+        (round_trip, descriptors),
     )
     return [
         {"stage": stage.__name__, "descriptors": len(inputs), "us_each": best_us_each(stage, inputs, repeats)}

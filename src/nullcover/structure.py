@@ -11,6 +11,7 @@ outside the grammar are reported as unclassifiable, never guessed at.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
@@ -34,6 +35,45 @@ from .groups import FiniteAbelianGroup, GroupElement, is_prime
 # where the recursive predicates would exhaust the stack, far above the
 # depth of any descriptor the enumerator builds.
 MAX_DESCRIPTOR_NESTING = 100
+
+
+def _unchecked(cls: type):
+    """A builder of ``cls`` instances, ``cls`` a frozen slots dataclass
+    of one to three fields, from its field values in field order, that
+    runs neither ``__init__`` nor ``__post_init__``.  Each slot is written
+    through its member descriptor, which the frozen ``__setattr__`` does
+    not intercept, so the instance is the constructor's: equal, hashed,
+    printed and immutable alike.  Call it only with values for which the
+    caller has already proven what ``__post_init__`` checks."""
+    setters = [getattr(cls, name).__set__ for name in cls.__slots__]
+    new = object.__new__
+    # straight-line bodies: a loop over the setters costs more than the
+    # frozen __init__ saves
+    if len(setters) == 1:
+        (set_a,) = setters
+
+        def build(a):
+            node = new(cls)
+            set_a(node, a)
+            return node
+    elif len(setters) == 2:
+        set_a, set_b = setters
+
+        def build(a, b):
+            node = new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            return node
+    else:
+        set_a, set_b, set_c = setters
+
+        def build(a, b, c):
+            node = new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            set_c(node, c)
+            return node
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +173,40 @@ def _check_omega_parts(parts: tuple[Descriptor, ...], kind: str) -> None:
             raise PreconditionViolated(f"{kind} parts must denote finite groups, got {part!r}")
 
 
+# compounds built from parts already known to be non-empty and, for the
+# omega constructors, finite
+_finite_sum = _unchecked(FiniteSum)
+_sum_omega = _unchecked(SumOmega)
+_prod_omega = _unchecked(ProdOmega)
+
+# the atoms without a value, one instance each
+_INT, _REALS, _TORUS = Int(), Reals(), Torus()
+
+# Parsing and dual meet the same few atom values again and again: each
+# (class, value) is built once, through its checking constructor, and
+# then shared.  The table holds at most this many atoms; past it, atoms
+# are built afresh.
+MAX_SHARED_ATOMS = 4096
+_shared_atoms: dict[tuple[type, int], Descriptor] = {}
+_shared_atoms_lock = threading.Lock()
+
+
+def _atom(kind: type, value: int) -> Descriptor:
+    """``kind(value)`` for ``kind`` one of Cyclic, Quasicyclic and Padic,
+    shared by value.  An invalid value raises from the constructor on
+    every call and is never stored.  Only an exact int is shared: an
+    equal float or int subclass would otherwise come back as the int."""
+    if type(value) is not int:
+        return kind(value)
+    node = _shared_atoms.get((kind, value))
+    if node is None:
+        node = kind(value)
+        with _shared_atoms_lock:
+            if len(_shared_atoms) < MAX_SHARED_ATOMS:
+                node = _shared_atoms.setdefault((kind, value), node)
+    return node
+
+
 def r_power(n: int) -> Descriptor:
     """n-dimensional real space as a descriptor, n >= 1."""
     if n < 1:
@@ -187,9 +261,19 @@ def descriptor_to_json(d: Descriptor) -> dict:
     raise SchemaError(f"not a descriptor: {d!r}")
 
 
+_COMPOUNDS = {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}
+
+
 def descriptor_from_json(obj: object) -> Descriptor:
     """Parse a descriptor; nesting deeper than ``MAX_DESCRIPTOR_NESTING``
-    compounds is refused with :class:`SchemaError`."""
+    compounds is refused with :class:`SchemaError`.
+
+    Atoms are shared by value: ``Int``, ``Reals`` and ``Torus`` are one
+    instance each, and a ``Cyclic``, ``Quasicyclic`` or ``Padic`` value
+    is checked by its constructor once and then read from a table of at
+    most ``MAX_SHARED_ATOMS`` entries, so compare descriptors with
+    ``==``, never ``is``.  Compounds go through their public, checking
+    constructors, since their parts come from outside."""
     return _descriptor_from_json(obj, 0)
 
 
@@ -206,20 +290,19 @@ def _descriptor_from_json(obj: object, nesting: int) -> Descriptor:
             if not isinstance(parts, list):
                 raise SchemaError(f"descriptor {kind} field 'parts' must be an array")
             parts = tuple([_descriptor_from_json(p, nesting + 1) for p in parts])
-            node = {"FiniteSum": FiniteSum, "SumOmega": SumOmega, "ProdOmega": ProdOmega}[kind](parts)
-            fields = ("type", "parts")
+            node, fields = _COMPOUNDS[kind](parts), ("type", "parts")
         elif kind == "Cyclic":
-            node, fields = Cyclic(_as_int(obj["m"], "Cyclic m")), ("type", "m")
+            node, fields = _atom(Cyclic, _as_int(obj["m"], "Cyclic m")), ("type", "m")
         elif kind == "Quasicyclic":
-            node, fields = Quasicyclic(_as_int(obj["p"], "Quasicyclic p")), ("type", "p")
+            node, fields = _atom(Quasicyclic, _as_int(obj["p"], "Quasicyclic p")), ("type", "p")
         elif kind == "Padic":
-            node, fields = Padic(_as_int(obj["p"], "Padic p")), ("type", "p")
+            node, fields = _atom(Padic, _as_int(obj["p"], "Padic p")), ("type", "p")
         elif kind == "Int":
-            node, fields = Int(), ("type",)
+            node, fields = _INT, ("type",)
         elif kind == "Reals":
-            node, fields = Reals(), ("type",)
+            node, fields = _REALS, ("type",)
         elif kind == "Torus":
-            node, fields = Torus(), ("type",)
+            node, fields = _TORUS, ("type",)
         else:
             raise SchemaError(f"unknown descriptor type {kind!r}")
     except KeyError as missing:
@@ -318,6 +401,9 @@ class TrichotomyVerdict:
         return {"case": self.case, "witness": witness}
 
 
+_trichotomy_verdict = _unchecked(TrichotomyVerdict)
+
+
 def classify_subgroup(d: Descriptor) -> TrichotomyVerdict:
     """Locate one of the three unavoidable subgroups in an infinite
     discrete descriptor, trying the cases in order: an Int summand, then
@@ -330,6 +416,11 @@ def classify_subgroup(d: Descriptor) -> TrichotomyVerdict:
     there).  Within this grammar "infinitely many primes with nontrivial
     part" and "an infinite elementary p-summand" are expressible only
     through SumOmega, so case 2 reduces to SumOmega presence.
+
+    The verdict is built without its dataclass ``__init__``, which checks
+    nothing.  A witness is a node of ``d``: atoms may be shared by value
+    (see :func:`descriptor_from_json`), so compare it with ``==``, never
+    ``is``.
     """
     bits = _kind_bits(d)
     if not bits & DISCRETE:
@@ -344,17 +435,17 @@ def classify_subgroup(d: Descriptor) -> TrichotomyVerdict:
         if kind is FiniteSum:
             pending += reversed(node.parts)
         elif kind is Int:
-            return TrichotomyVerdict(1, node)
+            return _trichotomy_verdict(1, node)
         elif kind is SumOmega:
             if omega is None:
                 omega = node
         elif kind is Quasicyclic and quasicyclic is None:
             quasicyclic = node
     if omega is not None:
-        return TrichotomyVerdict(2, omega)
+        return _trichotomy_verdict(2, omega)
     if quasicyclic is not None:
-        return TrichotomyVerdict(3, quasicyclic.p)
-    return TrichotomyVerdict(None, None)
+        return _trichotomy_verdict(3, quasicyclic.p)
+    return _trichotomy_verdict(None, None)
 
 
 def divisible_chain(G: FiniteAbelianGroup, p: int, depth: int) -> Optional[tuple[GroupElement, ...]]:
@@ -410,24 +501,33 @@ def dual(d: Descriptor) -> Descriptor:
     """Character-group rewrite: integers and circle swap, reals and finite
     cyclic groups are self-dual, quasicyclic and p-adic swap, and the
     sum/product constructors swap componentwise.  An involution on the
-    whole grammar by construction."""
+    whole grammar by construction.
+
+    Atoms are shared by value, as :func:`descriptor_from_json` shares
+    them, so compare the result with ``==``, never ``is``.  Compounds are
+    built without their constructors' checks, which already hold: the
+    dual has as many parts as ``d``, at least one, and a finite part, a
+    cyclic group or a finite sum of finite parts, has a finite dual, since
+    a cyclic group is its own dual and a sum's dual is the sum of its
+    parts' duals.
+    """
     kind = type(d)
     if kind is FiniteSum:
-        return FiniteSum(tuple([dual(p) for p in d.parts]))
+        return _finite_sum(tuple([dual(p) for p in d.parts]))
     if kind is Cyclic or kind is Reals:
         return d
     if kind is Int:
-        return Torus()
+        return _TORUS
     if kind is Torus:
-        return Int()
+        return _INT
     if kind is Quasicyclic:
-        return Padic(d.p)
+        return _atom(Padic, d.p)
     if kind is Padic:
-        return Quasicyclic(d.p)
+        return _atom(Quasicyclic, d.p)
     if kind is SumOmega:
-        return ProdOmega(tuple([dual(p) for p in d.parts]))
+        return _prod_omega(tuple([dual(p) for p in d.parts]))
     if kind is ProdOmega:
-        return SumOmega(tuple([dual(p) for p in d.parts]))
+        return _sum_omega(tuple([dual(p) for p in d.parts]))
     raise SchemaError(f"not a descriptor: {d!r}")
 
 
@@ -493,6 +593,12 @@ class PipelineResult:
         return {"verdict": self.verdict, "trace": trace, "side_conditions": list(self.side_conditions)}
 
 
+# the pipeline's records: every rule it records is a string literal in
+# niceness_pipeline or a value of _TERMINAL_RULES, all keys of RULES
+_trace_step = _unchecked(TraceStep)
+_pipeline_result = _unchecked(PipelineResult)
+
+
 def _flatten(d: Descriptor) -> Descriptor:
     """The flat form of d: d itself when it is no finite sum or is
     already flat, else a sum of two or more parts none of which is a
@@ -509,7 +615,8 @@ def _flatten(d: Descriptor) -> Descriptor:
             parts.extend(flat.parts)
         else:
             parts.append(flat)
-    return parts[0] if len(parts) == 1 else FiniteSum(tuple(parts))
+    # two or more parts: the sum is not empty
+    return parts[0] if len(parts) == 1 else _finite_sum(tuple(parts))
 
 
 _TERMINAL_RULES = {
@@ -536,11 +643,18 @@ def niceness_pipeline(d: Descriptor) -> PipelineResult:
     over all parts, the parts an open subgroup keeps (finite or not
     discrete) and the AND of COMPACT over those.  ``dual`` and
     ``classify_subgroup`` are called through the module globals.
+
+    Every ``TraceStep`` is built without its rule check, since each rule
+    it records is a literal key of ``RULES``, and the ``PipelineResult``
+    and the finite sums of the flat form and the open subgroup, two or
+    more parts each, without their constructors.  A quasicyclic witness
+    is the shared atom of its prime, so compare the trees of the trace
+    with ``==``, never ``is``.
     """
     steps: list[TraceStep] = []
     current = _flatten(d)
     if current is not d:
-        steps.append(TraceStep("flatten-sum", d, current))
+        steps.append(_trace_step("flatten-sum", d, current))
 
     parts = current.parts if type(current) is FiniteSum else (current,)
     types = tuple(map(type, parts))
@@ -553,44 +667,44 @@ def niceness_pipeline(d: Descriptor) -> PipelineResult:
             kept.append(i)
             compact &= bits
     if discrete:
-        steps.append(TraceStep("discrete-no-nullset", current, None))
-        return PipelineResult(VERDICT_DISCRETE, tuple(steps), ())
+        steps.append(_trace_step("discrete-no-nullset", current, None))
+        return _pipeline_result(VERDICT_DISCRETE, tuple(steps), ())
 
     if len(kept) < len(parts):
-        subgroup = parts[kept[0]] if len(kept) == 1 else FiniteSum(tuple([parts[i] for i in kept]))
-        steps.append(TraceStep("open-subgroup", current, subgroup))
+        subgroup = parts[kept[0]] if len(kept) == 1 else _finite_sum(tuple([parts[i] for i in kept]))
+        steps.append(_trace_step("open-subgroup", current, subgroup))
         current = subgroup
 
     # a real line is never discrete, so it is always kept
     if Reals in types:
-        steps.append(TraceStep("real-factor", current, None))
-        return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
+        steps.append(_trace_step("real-factor", current, None))
+        return _pipeline_result(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
 
     if not compact:
-        steps.append(TraceStep("no-applicable-rule", current, None))
-        return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
+        steps.append(_trace_step("no-applicable-rule", current, None))
+        return _pipeline_result(VERDICT_UNRESOLVED, tuple(steps), ())
 
     terminal = _TERMINAL_RULES.get(type(current))
     if terminal is not None:
-        steps.append(TraceStep(terminal, current, current))
-        return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
+        steps.append(_trace_step(terminal, current, current))
+        return _pipeline_result(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
 
     dualized = dual(current)
-    steps.append(TraceStep("dualize", current, dualized))
+    steps.append(_trace_step("dualize", current, dualized))
     verdict = classify_subgroup(dualized)
     if verdict.case is None:
-        steps.append(TraceStep("no-applicable-rule", dualized, None))
-        return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
-    witness = Quasicyclic(verdict.witness) if verdict.case == 3 else verdict.witness
-    steps.append(TraceStep("subgroup-trichotomy", dualized, witness))
+        steps.append(_trace_step("no-applicable-rule", dualized, None))
+        return _pipeline_result(VERDICT_UNRESOLVED, tuple(steps), ())
+    witness = _atom(Quasicyclic, verdict.witness) if verdict.case == 3 else verdict.witness
+    steps.append(_trace_step("subgroup-trichotomy", dualized, witness))
     factor = dual(witness)
-    steps.append(TraceStep("dualize-witness", witness, factor))
+    steps.append(_trace_step("dualize-witness", witness, factor))
     terminal = _TERMINAL_RULES.get(type(factor))
     if terminal is None:
-        steps.append(TraceStep("no-applicable-rule", factor, None))
-        return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
-    steps.append(TraceStep(terminal, factor, factor))
-    return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
+        steps.append(_trace_step("no-applicable-rule", factor, None))
+        return _pipeline_result(VERDICT_UNRESOLVED, tuple(steps), ())
+    steps.append(_trace_step(terminal, factor, factor))
+    return _pipeline_result(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from nullcover.errors import (
     NotDiscrete,
     NotInfinite,
     PreconditionViolated,
+    SchemaError,
     VerificationFailed,
 )
 from nullcover.groups import FiniteAbelianGroup, is_prime
@@ -45,7 +46,6 @@ from nullcover.structure import (
     TrichotomyVerdict,
     _TERMINAL_RULES,
     _kind_bits,
-    dual,
 )
 
 
@@ -567,10 +567,38 @@ def _first_in_preorder(d, kind):
     return None
 
 
+def dual_by_constructors(d):
+    """The character-group rewrite with every node built afresh through
+    its public, checking constructor: the reference for the library's
+    ``dual``, which shares atoms and builds compounds unchecked."""
+    match d:
+        case Int():
+            return Torus()
+        case Torus():
+            return Int()
+        case Reals():
+            return Reals()
+        case Cyclic(order):
+            return Cyclic(order)
+        case Quasicyclic(p):
+            return Padic(p)
+        case Padic(p):
+            return Quasicyclic(p)
+        case FiniteSum(parts):
+            return FiniteSum(tuple(dual_by_constructors(part) for part in parts))
+        case SumOmega(parts):
+            return ProdOmega(tuple(dual_by_constructors(part) for part in parts))
+        case ProdOmega(parts):
+            return SumOmega(tuple(dual_by_constructors(part) for part in parts))
+    raise SchemaError(f"not a descriptor: {d!r}")
+
+
 def pipeline_by_rules(d):
     """The reduction pipeline one rule at a time, each rule re-reading
-    the flat sum's parts, with the three-scan trichotomy: the reference
-    for the library's one-pass ``niceness_pipeline``."""
+    the flat sum's parts, with the three-scan trichotomy and the
+    constructor-built rewrite: the reference for the library's one-pass
+    ``niceness_pipeline``, whose records and rewrites skip checks that
+    already hold."""
     steps = []
     current = flatten_by_rebuilding(d)
     if current != d:
@@ -597,7 +625,7 @@ def pipeline_by_rules(d):
     if terminal is not None:
         steps.append(TraceStep(terminal, current, current))
         return PipelineResult(VERDICT_NICE, tuple(steps), (SIDE_CONDITION_INDEX,))
-    dualized = dual(current)
+    dualized = dual_by_constructors(current)
     steps.append(TraceStep("dualize", current, dualized))
     verdict = classify_by_scans(dualized)
     if verdict.case is None:
@@ -605,7 +633,7 @@ def pipeline_by_rules(d):
         return PipelineResult(VERDICT_UNRESOLVED, tuple(steps), ())
     witness = Quasicyclic(verdict.witness) if verdict.case == 3 else verdict.witness
     steps.append(TraceStep("subgroup-trichotomy", dualized, witness))
-    factor = dual(witness)
+    factor = dual_by_constructors(witness)
     steps.append(TraceStep("dualize-witness", witness, factor))
     terminal = _TERMINAL_RULES.get(type(factor))
     if terminal is None:

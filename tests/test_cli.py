@@ -237,6 +237,18 @@ class TestSymbolicCommands:
         assert payload["verdict"] == "nice"
         assert [step["rule"] for step in payload["trace"]] == ["terminal-padic"]
 
+    @pytest.mark.parametrize("document,message", [
+        ('{"type":"Padic","p":4}', "p = 4 is not prime"),
+        ('{"type":"SumOmega","parts":[{"type":"Int"}]}', "SumOmega parts must denote finite groups, got Int()"),
+    ])
+    def test_refusals_repeat(self, runner, document, message):
+        # parsed atoms are shared by value, and a refused value is never stored
+        for command in ("dual", "classify", "pipeline"):
+            for _ in range(2):
+                result = run(runner, [command, "--in", document])
+                assert result.exit_code == 3
+                assert json.loads(result.output)["error"] == {"type": "PreconditionViolated", "message": message}
+
     def test_chain(self, runner):
         payload = run_json(runner, ["chain", "--orders", "8", "--p", "2", "--depth", "2"])
         assert payload["chain"] == [[4], [2], [1]]

@@ -249,3 +249,57 @@ def test_certificate_count_is_not_negative():
     assert not load_validator("cover-bundle.schema.json").is_valid(bundle)
     document = fail(["verify", "--in", json.dumps(bundle)], 2)
     assert document["error"] == {"type": "SchemaError", "message": "checked_count must not be negative"}
+
+
+# a negative index in each part of a bundle that lists indices, and the
+# refusal of verify, which reads every part
+NEGATIVE_INDICES = [
+    ("slalom", "slalom.schema.json", "slalom set 0 leaves the block domain [0, 8)"),
+    ("certificate", "certificate.schema.json", "digits (-1, 1, 1) out of range for p = 2"),
+    ("spec", "nullsetspec.schema.json", "kept set for block 0 has indices outside [0, 8)"),
+]
+
+
+@pytest.mark.parametrize("part,schema,message", NEGATIVE_INDICES)
+def test_negative_index_is_refused(part, schema, message):
+    # a JSON integer escapes the pattern, which applies to strings alone
+    bundle = emit(["cover", "padic", "--p", "2", "--depth", "3", "--seed", "7"])
+    if part == "slalom":
+        bundle["slalom"]["sets"][0] = [-1]
+    elif part == "certificate":
+        bundle["certificate"]["translate"][0] = -1
+    else:
+        bundle["spec"]["A"][0][0] = -1
+    assert not load_validator(schema).is_valid(bundle[part])
+    assert not load_validator("cover-bundle.schema.json").is_valid(bundle)
+    document = fail(["verify", "--in", json.dumps(bundle)], 3)
+    assert document["error"] == {"type": "PreconditionViolated", "message": message}
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"type": "Cyclic", "m": "5"},
+    {"type": "Padic", "p": "007"},
+    {"type": "Quasicyclic", "p": "3"},
+    {"type": "ProdOmega", "parts": [{"type": "Cyclic", "m": "12"}, {"type": "Cyclic", "m": 10}]},
+])
+def test_descriptor_decimal_strings_are_accepted(descriptor):
+    # the schema and the parser both read an order or prime as a JSON
+    # integer or as its decimal digits
+    load_validator("descriptor.schema.json").validate(descriptor)
+    for command in ("dual", "pipeline"):
+        emit([command, "--in", json.dumps(descriptor)])
+
+
+@pytest.mark.parametrize("descriptor,code", [
+    ({"type": "Cyclic", "m": "1"}, 3),
+    ({"type": "Cyclic", "m": "-5"}, 3),
+    ({"type": "Padic", "p": "0"}, 3),
+    ({"type": "Cyclic", "m": 1}, 3),
+    ({"type": "Cyclic", "m": "x"}, 2),
+    ({"type": "Quasicyclic", "p": " 5"}, 2),
+    ({"type": "Padic", "p": ""}, 2),
+])
+def test_descriptor_values_the_parser_refuses_are_invalid(descriptor, code):
+    assert not load_validator("descriptor.schema.json").is_valid(descriptor)
+    for command in ("dual", "pipeline"):
+        fail([command, "--in", json.dumps(descriptor)], code)

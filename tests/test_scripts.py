@@ -67,11 +67,12 @@ def test_pipeline_table_rows():
     rows = json.loads(result.stdout)
     assert [row["stage"] for row in rows] == [
         "descriptor_to_json", "descriptor_from_json", "niceness_pipeline", "dual", "classify_subgroup",
+        "round_trip",
     ]
     # classify runs on the infinite discrete descriptors alone
     counts = {row["stage"]: row["descriptors"] for row in rows}
     assert counts["niceness_pipeline"] == len(list(enumerate_descriptors(3)))
-    assert 0 < counts["classify_subgroup"] < counts["dual"] == counts["niceness_pipeline"]
+    assert 0 < counts["classify_subgroup"] < counts["dual"] == counts["niceness_pipeline"] == counts["round_trip"]
     assert all(row["us_each"] > 0 for row in rows)
 
 

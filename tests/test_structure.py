@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from math import prod
 
 import pytest
@@ -22,6 +23,7 @@ from nullcover.groups import FiniteAbelianGroup
 from nullcover.nullset import NUMERIC_DEPTH_CAP
 from nullcover.structure import (
     MAX_DESCRIPTOR_NESTING,
+    MAX_SHARED_ATOMS,
     RULES,
     Cyclic,
     FiniteSum,
@@ -32,6 +34,7 @@ from nullcover.structure import (
     Reals,
     SumOmega,
     Torus,
+    TraceStep,
     _flatten,
     classify_subgroup,
     descriptor_from_json,
@@ -50,6 +53,7 @@ from helpers import (
     abelian_groups_up_to,
     all_residues,
     divisible_chain_by_elements,
+    dual_by_constructors,
     factor_by_trial_division,
     flatten_by_rebuilding,
     is_compact,
@@ -378,6 +382,17 @@ class TestDual:
     def test_involution(self, d):
         assert dual(dual(d)) == d
 
+    def test_matches_constructor_rebuild_exhaustive(self):
+        for d in enumerate_descriptors(5):
+            assert dual(d) == dual_by_constructors(d)
+            assert dual(dual(d)) == d
+
+    @settings(max_examples=400, deadline=None)
+    @given(wide_descriptors)
+    def test_matches_constructor_rebuild(self, d):
+        assert dual(d) == dual_by_constructors(d)
+        assert dual(dual(d)) == d
+
     def test_involution_exhaustive_small(self):
         count = 0
         for d in enumerate_descriptors(4):
@@ -516,6 +531,83 @@ class TestAgainstRuleByRule:
         for d in enumerate_descriptors(4):
             assert niceness_pipeline(d) == pipeline_by_rules(d)
             assert classify_outcome(classify_subgroup, d) == classify_outcome(classify_by_scans, d)
+
+
+class TestSharedAtomsAndUncheckedBuilds:
+    """Parsing and ``dual`` share atoms by value, and the library's own
+    compounds and records skip checks that already hold; every public
+    constructor and the parser still refuse what they refused."""
+
+    REFUSALS = [
+        (lambda: Cyclic(1), "cyclic order must be >= 2, got 1"),
+        (lambda: Padic(4), "p = 4 is not prime"),
+        (lambda: Quasicyclic(6), "p = 6 is not prime"),
+        (lambda: FiniteSum(()), "FiniteSum needs at least one part"),
+        (lambda: SumOmega((Int(),)), "SumOmega parts must denote finite groups, got Int()"),
+        (lambda: ProdOmega((Torus(),)), "ProdOmega parts must denote finite groups, got Torus()"),
+        (lambda: TraceStep("bogus", Int(), None), "unregistered rule 'bogus'"),
+        (lambda: descriptor_from_json({"type": "Padic", "p": 4}), "p = 4 is not prime"),
+        (lambda: descriptor_from_json({"type": "SumOmega", "parts": [{"type": "Int"}]}),
+         "SumOmega parts must denote finite groups, got Int()"),
+    ]
+
+    @pytest.mark.parametrize("build,message", REFUSALS)
+    def test_refusals_are_never_cached(self, build, message):
+        for _ in range(2):
+            with pytest.raises(PreconditionViolated) as refused:
+                build()
+            assert str(refused.value) == message
+
+    def test_table_stops_at_its_bound(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(structure_module, "_shared_atoms", table)
+        primes = [p for p in range(2, 50_000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        assert len(primes) > MAX_SHARED_ATOMS
+        for p in primes:
+            assert descriptor_from_json({"type": "Padic", "p": p}) == Padic(p)
+            assert len(table) <= MAX_SHARED_ATOMS
+        assert len(table) == MAX_SHARED_ATOMS
+        # past the bound atoms are built afresh, with their checks
+        assert (Padic, primes[-1]) not in table
+        assert dual(Padic(primes[-1])) == Quasicyclic(primes[-1])
+        with pytest.raises(PreconditionViolated, match="p = 4 is not prime"):
+            descriptor_from_json({"type": "Padic", "p": 4})
+        assert (Padic, 4) not in table and len(table) == MAX_SHARED_ATOMS
+
+    def test_atoms_are_shared_by_value(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(structure_module, "_shared_atoms", table)
+        doc = {"type": "FiniteSum", "parts": [{"type": "Cyclic", "m": "12"}, {"type": "Quasicyclic", "p": 5},
+                                              {"type": "Torus"}, {"type": "SumOmega", "parts": [{"type": "Cyclic", "m": 2}]}]}
+        first, second = descriptor_from_json(doc), descriptor_from_json(doc)
+        assert first == second and hash(first) == hash(second)
+        assert descriptor_to_json(first) == descriptor_to_json(second)
+        assert first.parts[1] is second.parts[1] is table[(Quasicyclic, 5)]
+        assert set(table) == {(Cyclic, 12), (Quasicyclic, 5), (Cyclic, 2)}
+        assert dual(first).parts[1] is table[(Padic, 5)]
+        assert dual(Int()) is dual(Int()) and dual(Torus()) is dual(Torus())
+
+    def test_only_exact_ints_are_shared(self, monkeypatch):
+        monkeypatch.setattr(structure_module, "_shared_atoms", {})
+        # the prime test accepts an integral float: its dual keeps the
+        # float, not the shared atom of the equal int
+        for p, text in [(3, "Padic(p=3)"), (3.0, "Padic(p=3.0)"), (3, "Padic(p=3)")]:
+            assert repr(dual(Quasicyclic(p))) == text
+
+    def test_unchecked_builds_match_constructors(self):
+        d = descriptor_from_json({"type": "FiniteSum", "parts": [
+            {"type": "ProdOmega", "parts": [{"type": "Cyclic", "m": 2}]}, {"type": "Int"}, {"type": "Padic", "p": 3},
+            {"type": "FiniteSum", "parts": [{"type": "Torus"}]}]})
+        dualized, rebuilt = dual(d), dual_by_constructors(d)
+        assert repr(dualized) == repr(rebuilt) and hash(dualized) == hash(rebuilt)
+        result = niceness_pipeline(d)
+        assert result == pipeline_by_rules(d) and hash(result) == hash(pipeline_by_rules(d))
+        verdict = classify_subgroup(dualized.parts[0])
+        assert (verdict.case, verdict.witness) == (2, SumOmega((Cyclic(2),)))
+        for record, field in [(dualized, "parts"), (dualized.parts[0], "parts"), (result, "verdict"),
+                              (result.steps[0], "rule"), (verdict, "case")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, None)
 
 
 class TestGoldenDigests:
